@@ -24,7 +24,14 @@ from . import grids as grids_mod
 from . import limits as limits_mod
 from . import regress as regress_mod
 from .errors import NumericalGuardError, ValidationError
-from .model import identity_psi, model_from_json, posterior, prior_predictive
+from .model import (
+    identity_psi,
+    marginalize,
+    model_from_json,
+    posterior,
+    prior_predictive,
+    psi_marginal,
+)
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -54,7 +61,10 @@ def _require(doc: dict, key: str, where: str):
 
 def _emit(text: str, output: str | None):
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {output!r}: {exc.strerror}") from exc
     else:
         click.echo(text, nl=False)
 
@@ -114,8 +124,6 @@ def model_cmd(model_path, x_index, output):
                 "evidence_norm": rep.evidence_norm,
             }
         if psi is not None:
-            from .model import marginalize
-
             pi_psi, cond = marginalize(model, psi)
             doc["marginal"] = {
                 "pi_psi": pi_psi.tolist(),
@@ -143,13 +151,7 @@ def evidence_cmd(model_path, x_index, gamma, convention, psi0, output):
 
     def body():
         model, psi = model_from_json(Path(model_path))
-        if psi is None:
-            psi = identity_psi(model)
-        from .model import psi_marginal
-
-        prior = psi_marginal(model.prior, psi)
-        post = psi_marginal(posterior(model, x_index).posterior, psi)
-        t = evidence_mod.rb_table(prior, post, labels=psi.psi_labels)
+        t = evidence_mod.table_from_model(model, x_index, psi)
         est = evidence_mod.rb_estimate(t)
         doc = {
             "labels": list(t.labels),
@@ -198,12 +200,10 @@ def decide_cmd(model_path, loss, eta, output):
         model, psi = model_from_json(Path(model_path))
         if psi is None:
             psi = identity_psi(model)
-        from .model import psi_marginal
-
         prior = psi_marginal(model.prior, psi)
-        loss_matrix = decision_mod.make_loss(loss, prior, eta=eta)
-        rule, report = decision_mod.bayes_rule(model, psi, loss_matrix)
-        direct = decision_mod.prior_risk(model, psi, loss_matrix, rule)
+        loss_spec = decision_mod.make_loss(loss, prior, eta=eta)
+        rule, report = decision_mod.bayes_rule(model, psi, loss_spec)
+        direct = decision_mod.prior_risk(model, psi, loss_spec, rule)
         doc = {
             "loss": loss,
             "eta": eta,
@@ -378,6 +378,16 @@ def _grid_from_config(doc: dict) -> grids_mod.Grid1D:
     )
 
 
+def _ladder_from_config(doc: dict):
+    """Prior density, likelihood and grid ladder of a gridded experiment."""
+    fam = _density_from_config(_require(doc, "prior", "config"))
+    lik = _likelihood_from_config(_require(doc, "likelihood", "config"))
+    grids_list = limits_mod.grid_ladder(
+        _grid_from_config(_require(doc, "grid", "config")), doc.get("steps", 4), doc.get("factor", 2)
+    )
+    return fam.pdf, lik, grids_list
+
+
 def _trace_rows(trace: limits_mod.LimitTrace) -> tuple[list[str], list[list]]:
     header = ["parameter", "discrepancy", "summary"]
     rows = []
@@ -406,32 +416,20 @@ def limits_cmd(experiment, config, precision, output):
                 )
             else:
                 model, psi = model_from_json(_require(doc, "model", "eta config"))
-                if psi is None:
-                    psi = identity_psi(model)
-                from .model import psi_marginal
-
-                t = evidence_mod.rb_table(
-                    psi_marginal(model.prior, psi),
-                    psi_marginal(posterior(model, _require(doc, "x", "eta config")).posterior, psi),
-                    labels=psi.psi_labels,
-                )
+                t = evidence_mod.table_from_model(model, _require(doc, "x", "eta config"), psi)
             trace = limits_mod.eta_limit(
                 t, eta_ladder=limits_mod.default_eta_ladder(t.prior, doc.get("eta_steps", 8))
             )
             header, rows = _trace_rows(trace)
         elif experiment in ("lambda", "map", "region"):
-            fam = _density_from_config(_require(doc, "prior", "config"))
-            lik = _likelihood_from_config(_require(doc, "likelihood", "config"))
-            grids_list = limits_mod.grid_ladder(
-                _grid_from_config(_require(doc, "grid", "config")), doc.get("steps", 4), doc.get("factor", 2)
-            )
+            pdf, lik, grids_list = _ladder_from_config(doc)
             if experiment == "lambda":
-                trace = limits_mod.lambda_limit(fam.pdf, lik, grids_list, target=doc.get("target"))
+                trace = limits_mod.lambda_limit(pdf, lik, grids_list, target=doc.get("target"))
             elif experiment == "map":
-                trace = limits_mod.map_limit_contrast(fam.pdf, lik, grids_list, target=doc.get("target"))
+                trace = limits_mod.map_limit_contrast(pdf, lik, grids_list, target=doc.get("target"))
             else:
                 trace = limits_mod.region_limit(
-                    fam.pdf, lik, _require(doc, "gamma", "region config"), grids_list,
+                    pdf, lik, _require(doc, "gamma", "region config"), grids_list,
                     doc.get("refine_factor", 16),
                 )
             header, rows = _trace_rows(trace)
@@ -448,13 +446,9 @@ def limits_cmd(experiment, config, precision, output):
                 )
                 reports = [(0.0, rep)]
             else:
-                fam = _density_from_config(_require(doc, "prior", "config"))
-                lik = _likelihood_from_config(_require(doc, "likelihood", "config"))
-                grids_list = limits_mod.grid_ladder(
-                    _grid_from_config(_require(doc, "grid", "config")), doc.get("steps", 4), doc.get("factor", 2)
-                )
+                pdf, lik, grids_list = _ladder_from_config(doc)
                 reports = limits_mod.sandwich_double_limit(
-                    fam.pdf, lik, _require(doc, "gamma", "sandwich config"), grids_list,
+                    pdf, lik, _require(doc, "gamma", "sandwich config"), grids_list,
                     doc.get("eta_steps", 8),
                 )
             for width, rep in reports:

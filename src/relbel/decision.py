@@ -1,14 +1,19 @@
 """Prior-based loss functions, exact Bayes rules, and risk accounting.
 
 All losses here are two-valued: zero on a correct decision, and on an
-error either constant (``map``), the reciprocal of the true value's prior
-mass (``rb``), or that reciprocal capped at ``1/eta`` (``rb-eta``). The
-capped loss applied to grid-cell masses is the same construction and is
-exposed as the ``rb-lambda-eta`` kind for discretized problems.
+error a weight that depends only on the true value. The weight is constant
+(``map``), the reciprocal of the true value's prior mass (``rb``), or that
+reciprocal capped at ``1/eta`` (``rb-eta``). The capped loss applied to
+grid-cell masses is the same construction and is exposed as the
+``rb-lambda-eta`` kind for discretized problems. A loss is stored as its
+vector of error weights.
 
-Bayes rules are computed by per-outcome posterior-risk minimization;
-:func:`brute_force_bayes` independently scores every deterministic rule
-from the joint distribution and serves as an oracle for that shortcut.
+The posterior risk of action ``a`` is the total of posterior times weight
+minus that product at ``a``, so the Bayes rule at each outcome is the
+argmax of posterior times weight; under the ``rb`` loss that product is the
+relative belief ratio. :func:`brute_force_bayes` independently scores every
+deterministic rule from the joint distribution and a dense loss matrix,
+and serves as an oracle for that shortcut.
 """
 
 from __future__ import annotations
@@ -20,22 +25,28 @@ import numpy as np
 from .errors import (
     BadEtaError,
     BadGammaError,
-    ImpossibleObservationError,
     RelBelError,
     RuleSpaceTooLargeError,
     ValidationError,
     ZeroPriorMassError,
 )
-from .evidence import RegionReport
-from .model import FiniteModel, PsiMap, marginalize, posterior, prior_predictive, psi_marginal
+from .evidence import RegionReport, _descending_levels
+from .model import (
+    FiniteModel,
+    PsiMap,
+    marginalize,
+    posterior_table,
+    prior_predictive,
+    psi_marginal,
+)
 
 LOSS_KINDS = ("map", "rb", "rb-eta", "rb-lambda-eta")
 RULE_CAP = 10**6
 
 
 @dataclass(frozen=True, eq=False)
-class LossMatrix:
-    """Loss ``values[true, action]`` over a finite action set; diagonal 0."""
+class Loss:
+    """Two-valued loss: 0 on a correct action, ``values[true]`` on an error."""
 
     kind: str
     values: np.ndarray
@@ -43,12 +54,12 @@ class LossMatrix:
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return len(self.values)
 
 
 @dataclass(frozen=True, eq=False)
 class DecisionRule:
-    """One action index per outcome index, with argmin tie flags."""
+    """One action index per outcome index, with tie flags."""
 
     action_per_x: tuple
     ties: tuple
@@ -62,16 +73,15 @@ class RiskReport:
     decomposition: tuple | None = None
 
 
-def make_loss(kind: str, prior, eta: float | None = None) -> LossMatrix:
-    """Build a loss matrix from the prior masses over the quantity of interest."""
+def make_loss(kind: str, prior, eta: float | None = None) -> Loss:
+    """Build a loss's error weights from the prior masses over the quantity of interest."""
     if kind not in LOSS_KINDS:
         raise ValidationError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
     prior = np.asarray(prior, dtype=float)
     if prior.ndim != 1 or len(prior) == 0:
         raise ValidationError("prior must be a nonempty 1-D array")
-    n = len(prior)
     if kind == "map":
-        weights = np.ones(n)
+        weights = np.ones(len(prior))
     elif kind == "rb":
         if np.any(prior <= 0.0):
             raise ZeroPriorMassError("reciprocal-prior loss needs all prior masses > 0")
@@ -80,22 +90,27 @@ def make_loss(kind: str, prior, eta: float | None = None) -> LossMatrix:
         if eta is None or not eta > 0.0:
             raise BadEtaError(f"eta must be > 0, got {eta}")
         weights = 1.0 / np.maximum(eta, prior)
-    values = np.where(np.eye(n, dtype=bool), 0.0, weights[:, None] * np.ones((1, n)))
-    values.setflags(write=False)
-    return LossMatrix(kind=kind, values=values, eta=eta)
+    weights.setflags(write=False)
+    return Loss(kind=kind, values=weights, eta=eta)
 
 
-def posterior_risk(loss: LossMatrix, posterior_masses, action: int) -> float:
-    """Expected loss of ``action`` under the posterior over true values."""
+def _weighted(loss: Loss, posterior_masses) -> np.ndarray:
+    """Posterior times error weight per value: the action-dependent risk term."""
     post = np.asarray(posterior_masses, dtype=float)
     if post.shape != (loss.n,):
         raise ValidationError(f"posterior length {post.shape} != loss size {loss.n}")
+    return post * loss.values
+
+
+def posterior_risk(loss: Loss, posterior_masses, action: int) -> float:
+    """Expected loss of ``action`` under the posterior over true values."""
+    r = _weighted(loss, posterior_masses)
     if not 0 <= action < loss.n:
         raise ValidationError(f"action index {action} not in [0, {loss.n})")
-    return float(post @ loss.values[:, action])
+    return math.fsum(np.delete(r, action).tolist())
 
 
-def rb_decomposition(loss: LossMatrix, posterior_masses, action: int) -> tuple[float, float]:
+def rb_decomposition(loss: Loss, posterior_masses, action: int) -> tuple[float, float]:
     """(sum of capped rb over values, capped rb at the action).
 
     The posterior risk of a reciprocal-prior loss equals the difference of
@@ -103,45 +118,40 @@ def rb_decomposition(loss: LossMatrix, posterior_masses, action: int) -> tuple[f
     """
     if loss.kind == "map":
         raise ValidationError("decomposition applies to reciprocal-prior losses only")
-    post = np.asarray(posterior_masses, dtype=float)
-    # row maxima recover each true value's error weight (diagonal is 0)
-    recip = loss.values.max(axis=1)
-    ratios = post * recip
+    ratios = _weighted(loss, posterior_masses)
     return float(math.fsum(ratios.tolist())), float(ratios[action])
 
 
-def _argmin_tie(values: np.ndarray) -> tuple[int, bool]:
-    best = int(np.argmin(values))
-    return best, int(np.count_nonzero(values == values[best])) > 1
+def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRule, RiskReport]:
+    """Per-outcome posterior-risk minimizer and its risk accounting.
 
-
-def bayes_rule(model: FiniteModel, psi: PsiMap, loss: LossMatrix) -> tuple[DecisionRule, RiskReport]:
-    """Per-outcome posterior-risk minimizer and its risk accounting."""
+    The action at each outcome is the first argmax of posterior times error
+    weight, flagged as a tie when another value attains the same product.
+    """
     if loss.n != psi.n_psi:
         raise ValidationError(f"loss size {loss.n} != {psi.n_psi} psi values")
-    m = prior_predictive(model)
-    if np.any(m <= 0.0):
-        x = int(np.argmin(m))
-        raise ImpossibleObservationError(
-            f"outcome {model.x_labels[x]!r} has zero prior-predictive mass"
+    ratios = posterior_table(model, psi) * loss.values
+    rows = np.arange(model.n_x)
+    actions = np.argmax(ratios, axis=1)
+    at_action = ratios[rows, actions]
+    ties = np.count_nonzero(ratios == at_action[:, None], axis=1) > 1
+    off_action = ratios.copy()
+    off_action[rows, actions] = 0.0
+    risks = np.array([math.fsum(r.tolist()) for r in off_action])
+    decomp = None
+    if loss.kind != "map":
+        decomp = tuple(
+            (float(math.fsum(r.tolist())), float(a)) for r, a in zip(ratios, at_action)
         )
-    actions, ties, risks, decomp = [], [], [], []
-    for x in range(model.n_x):
-        post_psi = psi_marginal(posterior(model, x).posterior, psi)
-        per_action = post_psi @ loss.values
-        a, tie = _argmin_tie(per_action)
-        actions.append(a)
-        ties.append(tie)
-        risks.append(float(per_action[a]))
-        if loss.kind != "map":
-            decomp.append(rb_decomposition(loss, post_psi, a))
-    prior_risk_value = float(math.fsum((m * np.asarray(risks)).tolist()))
+    m = prior_predictive(model)
     return (
-        DecisionRule(action_per_x=tuple(actions), ties=tuple(ties)),
+        DecisionRule(
+            action_per_x=tuple(int(a) for a in actions), ties=tuple(bool(t) for t in ties)
+        ),
         RiskReport(
-            prior_risk=prior_risk_value,
-            posterior_risk_per_x=np.asarray(risks),
-            decomposition=tuple(decomp) if decomp else None,
+            prior_risk=float(math.fsum((m * risks).tolist())),
+            posterior_risk_per_x=risks,
+            decomposition=decomp,
         ),
     )
 
@@ -157,7 +167,7 @@ def conditional_error_probs(model: FiniteModel, psi: PsiMap, rule: DecisionRule)
     return err
 
 
-def prior_risk(model: FiniteModel, psi: PsiMap, loss: LossMatrix, rule: DecisionRule) -> float:
+def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) -> float:
     """Expected loss of the rule under the joint distribution.
 
     Computed directly in theta-space; for the uncapped reciprocal-prior and
@@ -169,7 +179,8 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: LossMatrix, rule: Decision
         raise ValidationError(f"rule covers {acts.shape} outcomes, model has {model.n_x}")
     psi_of_theta = np.asarray(psi.assignment)
     joint = model.prior[:, None] * model.likelihood
-    losses = loss.values[psi_of_theta[:, None], acts[None, :]]
+    correct = psi_of_theta[:, None] == acts[None, :]
+    losses = np.where(correct, 0.0, loss.values[psi_of_theta][:, None])
     direct = float(math.fsum((joint * losses).ravel().tolist()))
     if loss.kind in ("rb", "map"):
         errs = conditional_error_probs(model, psi, rule)
@@ -185,34 +196,25 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: LossMatrix, rule: Decision
     return direct
 
 
-def lpl_region(loss: LossMatrix, posterior_masses, gamma: float, prior=None) -> RegionReport:
+def lpl_region(loss: Loss, posterior_masses, gamma: float, prior=None) -> RegionReport:
     """Lowest-posterior-loss region with posterior content at least gamma.
 
-    The cutoff is the smallest posterior-risk level whose sublevel set
-    reaches content gamma; members satisfy ``risk <= cutoff``.
-
-    Risks are computed literally from the loss matrix. For reciprocal
-    losses this keeps the construction independent of the ratio-based
-    credible region, at a resolution cost: ratio gaps below one ulp of the
-    total risk magnitude (reciprocals of the smallest prior masses) merge
-    into one risk level. With mass ratios up to about 1e10 the affected
-    levels sit far below any realistic cutoff.
+    The posterior risk of a value falls as its posterior times error weight
+    rises, so the region is a superlevel set of that product: the cutoff is
+    the largest product level whose superlevel set reaches content gamma,
+    and members satisfy ``ratio >= cutoff``. Under the ``rb`` loss the
+    product is the relative belief ratio, and the region is the credible
+    region of the same content.
     """
     if not 0.0 <= gamma <= 1.0:
         raise BadGammaError(f"gamma must be in [0, 1], got {gamma}")
     post = np.asarray(posterior_masses, dtype=float)
-    risks = post @ loss.values
-    # stable risk-ascending order is the same element sequence as the
-    # evidence table's rb-descending order, so cumulative contents match
-    # the credible-region levels bitwise
-    order = np.argsort(risks, kind="stable")
-    sorted_r = risks[order]
-    cum = np.cumsum(post[order])
-    ends = np.append(np.flatnonzero(np.diff(sorted_r)), len(sorted_r) - 1)
-    levels, content = sorted_r[ends], cum[ends]
+    ratios = _weighted(loss, post)
+    levels, content = _descending_levels(ratios, post)
     hit = np.flatnonzero(content >= gamma)
+    # float shortfall at gamma=1 falls back to full support
     cutoff = float(levels[hit[0]] if len(hit) else levels[-1])
-    members = np.flatnonzero(risks <= cutoff)
+    members = np.flatnonzero(ratios >= cutoff)
     prior_content = None
     if prior is not None:
         prior = np.asarray(prior, dtype=float)
@@ -236,37 +238,36 @@ def unbiasedness_gap(model: FiniteModel, psi: PsiMap, h, rule: DecisionRule) -> 
         raise ValidationError(f"h length {h.shape} != {psi.n_psi} psi values")
     if np.any(h < 0):
         raise ValidationError("h weights must be nonnegative")
+    acts = np.asarray(rule.action_per_x)
+    if acts.shape != (model.n_x,):
+        raise ValidationError(f"rule covers {acts.shape} outcomes, model has {model.n_x}")
     pi_psi = psi_marginal(model.prior, psi)
     m = prior_predictive(model)
-    terms = []
-    for x, a in enumerate(rule.action_per_x):
-        post_psi = psi_marginal(posterior(model, x).posterior, psi)
-        terms.append(m[x] * h[a] * (post_psi[a] - pi_psi[a]))
-    return float(math.fsum(terms))
+    post_at_action = posterior_table(model, psi)[np.arange(model.n_x), acts]
+    terms = m * h[acts] * (post_at_action - pi_psi[acts])
+    return float(math.fsum(terms.tolist()))
 
 
 def brute_force_bayes(
-    model: FiniteModel, psi: PsiMap, loss: LossMatrix, cap: int = RULE_CAP
+    model: FiniteModel, psi: PsiMap, loss: Loss, cap: int = RULE_CAP
 ) -> tuple[tuple, float]:
     """Exhaustively score every deterministic rule; return the best.
 
-    Scores come from the joint theta-space expectation, independent of the
-    per-outcome minimization in :func:`bayes_rule`. Guarded by ``cap`` on
-    the number of rules.
+    Scores come from the joint theta-space expectation of a dense
+    ``[true, action]`` loss matrix, independent of the per-outcome
+    maximization in :func:`bayes_rule`. Guarded by ``cap`` on the number
+    of rules, which also keeps the matrix tiny.
     """
-    n_rules = psi.n_psi**model.n_x
-    if n_rules > cap:
-        raise RuleSpaceTooLargeError(
-            f"{psi.n_psi}^{model.n_x} = {n_rules} rules exceeds the cap {cap}"
-        )
+    rules = all_rules(psi.n_psi, model.n_x, cap)
+    n = loss.n
+    dense = np.where(np.eye(n, dtype=bool), 0.0, loss.values[:, None] * np.ones((1, n)))
     psi_of_theta = np.asarray(psi.assignment)
     joint = model.prior[:, None] * model.likelihood
     # W[x, a] = joint expectation of the loss when outcome x gets action a
-    W = joint.T @ loss.values[psi_of_theta]
-    rules = np.indices((psi.n_psi,) * model.n_x).reshape(model.n_x, -1)
-    risks = W[np.arange(model.n_x)[:, None], rules].sum(axis=0)
+    W = joint.T @ dense[psi_of_theta]
+    risks = W[np.arange(model.n_x)[:, None], rules.T].sum(axis=0)
     best = int(np.argmin(risks))
-    return tuple(int(a) for a in rules[:, best]), float(risks[best])
+    return tuple(int(a) for a in rules[best]), float(risks[best])
 
 
 def all_rules(n_psi: int, n_x: int, cap: int = RULE_CAP) -> np.ndarray:

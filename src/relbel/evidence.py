@@ -27,7 +27,7 @@ from .errors import (
     ZeroPriorPositivePosteriorError,
 )
 from .grids import GriddedDistribution
-from .model import NORM_TOL
+from .model import NORM_TOL, FiniteModel, PsiMap, identity_psi, posterior, psi_marginal
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +79,8 @@ class HypothesisReport:
 
 
 def _unit(v: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} masses must be finite")
     if np.any(v < 0):
         raise ValidationError(f"{what} masses must be nonnegative")
     total = math.fsum(v.tolist())
@@ -143,6 +145,20 @@ def table_from_gridded(
     return rb_table(prior_gd.masses, posterior_gd.masses, labels=tuple(float(m) for m in mids))
 
 
+def table_from_model(model: FiniteModel, x: int, psi: PsiMap | None = None) -> EvidenceTable:
+    """Evidence table over psi values for outcome index ``x``, labeled by psi.
+
+    ``psi`` defaults to the identity, giving a table over theta values.
+    """
+    if psi is None:
+        psi = identity_psi(model)
+    return rb_table(
+        psi_marginal(model.prior, psi),
+        psi_marginal(posterior(model, x).posterior, psi),
+        labels=psi.psi_labels,
+    )
+
+
 def rb_estimate(t: EvidenceTable) -> Estimate:
     """Index of the maximal relative belief ratio; ties flagged."""
     best = int(np.argmax(t.rb))
@@ -161,23 +177,24 @@ def plausible_region(t: EvidenceTable) -> RegionReport:
     )
 
 
-def _descending_levels(t: EvidenceTable) -> tuple[np.ndarray, np.ndarray]:
-    """Unique rb values descending with cumulative posterior content.
+def _descending_levels(ratios: np.ndarray, posterior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unique ratio values descending with cumulative posterior content.
 
-    The cumulative sums run over the stable rb-descending element order;
-    the lowest-posterior-loss construction accumulates over the identical
-    sequence, so level contents compare bitwise across the two routes.
+    The cumulative sums run over the stable ratio-descending element order.
+    Credible regions pass the rb column and lowest-posterior-loss regions
+    pass posterior times error weight; when both order the elements alike,
+    level contents compare bitwise across the two routes.
     """
-    order = np.argsort(-t.rb, kind="stable")
-    sorted_rb = t.rb[order]
-    cum = np.cumsum(t.posterior[order])
-    ends = np.append(np.flatnonzero(np.diff(sorted_rb)), len(sorted_rb) - 1)
-    return sorted_rb[ends], cum[ends]
+    order = np.argsort(-ratios, kind="stable")
+    sorted_r = ratios[order]
+    cum = np.cumsum(posterior[order])
+    ends = np.append(np.flatnonzero(np.diff(sorted_r)), len(sorted_r) - 1)
+    return sorted_r[ends], cum[ends]
 
 
 def attainable_gammas(t: EvidenceTable) -> np.ndarray:
     """Posterior contents exactly attainable by rb-cutoff regions, ascending."""
-    _, content = _descending_levels(t)
+    _, content = _descending_levels(t.rb, t.posterior)
     return np.sort(content)
 
 
@@ -194,7 +211,7 @@ def credible_region(t: EvidenceTable, gamma: float, convention: str = "sup-geq")
     if not 0.0 <= gamma <= 1.0:
         raise BadGammaError(f"gamma must be in [0, 1], got {gamma}")
     if convention == "sup-geq":
-        values, content = _descending_levels(t)
+        values, content = _descending_levels(t.rb, t.posterior)
         hit = np.flatnonzero(content >= gamma)
         # float shortfall at gamma=1 falls back to full support
         j = int(hit[0]) if len(hit) else len(values) - 1

@@ -120,6 +120,9 @@ def discretize_cdf(
 
 
 def _normalize(grid: Grid1D, raw: np.ndarray, warn_tail: float | None) -> GriddedDistribution:
+    # NaN passes every sign and total check below, so reject it first
+    if not np.all(np.isfinite(raw)):
+        raise ValidationError("density is not finite on the grid")
     # fsum keeps the total independent of evaluation order at the 1e-9 level
     total = math.fsum(raw.tolist())
     if total <= 0.0:

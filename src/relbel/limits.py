@@ -42,9 +42,10 @@ from .evidence import (
     rb_estimate,
     rb_table,
     table_from_gridded,
+    table_from_model,
 )
 from .grids import Grid1D, GriddedDistribution, discretize, masses_from_cdf, refine
-from .model import FiniteModel, PsiMap, posterior, psi_marginal
+from .model import FiniteModel, PsiMap
 
 FLAT_TOL = 1e-12
 
@@ -83,13 +84,7 @@ def _table_from_source(source, x=None, psi: PsiMap | None = None) -> EvidenceTab
     if isinstance(source, FiniteModel):
         if x is None:
             raise ValidationError("an outcome index is required with a model source")
-        if psi is None:
-            from .model import identity_psi
-
-            psi = identity_psi(source)
-        prior = psi_marginal(source.prior, psi)
-        post = psi_marginal(posterior(source, x).posterior, psi)
-        return rb_table(prior, post, labels=psi.psi_labels)
+        return table_from_model(source, x, psi)
     raise ValidationError(f"unsupported source type {type(source).__name__}")
 
 

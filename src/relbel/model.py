@@ -84,7 +84,13 @@ class PosteriorReport:
 
 
 def _unit_scale(v: np.ndarray, err: type[ValidationError], what: str) -> tuple[np.ndarray, bool]:
-    total = math.fsum(v.tolist())
+    # NaN fails neither the sign check nor the sum check, so test it here
+    if not np.all(np.isfinite(v)):
+        raise err(f"{what} has a non-finite entry")
+    try:
+        total = math.fsum(v.tolist())
+    except OverflowError:
+        raise err(f"{what} sums past the float range, not 1 within {NORM_TOL}") from None
     if abs(total - 1.0) > NORM_TOL:
         raise err(f"{what} sums to {total!r}, not 1 within {NORM_TOL}")
     if total == 1.0:
@@ -97,8 +103,10 @@ def validate(model: FiniteModel) -> FiniteModel:
 
     Raises:
         NegativeMassError: any likelihood or prior entry is negative.
-        NonStochasticRowError: a likelihood row sum is off by more than 1e-9.
-        PriorNotNormalizedError: the prior sum is off by more than 1e-9.
+        NonStochasticRowError: a likelihood row has a non-finite entry or
+            its sum is off by more than 1e-9.
+        PriorNotNormalizedError: the prior has a non-finite entry or its
+            sum is off by more than 1e-9.
     """
     lik = np.asarray(model.likelihood, dtype=float)
     prior = np.asarray(model.prior, dtype=float)
@@ -161,6 +169,45 @@ def psi_marginal(masses: np.ndarray, psi: PsiMap) -> np.ndarray:
     return np.bincount(np.asarray(psi.assignment), weights=masses, minlength=psi.n_psi)
 
 
+def _checked_assignment(model: FiniteModel, psi: PsiMap) -> np.ndarray:
+    a = np.asarray(psi.assignment)
+    if a.shape != (model.n_theta,):
+        raise ValidationError(
+            f"assignment length {a.shape} != {model.n_theta} theta values"
+        )
+    if np.any(a < 0) or np.any(a >= psi.n_psi):
+        raise IndexOutOfRangeError("psi assignment index out of range")
+    return a
+
+
+def posterior_table(model: FiniteModel, psi: PsiMap) -> np.ndarray:
+    """Posterior masses over psi for every outcome, one row per outcome.
+
+    Row ``x`` is bitwise equal to
+    ``psi_marginal(posterior(model, x).posterior, psi)``: the same products,
+    the same ``fsum`` normalizer and the same theta-order accumulation.
+
+    Raises:
+        ValidationError: the psi assignment does not fit the model.
+        ImpossibleObservationError: some outcome has zero prior-predictive mass.
+    """
+    a = _checked_assignment(model, psi)
+    joint = model.prior[:, None] * model.likelihood
+    # one outcome column at a time keeps the Python floats fsum needs small
+    m = np.array([math.fsum(col.tolist()) for col in joint.T])
+    if np.any(m <= 0.0):
+        x = int(np.argmax(m <= 0.0))
+        raise ImpossibleObservationError(
+            f"outcome {model.x_labels[x]!r} has zero prior-predictive mass"
+        )
+    post = joint / m
+    # theta-order accumulation per psi value, as psi_marginal's bincount does
+    table = np.zeros((psi.n_psi, model.n_x))
+    for i, j in enumerate(a.tolist()):
+        table[j] += post[i]
+    return table.T
+
+
 def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray]:
     """Marginal prior over psi and the conditional predictive table.
 
@@ -171,13 +218,7 @@ def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray
     Raises:
         EmptyFiberError: some psi value has zero prior mass.
     """
-    a = np.asarray(psi.assignment)
-    if a.shape != (model.n_theta,):
-        raise ValidationError(
-            f"assignment length {a.shape} != {model.n_theta} theta values"
-        )
-    if np.any(a < 0) or np.any(a >= psi.n_psi):
-        raise IndexOutOfRangeError("psi assignment index out of range")
+    a = _checked_assignment(model, psi)
     pi_psi = psi_marginal(model.prior, psi)
     if np.any(pi_psi <= 0.0):
         j = int(np.argmin(pi_psi))
@@ -208,18 +249,34 @@ def model_from_json(doc: dict | str | Path) -> tuple[FiniteModel, PsiMap | None]
     for key in ("theta", "x", "likelihood", "prior"):
         if key not in doc:
             raise ValidationError(f"model document is missing {key!r}")
+    try:
+        likelihood = np.asarray(doc["likelihood"], dtype=float)
+        prior = np.asarray(doc["prior"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"likelihood and prior must be numeric arrays: {exc}") from exc
     model = validate(
         FiniteModel(
             theta_labels=tuple(doc["theta"]),
             x_labels=tuple(doc["x"]),
-            likelihood=np.asarray(doc["likelihood"], dtype=float),
-            prior=np.asarray(doc["prior"], dtype=float),
+            likelihood=likelihood,
+            prior=prior,
         )
     )
     psi = None
     if "psi" in doc and doc["psi"] is not None:
         spec = doc["psi"]
-        psi = PsiMap(tuple(int(i) for i in spec["assignment"]), tuple(spec["labels"]))
+        if not isinstance(spec, dict) or not {"labels", "assignment"} <= spec.keys():
+            raise ValidationError("psi block needs both 'labels' and 'assignment'")
+        try:
+            assignment = tuple(int(i) for i in spec["assignment"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"psi assignment must list integer indices: {exc}") from exc
+        psi = PsiMap(assignment, tuple(spec["labels"]))
+        if len(psi.assignment) != model.n_theta:
+            raise ValidationError(
+                f"psi assignment has {len(psi.assignment)} entries, "
+                f"model has {model.n_theta} theta values"
+            )
         seen = set(psi.assignment)
         if seen != set(range(psi.n_psi)):
             raise ValidationError("psi assignment is not surjective onto its labels")

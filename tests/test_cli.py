@@ -55,6 +55,50 @@ class TestEvidenceCommand:
         assert res.exit_code == 2
 
 
+class TestMalformedModelFiles:
+    """Malformed model documents exit 2 with a one-line message, no traceback."""
+
+    def invoke(self, runner, tmp_path, doc, command=("evidence", "--x", "0"), extra=()):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, [command[0], "--model", str(path), *command[1:], *extra])
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output and res.output.startswith("error: ")
+        assert res.output.count("\n") == 1
+        return res.output
+
+    def test_psi_without_assignment(self, runner, tmp_path):
+        doc = {**MODEL_DOC, "psi": {"labels": ["A", "B"]}}
+        assert "assignment" in self.invoke(runner, tmp_path, doc)
+
+    def test_assignment_length_differs_from_theta(self, runner, tmp_path):
+        doc = {**MODEL_DOC, "psi": {"labels": ["A", "B"], "assignment": [0, 1, 1]}}
+        assert "3 entries" in self.invoke(runner, tmp_path, doc)
+
+    def test_ragged_likelihood(self, runner, tmp_path):
+        doc = {**MODEL_DOC, "likelihood": [[0.8, 0.2], [1.0]]}
+        assert "numeric arrays" in self.invoke(runner, tmp_path, doc)
+
+    def test_non_integer_assignment(self, runner, tmp_path):
+        doc = {**MODEL_DOC, "psi": {"labels": ["A", "B"], "assignment": ["z", 0]}}
+        assert "integer indices" in self.invoke(runner, tmp_path, doc)
+
+    def test_row_sum_past_float_range(self, runner, tmp_path):
+        doc = {**MODEL_DOC, "likelihood": [[1e308, 1e308], [0.2, 0.8]]}
+        assert "float range" in self.invoke(runner, tmp_path, doc)
+
+    def test_unwritable_output_path(self, runner, tmp_path):
+        out = str(tmp_path / "no-such-dir" / "out.json")
+        msg = self.invoke(runner, tmp_path, MODEL_DOC, extra=("-o", out))
+        assert "cannot write" in msg
+
+    def test_nan_likelihood_rejected(self, runner, tmp_path):
+        # JSON has no NaN, but Python's reader accepts the literal
+        doc = {**MODEL_DOC, "likelihood": [[float("nan"), 0.2], [0.2, 0.8]]}
+        for command in (("evidence", "--x", "0"), ("decide",)):
+            assert "non-finite" in self.invoke(runner, tmp_path, doc, command)
+
+
 class TestDecideCommand:
     def test_rb_rule_report(self, runner, model_file):
         res = runner.invoke(main, ["decide", "--model", model_file, "--loss", "rb"])

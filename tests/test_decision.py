@@ -24,19 +24,22 @@ from conftest import random_model
 
 class TestMakeLoss:
     def test_map_all_ones_off_diagonal(self):
+        # the stored values are the error weights, one per true value
         loss = make_loss("map", [0.3, 0.7])
-        assert np.all(loss.values == np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert loss.values.shape == (2,) and loss.n == 2
+        assert np.all(loss.values == np.array([1.0, 1.0]))
+        assert not loss.values.flags.writeable
 
     def test_rb_reciprocal_rows(self):
         loss = make_loss("rb", [0.25, 0.75])
-        assert loss.values[0, 1] == pytest.approx(4.0)
-        assert loss.values[1, 0] == pytest.approx(4.0 / 3.0)
-        assert np.all(np.diag(loss.values) == 0.0)
+        assert loss.values.shape == (2,)
+        assert loss.values[0] == pytest.approx(4.0)
+        assert loss.values[1] == pytest.approx(4.0 / 3.0)
 
     def test_eta_saturation(self):
         loss = make_loss("rb-eta", [0.2, 0.8], eta=0.9)
-        off = loss.values[~np.eye(2, dtype=bool)]
-        assert np.allclose(off, 1.0 / 0.9)
+        assert loss.values.shape == (2,)
+        assert np.allclose(loss.values, 1.0 / 0.9)
 
     def test_eta_bound(self, rng):
         for _ in range(20):
@@ -135,6 +138,48 @@ class TestBayesRule:
     def test_rule_cap(self):
         with pytest.raises(RuleSpaceTooLargeError):
             all_rules(10, 7)
+
+
+def dense_loss(loss):
+    """The ``[true, action]`` loss matrix: weight of the true value off the diagonal."""
+    n = loss.n
+    return np.where(np.eye(n, dtype=bool), 0.0, np.repeat(loss.values[:, None], n, axis=1))
+
+
+class TestDenseOracle:
+    KINDS = (("map", None), ("rb", None), ("rb-eta", 0.5))
+
+    def test_bayes_rule_matches_dense_argmin(self, rng):
+        for _ in range(50):
+            model, psi = random_model(rng)
+            pi_psi = psi_marginal(model.prior, psi)
+            for kind, share in self.KINDS:
+                eta = share * float(pi_psi.max()) if share else None
+                loss = make_loss(kind, pi_psi, eta=eta)
+                rule, report = bayes_rule(model, psi, loss)
+                dense = dense_loss(loss)
+                for x in range(model.n_x):
+                    risks = psi_marginal(posterior(model, x).posterior, psi) @ dense
+                    assert rule.action_per_x[x] == int(np.argmin(risks))
+                    assert abs(report.posterior_risk_per_x[x] - risks.min()) < 1e-12
+
+    def test_lpl_region_is_dense_risk_sublevel_set(self, rng):
+        for _ in range(50):
+            model, psi = random_model(rng)
+            pi_psi = psi_marginal(model.prior, psi)
+            post = psi_marginal(posterior(model, int(rng.integers(model.n_x))).posterior, psi)
+            for kind, share in self.KINDS:
+                eta = share * float(pi_psi.max()) if share else None
+                loss = make_loss(kind, pi_psi, eta=eta)
+                risks = post @ dense_loss(loss)
+                for gamma in (*rng.uniform(0, 1, 5), 0.0, 1.0):
+                    # smallest risk level whose sublevel set holds content gamma
+                    levels = np.unique(risks)
+                    contents = [math.fsum(post[risks <= r].tolist()) for r in levels]
+                    ok = [r for r, c in zip(levels, contents) if c >= gamma]
+                    level = ok[0] if ok else levels[-1]
+                    expected = set(np.flatnonzero(risks <= level).tolist())
+                    assert lpl_region(loss, post, float(gamma)).member_indices == expected
 
 
 class TestPriorRisk:

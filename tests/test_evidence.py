@@ -61,6 +61,11 @@ class TestRbTable:
         with pytest.raises(ValidationError):
             rb_table([0.5, 0.5], [1.0])
 
+    def test_non_finite_masses_rejected(self):
+        for prior, post in (([0.5, 0.5], [np.nan, 1.0]), ([np.nan, 0.5], [0.5, 0.5])):
+            with pytest.raises(ValidationError, match="finite"):
+                rb_table(prior, post)
+
 
 class TestEstimate:
     def test_hand_example(self):

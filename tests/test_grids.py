@@ -9,6 +9,7 @@ from relbel.errors import (
     BadRangeError,
     IndexOutOfRangeError,
     NegativeDensityError,
+    ValidationError,
     ZeroCellsError,
 )
 from relbel.grids import (
@@ -77,6 +78,12 @@ class TestDiscretize:
     def test_negative_density_rejected(self):
         with pytest.raises(NegativeDensityError):
             discretize(lambda p: -np.ones_like(p), build_grid(0, 1, 4))
+
+    def test_non_finite_density_rejected(self):
+        g = build_grid(0, 1, 4)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="not finite"):
+                discretize(lambda p, bad=bad: np.where(p < 0.5, bad, 1.0), g)
 
     def test_tail_mass_recorded_and_warns(self):
         g = build_grid(-1, 1, 16)

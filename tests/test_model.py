@@ -6,9 +6,11 @@ import pytest
 from relbel.errors import (
     EmptyFiberError,
     ImpossibleObservationError,
+    IndexOutOfRangeError,
     NegativeMassError,
     NonStochasticRowError,
     PriorNotNormalizedError,
+    ValidationError,
 )
 from relbel.model import (
     FiniteModel,
@@ -18,7 +20,9 @@ from relbel.model import (
     model_from_json,
     model_to_json,
     posterior,
+    posterior_table,
     prior_predictive,
+    psi_marginal,
     validate,
 )
 from conftest import random_model
@@ -59,6 +63,18 @@ class TestValidate:
                     ("a", "b"), ("x",), np.array([[1.0], [1.0]]), np.array([1.5, -0.5])
                 )
             )
+
+    def test_rejects_non_finite_entries(self):
+        # NaN passes both the sign check and the sum-off-by-tolerance check
+        lik = np.array([[0.5, 0.5], [0.5, 0.5]])
+        nan_row = np.array([[np.nan, 0.5], [0.5, 0.5]])
+        for bad_lik, prior, err in (
+            (nan_row, np.array([0.5, 0.5]), NonStochasticRowError),
+            (lik, np.array([np.nan, 0.5]), PriorNotNormalizedError),
+            (np.array([[np.inf, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5]), NonStochasticRowError),
+        ):
+            with pytest.raises(err, match="non-finite"):
+                validate(FiniteModel(("a", "b"), ("x0", "x1"), bad_lik, prior))
 
     def test_renormalizes_within_tolerance_once(self):
         m = validate(
@@ -116,6 +132,36 @@ class TestPosterior:
         )
         with pytest.raises(ImpossibleObservationError):
             posterior(m, 0)
+
+
+class TestPosteriorTable:
+    def test_rows_bitwise_equal_per_outcome_route(self, rng):
+        for _ in range(50):
+            model, psi = random_model(rng, max_theta=12, max_x=9, max_psi=5)
+            table = posterior_table(model, psi)
+            assert table.shape == (model.n_x, psi.n_psi)
+            for x in range(model.n_x):
+                row = psi_marginal(posterior(model, x).posterior, psi)
+                assert table[x].tobytes() == row.tobytes()
+
+    def test_impossible_observation(self):
+        m = validate(
+            FiniteModel(
+                ("a", "b"),
+                ("x0", "x1"),
+                np.array([[0.0, 1.0], [0.0, 1.0]]),
+                np.array([0.5, 0.5]),
+            )
+        )
+        with pytest.raises(ImpossibleObservationError, match="x0"):
+            posterior_table(m, identity_psi(m))
+
+    def test_assignment_checked(self):
+        m = validate(two_by_two())
+        with pytest.raises(ValidationError):
+            posterior_table(m, PsiMap((0,), ("A",)))
+        with pytest.raises(IndexOutOfRangeError):
+            posterior_table(m, PsiMap((0, -1), ("A", "B")))
 
 
 class TestPriorPredictive:
