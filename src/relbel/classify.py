@@ -224,7 +224,6 @@ def risk_table(
         u = gen.random((reps, _columns(n)))
         eps = betaincinv(alpha, beta, u[:, 0])
         c = u[:, 1 : 1 + n] < eps[:, None]
-        _x_train = ndtri(u[:, 1 + n : 1 + 2 * n]) + mu * c  # noqa: F841
         x_test0 = ndtri(u[:, 1 + 2 * n])
         x_test1 = mu + ndtri(u[:, 2 + 2 * n])
         k = c.sum(axis=1).astype(float)

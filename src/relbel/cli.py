@@ -59,6 +59,29 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A finite JSON number; ``abs`` compares huge integers exactly, NaN fails it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise ValidationError(f"{what} must be a finite number, got {value!r:.40}")
+    return float(value)
+
+
+def _count(value, what: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r:.40}")
+    return value
+
+
 def _emit(text: str, output: str | None):
     if output:
         try:
@@ -355,26 +378,31 @@ def regress_cmd(design, response, sigma2, tau2, w_path, grid_check, output):
     _run(body)
 
 
-def _density_from_config(doc: dict):
+def _density_from_config(doc) -> grids_mod.DensityFamily:
+    doc = _object(doc, "density config")
     name = _require(doc, "family", "density config")
-    return grids_mod.family(name, **{k: v for k, v in doc.items() if k != "family"})
+    params = {k: _number(v, f"density field {k!r}") for k, v in doc.items() if k != "family"}
+    return grids_mod.family(name, **params)
 
 
-def _likelihood_from_config(doc: dict):
+def _likelihood_from_config(doc):
+    doc = _object(doc, "likelihood config")
     kind = doc.get("kind", "normal-location")
-    x = _require(doc, "x", "likelihood config")
+    x = _number(_require(doc, "x", "likelihood config"), "likelihood config field 'x'")
+    sigma2 = _number(doc.get("sigma2", 1.0), "likelihood config field 'sigma2'")
     if kind == "normal-location":
-        return limits_mod.gaussian_location_likelihood(x, doc.get("sigma2", 1.0))
+        return limits_mod.gaussian_location_likelihood(x, sigma2)
     if kind == "normal-location-log":
-        return limits_mod.gaussian_log_location_likelihood(x, doc.get("sigma2", 1.0))
-    raise ValidationError(f"unknown likelihood kind {kind!r}")
+        return limits_mod.gaussian_log_location_likelihood(x, sigma2)
+    raise ValidationError(f"unknown likelihood kind {kind!r:.40}")
 
 
-def _grid_from_config(doc: dict) -> grids_mod.Grid1D:
+def _grid_from_config(doc) -> grids_mod.Grid1D:
+    doc = _object(doc, "grid config")
     return grids_mod.build_grid(
-        _require(doc, "lo", "grid config"),
-        _require(doc, "hi", "grid config"),
-        _require(doc, "n_cells", "grid config"),
+        _number(_require(doc, "lo", "grid config"), "grid config field 'lo'"),
+        _number(_require(doc, "hi", "grid config"), "grid config field 'hi'"),
+        _count(_require(doc, "n_cells", "grid config"), "grid config field 'n_cells'"),
     )
 
 
@@ -383,9 +411,27 @@ def _ladder_from_config(doc: dict):
     fam = _density_from_config(_require(doc, "prior", "config"))
     lik = _likelihood_from_config(_require(doc, "likelihood", "config"))
     grids_list = limits_mod.grid_ladder(
-        _grid_from_config(_require(doc, "grid", "config")), doc.get("steps", 4), doc.get("factor", 2)
+        _grid_from_config(_require(doc, "grid", "config")),
+        _count(doc.get("steps", 4), "config field 'steps'"),
+        _count(doc.get("factor", 2), "config field 'factor'"),
     )
     return fam.pdf, lik, grids_list
+
+
+def _eta_steps(doc: dict) -> int:
+    return _count(doc.get("eta_steps", 8), "config field 'eta_steps'")
+
+
+def _table_from_config(doc: dict) -> tuple[list, list]:
+    """Prior and posterior masses of a ``table`` block."""
+    tbl = _object(doc["table"], "table config")
+    masses = []
+    for key in ("prior", "posterior"):
+        values = _require(tbl, key, "table config")
+        if not isinstance(values, list):
+            raise ValidationError(f"table config field {key!r} must be a list of numbers")
+        masses.append([_number(v, f"table config field {key!r} entry") for v in values])
+    return masses[0], masses[1]
 
 
 def _trace_rows(trace: limits_mod.LimitTrace) -> tuple[list[str], list[list]]:
@@ -406,50 +452,44 @@ def limits_cmd(experiment, config, precision, output):
     """Run one limit experiment described by a JSON config; emit a CSV trace."""
 
     def body():
-        doc = json.loads(Path(config).read_text())
+        doc = _object(json.loads(Path(config).read_text()), "limits config")
+        if experiment in ("region", "sandwich"):
+            gamma = _number(_require(doc, "gamma", f"{experiment} config"), "config field 'gamma'")
         if experiment == "eta":
             if "table" in doc:
-                tbl = doc["table"]
-                t = evidence_mod.rb_table(
-                    _require(tbl, "prior", "table config"),
-                    _require(tbl, "posterior", "table config"),
-                )
+                t = evidence_mod.rb_table(*_table_from_config(doc))
             else:
-                model, psi = model_from_json(_require(doc, "model", "eta config"))
-                t = evidence_mod.table_from_model(model, _require(doc, "x", "eta config"), psi)
-            trace = limits_mod.eta_limit(
-                t, eta_ladder=limits_mod.default_eta_ladder(t.prior, doc.get("eta_steps", 8))
-            )
+                block = _require(doc, "model", "eta config")
+                model, psi = model_from_json(_object(block, "eta config field 'model'"))
+                x = _count(_require(doc, "x", "eta config"), "eta config field 'x'")
+                t = evidence_mod.table_from_model(model, x, psi)
+            ladder = limits_mod.default_eta_ladder(t.prior, _eta_steps(doc))
+            trace = limits_mod.eta_limit(t, eta_ladder=ladder)
             header, rows = _trace_rows(trace)
         elif experiment in ("lambda", "map", "region"):
             pdf, lik, grids_list = _ladder_from_config(doc)
+            target = doc.get("target")
+            if target is not None:
+                target = _number(target, "config field 'target'")
             if experiment == "lambda":
-                trace = limits_mod.lambda_limit(pdf, lik, grids_list, target=doc.get("target"))
+                trace = limits_mod.lambda_limit(pdf, lik, grids_list, target=target)
             elif experiment == "map":
-                trace = limits_mod.map_limit_contrast(pdf, lik, grids_list, target=doc.get("target"))
+                trace = limits_mod.map_limit_contrast(pdf, lik, grids_list, target=target)
             else:
                 trace = limits_mod.region_limit(
-                    pdf, lik, _require(doc, "gamma", "region config"), grids_list,
-                    doc.get("refine_factor", 16),
+                    pdf, lik, gamma, grids_list,
+                    _count(doc.get("refine_factor", 16), "config field 'refine_factor'"),
                 )
             header, rows = _trace_rows(trace)
         else:
             header = ["parameter", "eta", "gamma_used", "gamma_next", "lower_holds", "upper_holds"]
             rows = []
             if "table" in doc:
-                tbl = doc["table"]
-                rep = limits_mod.lpl_sandwich(
-                    _require(tbl, "prior", "table config"),
-                    _require(tbl, "posterior", "table config"),
-                    _require(doc, "gamma", "sandwich config"),
-                    eta_ladder=None,
-                )
-                reports = [(0.0, rep)]
+                reports = [(0.0, limits_mod.lpl_sandwich(*_table_from_config(doc), gamma))]
             else:
                 pdf, lik, grids_list = _ladder_from_config(doc)
                 reports = limits_mod.sandwich_double_limit(
-                    pdf, lik, _require(doc, "gamma", "sandwich config"), grids_list,
-                    doc.get("eta_steps", 8),
+                    pdf, lik, gamma, grids_list, _eta_steps(doc)
                 )
             for width, rep in reports:
                 for eta, lo, up in zip(rep.eta_values, rep.lower_holds, rep.upper_holds):

@@ -3,10 +3,9 @@
 All losses here are two-valued: zero on a correct decision, and on an
 error a weight that depends only on the true value. The weight is constant
 (``map``), the reciprocal of the true value's prior mass (``rb``), or that
-reciprocal capped at ``1/eta`` (``rb-eta``). The capped loss applied to
-grid-cell masses is the same construction and is exposed as the
-``rb-lambda-eta`` kind for discretized problems. A loss is stored as its
-vector of error weights.
+reciprocal capped at ``1/eta`` (``rb-eta``), which applies unchanged to
+the cell masses of a discretized problem. A loss is stored as its vector
+of error weights.
 
 The posterior risk of action ``a`` is the total of posterior times weight
 minus that product at ``a``, so the Bayes rule at each outcome is the
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import (
     BadEtaError,
     BadGammaError,
-    RelBelError,
+    RiskCrossCheckError,
     RuleSpaceTooLargeError,
     ValidationError,
     ZeroPriorMassError,
@@ -40,7 +39,7 @@ from .model import (
     psi_marginal,
 )
 
-LOSS_KINDS = ("map", "rb", "rb-eta", "rb-lambda-eta")
+LOSS_KINDS = ("map", "rb", "rb-eta")
 RULE_CAP = 10**6
 
 
@@ -172,7 +171,8 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) 
 
     Computed directly in theta-space; for the uncapped reciprocal-prior and
     constant losses the closed forms (sum of conditional error
-    probabilities, plain or prior-weighted) are cross-checked to 1e-9.
+    probabilities, plain or prior-weighted) are cross-checked to 1e-9, and
+    a disagreement raises :class:`RiskCrossCheckError`.
     """
     acts = np.asarray(rule.action_per_x)
     if acts.shape != (model.n_x,):
@@ -190,7 +190,7 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) 
             pi_psi = psi_marginal(model.prior, psi)
             closed = float(math.fsum((errs * pi_psi).tolist()))
         if abs(direct - closed) > 1e-9:
-            raise RelBelError(
+            raise RiskCrossCheckError(
                 f"risk cross-check failed: direct {direct!r} vs closed form {closed!r}"
             )
     return direct

@@ -124,3 +124,7 @@ class NearSingularMagnifierError(NumericalGuardError):
 
 class SeparationViolatedError(NumericalGuardError):
     """The evidence function is flat; no separated maximizer exists."""
+
+
+class RiskCrossCheckError(NumericalGuardError):
+    """A direct prior risk disagrees with its closed form beyond 1e-9."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,23 +36,23 @@ class EvidenceTable:
 
     Values whose prior and posterior mass are both zero (truncation
     artifacts) are excluded; ``dropped_zero_prior`` counts them and
-    ``kept_indices`` maps table positions back to the original indexing.
+    ``kept_indices``, a read-only int array, maps table rows to input
+    positions. ``labels`` are the input labels of the kept rows.
     """
 
-    labels: tuple
+    labels: Sequence
     prior: np.ndarray
     posterior: np.ndarray
     rb: np.ndarray
-    dropped_zero_prior: int = 0
-    kept_indices: tuple = ()
+    dropped_zero_prior: int
+    kept_indices: np.ndarray
 
     def __len__(self) -> int:
         return len(self.rb)
 
-    def original_indices(self, positions: Sequence[int]) -> frozenset:
+    def original_indices(self, positions: Iterable[int]) -> frozenset:
         """Map table positions to indices of the pre-drop input."""
-        kept = self.kept_indices or tuple(range(len(self)))
-        return frozenset(kept[i] for i in positions)
+        return frozenset(self.kept_indices[np.fromiter(positions, dtype=np.intp)].tolist())
 
 
 class Estimate(NamedTuple):
@@ -101,10 +101,7 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
         raise ValidationError("prior and posterior must be 1-D arrays of equal length")
     if len(prior) == 0:
         raise ValidationError("empty table")
-    if labels is None:
-        labels = tuple(range(len(prior)))
-    labels = tuple(labels)
-    if len(labels) != len(prior):
+    if labels is not None and len(labels) != len(prior):
         raise ValidationError("labels length does not match masses")
 
     zero_prior = prior == 0.0
@@ -112,21 +109,26 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ZeroPriorPositivePosteriorError(
-            f"value {labels[i]!r} has zero prior but posterior mass {posterior[i]!r}"
+            f"value {i if labels is None else labels[i]!r} has zero prior "
+            f"but posterior mass {posterior[i]!r}"
         )
     keep = ~zero_prior
-    dropped = int(np.count_nonzero(zero_prior))
-    kept_idx = tuple(int(i) for i in np.flatnonzero(keep))
+    kept_idx = np.flatnonzero(keep)
+    kept_idx.setflags(write=False)
+    if isinstance(labels, np.ndarray):
+        labels = labels[kept_idx]
+    elif labels is not None:
+        labels = tuple(labels[i] for i in kept_idx.tolist())
     prior = _unit(prior[keep], "prior")
     posterior = _unit(posterior[keep], "posterior")
     rb = posterior / prior
     rb.setflags(write=False)
     return EvidenceTable(
-        labels=tuple(labels[i] for i in kept_idx),
+        labels=kept_idx if labels is None else labels,
         prior=prior,
         posterior=posterior,
         rb=rb,
-        dropped_zero_prior=dropped,
+        dropped_zero_prior=int(np.count_nonzero(zero_prior)),
         kept_indices=kept_idx,
     )
 
@@ -141,8 +143,7 @@ def table_from_gridded(
         or prior_gd.grid.n_cells != posterior_gd.grid.n_cells
     ):
         raise ValidationError("prior and posterior are gridded on different grids")
-    mids = prior_gd.grid.midpoints
-    return rb_table(prior_gd.masses, posterior_gd.masses, labels=tuple(float(m) for m in mids))
+    return rb_table(prior_gd.masses, posterior_gd.masses, labels=prior_gd.grid.midpoints)
 
 
 def table_from_model(model: FiniteModel, x: int, psi: PsiMap | None = None) -> EvidenceTable:
@@ -219,7 +220,8 @@ def credible_region(t: EvidenceTable, gamma: float, convention: str = "sup-geq")
         members = np.flatnonzero(t.rb >= cutoff)
     elif convention == "quantile-gt":
         if gamma >= 1.0:
-            cutoff = -math.inf
+            # cells without posterior mass (rb = 0) stay out, as from the plausible region
+            cutoff = 0.0 if np.any(t.rb == 0.0) else -math.inf
         else:
             # smallest rb level whose strict-superlevel mass is <= gamma;
             # evaluated by fsum over the same masks plausible_region uses,

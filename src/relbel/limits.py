@@ -7,8 +7,8 @@ action or credible region moves toward its evidence-based limit:
 * :func:`eta_limit` - on a finite or truncated-countable table, the Bayes
   action under the capped reciprocal-prior loss must lock onto the
   evidence maximizer once eta drops below that value's prior mass.
-* :func:`lambda_limit` - on a shrinking grid with the cap tied to the
-  current best cell's prior mass, the Bayes action converges to the
+* :func:`lambda_limit` - on a shrinking grid with the cap at half the
+  best evidence cell's prior mass, the Bayes action converges to the
   continuous evidence maximizer.
 * :func:`map_limit_contrast` - same ladder under the plain cell-membership
   loss, which converges to the posterior density mode instead.
@@ -88,6 +88,21 @@ def _table_from_source(source, x=None, psi: PsiMap | None = None) -> EvidenceTab
     raise ValidationError(f"unsupported source type {type(source).__name__}")
 
 
+def _trace(parameters, actions, target) -> LimitTrace:
+    """A ladder trace whose discrepancies are distances to the target."""
+    return LimitTrace(
+        parameter_values=tuple(parameters),
+        actions_or_regions=tuple(actions),
+        target=target,
+        discrepancies=tuple(float(abs(a - target)) for a in actions),
+    )
+
+
+def _capped_action(t: EvidenceTable, eta: float) -> int:
+    """Bayes action under the capped reciprocal-prior loss with cap ``eta``."""
+    return int(np.argmax(t.posterior / np.maximum(eta, t.prior)))
+
+
 def eta_limit(source, x=None, psi: PsiMap | None = None, eta_ladder=None) -> LimitTrace:
     """Bayes actions under the capped reciprocal-prior loss along an eta ladder.
 
@@ -102,35 +117,23 @@ def eta_limit(source, x=None, psi: PsiMap | None = None, eta_ladder=None) -> Lim
     if eta_ladder is None:
         eta_ladder = default_eta_ladder(t.prior)
     eta_ladder = tuple(float(e) for e in eta_ladder)
-    if any(e <= 0 for e in eta_ladder) or any(
-        a <= b for a, b in zip(eta_ladder, eta_ladder[1:])
-    ):
+    if any(e <= 0 for e in eta_ladder) or any(a <= b for a, b in zip(eta_ladder, eta_ladder[1:])):
         raise ValidationError("eta ladder must be strictly decreasing and positive")
-    actions = []
-    for eta in eta_ladder:
-        actions.append(int(np.argmax(t.posterior / np.maximum(eta, t.prior))))
-    return LimitTrace(
-        parameter_values=eta_ladder,
-        actions_or_regions=tuple(actions),
-        target=est.index,
-        discrepancies=tuple(float(abs(a - est.index)) for a in actions),
-    )
+    return _trace(eta_ladder, [_capped_action(t, eta) for eta in eta_ladder], est.index)
 
 
 def _gridded_pair(
-    prior_density: Callable,
-    likelihood_at_x: Callable,
-    grid: Grid1D,
-    quadrature_points: int = 8,
+    prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D
 ) -> tuple[GriddedDistribution, GriddedDistribution]:
-    prior_gd = discretize(prior_density, grid, quadrature_points)
-    post_gd = discretize(
-        lambda p: np.asarray(prior_density(p)) * np.asarray(likelihood_at_x(p)),
-        grid,
-        quadrature_points,
-        warn_tail=None,
-    )
-    return prior_gd, post_gd
+    def joint(p):
+        return np.asarray(prior_density(p)) * np.asarray(likelihood_at_x(p))
+
+    return discretize(prior_density, grid), discretize(joint, grid, warn_tail=None)
+
+
+def _grid_table(prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D) -> EvidenceTable:
+    """Evidence table of the discretized problem on one grid."""
+    return table_from_gridded(*_gridded_pair(prior_density, likelihood_at_x, grid))
 
 
 def _checked_argmax(values: np.ndarray, what: str) -> int:
@@ -143,13 +146,13 @@ def _checked_argmax(values: np.ndarray, what: str) -> int:
     return int(peaks[0])
 
 
-def half_best_cell_mass(prior_masses: np.ndarray, best: int) -> float:
-    """Default cap rule: half the prior mass of the best evidence cell.
-
-    Strictly between zero and that cell's mass, hence small enough for the
-    action to converge, without needing the continuous maximizer.
-    """
-    return 0.5 * float(prior_masses[best])
+def _grid_ladder_trace(
+    grids: Sequence[Grid1D], target: float | None, action_on: Callable[[Grid1D], float]
+) -> LimitTrace:
+    """Per-grid actions against ``target``, by default the finest grid's action."""
+    actions = [action_on(grid) for grid in grids]
+    target = actions[-1] if target is None else target
+    return _trace([grid.cell_width for grid in grids], actions, float(target))
 
 
 def lambda_limit(
@@ -157,38 +160,21 @@ def lambda_limit(
     likelihood_at_x: Callable,
     grids: Sequence[Grid1D],
     target: float | None = None,
-    eta_rule: Callable[[np.ndarray, int], float] = half_best_cell_mass,
-    quadrature_points: int = 8,
 ) -> LimitTrace:
     """Bayes actions of the discretized problem along a grid ladder.
 
-    Per grid, ``eta_rule(prior_masses, best_cell)`` sets the loss cap
-    (default: half the best evidence cell's prior mass) and the action is
-    that ladder's Bayes cell midpoint. ``target`` defaults to the finest
-    grid's own evidence argmax when no analytic value is supplied.
+    Per grid, the loss cap is half the prior mass of the best evidence cell,
+    which the table keeps, so the cap lies strictly between zero and that
+    mass; the action is the Bayes cell's midpoint. ``target`` defaults to
+    the finest grid's action when no analytic value is supplied.
     """
-    actions = []
-    widths = []
-    for grid in grids:
-        prior_gd, post_gd = _gridded_pair(prior_density, likelihood_at_x, grid, quadrature_points)
-        t = table_from_gridded(prior_gd, post_gd)
+
+    def action_on(grid: Grid1D) -> float:
+        t = _grid_table(prior_density, likelihood_at_x, grid)
         best = _checked_argmax(t.rb, "relative belief ratio")
-        eta = float(eta_rule(t.prior, best))
-        if not 0.0 < eta < float(t.prior[best]) or not math.isfinite(eta):
-            raise ValidationError(
-                f"eta rule returned {eta!r}, outside (0, best cell mass)"
-            )
-        action = int(np.argmax(t.posterior / np.maximum(eta, t.prior)))
-        actions.append(float(t.labels[action]))
-        widths.append(grid.cell_width)
-    if target is None:
-        target = actions[-1]
-    return LimitTrace(
-        parameter_values=tuple(widths),
-        actions_or_regions=tuple(actions),
-        target=float(target),
-        discrepancies=tuple(abs(a - float(target)) for a in actions),
-    )
+        return float(t.labels[_capped_action(t, 0.5 * float(t.prior[best]))])
+
+    return _grid_ladder_trace(grids, target, action_on)
 
 
 def map_limit_contrast(
@@ -196,24 +182,22 @@ def map_limit_contrast(
     likelihood_at_x: Callable,
     grids: Sequence[Grid1D],
     target: float | None = None,
-    quadrature_points: int = 8,
 ) -> LimitTrace:
     """Bayes actions under the plain cell-membership loss (posterior mode)."""
-    actions = []
-    widths = []
-    for grid in grids:
-        _, post_gd = _gridded_pair(prior_density, likelihood_at_x, grid, quadrature_points)
-        best = _checked_argmax(post_gd.masses, "posterior cell mass")
-        actions.append(float(grid.midpoints[best]))
-        widths.append(grid.cell_width)
-    if target is None:
-        target = actions[-1]
-    return LimitTrace(
-        parameter_values=tuple(widths),
-        actions_or_regions=tuple(actions),
-        target=float(target),
-        discrepancies=tuple(abs(a - float(target)) for a in actions),
-    )
+
+    def action_on(grid: Grid1D) -> float:
+        _, post_gd = _gridded_pair(prior_density, likelihood_at_x, grid)
+        return float(grid.midpoints[_checked_argmax(post_gd.masses, "posterior cell mass")])
+
+    return _grid_ladder_trace(grids, target, action_on)
+
+
+def _region_mask(t: EvidenceTable, gamma: float, n_cells: int) -> np.ndarray:
+    """Mask over all grid cells of the sup-geq credible region of ``t``."""
+    members = np.fromiter(credible_region(t, gamma, "sup-geq").member_indices, dtype=np.intp)
+    mask = np.zeros(n_cells, dtype=bool)
+    mask[t.kept_indices[members]] = True
+    return mask
 
 
 def region_limit(
@@ -222,7 +206,6 @@ def region_limit(
     gamma: float,
     grids: Sequence[Grid1D],
     refine_factor: int = 16,
-    quadrature_points: int = 8,
 ) -> LimitTrace:
     """Credible regions along a grid ladder against a finer reference.
 
@@ -235,31 +218,21 @@ def region_limit(
     for g in grids:
         if ref_grid.n_cells % g.n_cells or g.lo != ref_grid.lo or g.hi != ref_grid.hi:
             raise ValidationError("ladder grids must nest into the reference grid")
-    prior_ref, post_ref = _gridded_pair(prior_density, likelihood_at_x, ref_grid, quadrature_points)
-    t_ref = table_from_gridded(prior_ref, post_ref)
-    ref_region = credible_region(t_ref, gamma, "sup-geq")
-    ref_mask = np.zeros(ref_grid.n_cells, dtype=bool)
-    ref_mask[list(t_ref.original_indices(ref_region.member_indices))] = True
+    t_ref = _grid_table(prior_density, likelihood_at_x, ref_grid)
+    ref_mask = _region_mask(t_ref, gamma, ref_grid.n_cells)
     ref_post = np.zeros(ref_grid.n_cells)
-    ref_post[list(t_ref.kept_indices)] = t_ref.posterior
+    ref_post[t_ref.kept_indices] = t_ref.posterior
 
-    widths, regions, discrepancies = [], [], []
+    regions, discrepancies = [], []
     for grid in grids:
-        prior_gd, post_gd = _gridded_pair(prior_density, likelihood_at_x, grid, quadrature_points)
-        t = table_from_gridded(prior_gd, post_gd)
-        reg = credible_region(t, gamma, "sup-geq")
-        cells = t.original_indices(reg.member_indices)
-        factor = ref_grid.n_cells // grid.n_cells
-        mask = np.zeros(ref_grid.n_cells, dtype=bool)
-        for i in cells:
-            mask[i * factor : (i + 1) * factor] = True
+        cells = _region_mask(_grid_table(prior_density, likelihood_at_x, grid), gamma, grid.n_cells)
+        mask = np.repeat(cells, ref_grid.n_cells // grid.n_cells)
         discrepancies.append(float(math.fsum(ref_post[mask ^ ref_mask].tolist())))
-        widths.append(grid.cell_width)
-        regions.append(frozenset(cells))
+        regions.append(frozenset(np.flatnonzero(cells).tolist()))
     return LimitTrace(
-        parameter_values=tuple(widths),
+        parameter_values=tuple(grid.cell_width for grid in grids),
         actions_or_regions=tuple(regions),
-        target=frozenset(int(i) for i in np.flatnonzero(ref_mask)),
+        target=frozenset(np.flatnonzero(ref_mask).tolist()),
         discrepancies=tuple(discrepancies),
     )
 
@@ -343,13 +316,11 @@ def sandwich_double_limit(
     gamma: float,
     grids: Sequence[Grid1D],
     eta_steps: int = 8,
-    quadrature_points: int = 8,
 ) -> list[tuple[float, SandwichReport]]:
     """Run the sandwich per ladder grid (outer cells, inner caps)."""
     out = []
     for grid in grids:
-        prior_gd, post_gd = _gridded_pair(prior_density, likelihood_at_x, grid, quadrature_points)
-        t = table_from_gridded(prior_gd, post_gd)
+        t = _grid_table(prior_density, likelihood_at_x, grid)
         ladder = default_eta_ladder(t.prior, eta_steps)
         out.append((grid.cell_width, lpl_sandwich(t.prior, t.posterior, gamma, ladder)))
     return out
@@ -398,13 +369,10 @@ def invariance_demo(
 
     t = rb_table(prior_m, post_m)
     ti = rb_table(prior_mi, post_mi)
-    common = sorted(set(t.kept_indices) & set(ti.kept_indices))
-    pos = {k: i for i, k in enumerate(t.kept_indices)}
-    pos_i = {k: i for i, k in enumerate(ti.kept_indices)}
-    diffs = [abs(t.rb[pos[k]] - ti.rb[pos_i[k]]) for k in common]
-
-    rb_idx = t.kept_indices[rb_estimate(t).index]
-    rb_idx_image = ti.kept_indices[rb_estimate(ti).index]
+    _, pos, pos_i = np.intersect1d(
+        t.kept_indices, ti.kept_indices, assume_unique=True, return_indices=True
+    )
+    diffs = np.abs(t.rb[pos] - ti.rb[pos_i])
 
     # density-level mode: mass over cell width (uniform widths originally)
     map_idx = int(np.argmax(post_m))
@@ -412,9 +380,9 @@ def invariance_demo(
     map_idx_image = int(np.argmax(post_mi / image_widths))
 
     return InvarianceReport(
-        rb_index=int(rb_idx),
-        rb_index_image=int(rb_idx_image),
-        rb_max_abs_diff=float(max(diffs) if diffs else math.inf),
+        rb_index=int(t.kept_indices[rb_estimate(t).index]),
+        rb_index_image=int(ti.kept_indices[rb_estimate(ti).index]),
+        rb_max_abs_diff=float(diffs.max()) if len(diffs) else math.inf,
         map_index=map_idx,
         map_index_image=map_idx_image,
         map_shift_cells=abs(map_idx_image - map_idx),

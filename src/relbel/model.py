@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
@@ -234,6 +235,13 @@ def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray
 
 # --- JSON ingestion ----------------------------------------------------------
 
+def _label_list(value, what: str) -> tuple:
+    # a string would otherwise split into one label per character
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be a list of labels, got {type(value).__name__}")
+    return tuple(value)
+
+
 def model_from_json(doc: dict | str | Path) -> tuple[FiniteModel, PsiMap | None]:
     """Build a validated model (and optional PsiMap) from a JSON document.
 
@@ -246,6 +254,8 @@ def model_from_json(doc: dict | str | Path) -> tuple[FiniteModel, PsiMap | None]
     elif isinstance(doc, str):
         p = Path(doc)
         doc = json.loads(p.read_text()) if p.exists() else json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"model document must be a JSON object, got {type(doc).__name__}")
     for key in ("theta", "x", "likelihood", "prior"):
         if key not in doc:
             raise ValidationError(f"model document is missing {key!r}")
@@ -256,8 +266,8 @@ def model_from_json(doc: dict | str | Path) -> tuple[FiniteModel, PsiMap | None]
         raise ValidationError(f"likelihood and prior must be numeric arrays: {exc}") from exc
     model = validate(
         FiniteModel(
-            theta_labels=tuple(doc["theta"]),
-            x_labels=tuple(doc["x"]),
+            theta_labels=_label_list(doc["theta"], "model field 'theta'"),
+            x_labels=_label_list(doc["x"], "model field 'x'"),
             likelihood=likelihood,
             prior=prior,
         )
@@ -267,11 +277,12 @@ def model_from_json(doc: dict | str | Path) -> tuple[FiniteModel, PsiMap | None]
         spec = doc["psi"]
         if not isinstance(spec, dict) or not {"labels", "assignment"} <= spec.keys():
             raise ValidationError("psi block needs both 'labels' and 'assignment'")
-        try:
-            assignment = tuple(int(i) for i in spec["assignment"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"psi assignment must list integer indices: {exc}") from exc
-        psi = PsiMap(assignment, tuple(spec["labels"]))
+        assignment = spec["assignment"]
+        if not isinstance(assignment, (list, tuple)) or not all(
+            isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in assignment
+        ):
+            raise ValidationError("psi assignment must list integer indices")
+        psi = PsiMap(tuple(int(i) for i in assignment), _label_list(spec["labels"], "psi labels"))
         if len(psi.assignment) != model.n_theta:
             raise ValidationError(
                 f"psi assignment has {len(psi.assignment)} entries, "

@@ -1,8 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relbel.cli import main
 
@@ -92,6 +95,23 @@ class TestMalformedModelFiles:
         msg = self.invoke(runner, tmp_path, MODEL_DOC, extra=("-o", out))
         assert "cannot write" in msg
 
+    def test_document_not_an_object(self, runner, tmp_path):
+        for doc in (5, "m.json", [MODEL_DOC]):
+            assert "must be a JSON object" in self.invoke(runner, tmp_path, doc)
+
+    def test_non_list_labels(self, runner, tmp_path):
+        for key in ("theta", "x"):
+            for value in (5, None, {"a": 1}):
+                msg = self.invoke(runner, tmp_path, {**MODEL_DOC, key: value})
+                assert f"'{key}' must be a list of labels" in msg
+
+    def test_string_labels_not_split_into_characters(self, runner, tmp_path):
+        assert "list of labels" in self.invoke(runner, tmp_path, {**MODEL_DOC, "x": "ab"})
+        doc = {**MODEL_DOC, "psi": {"labels": "AB", "assignment": [0, 1]}}
+        assert "psi labels" in self.invoke(runner, tmp_path, doc)
+        doc = {**MODEL_DOC, "psi": {"labels": ["A", "B"], "assignment": "01"}}
+        assert "integer indices" in self.invoke(runner, tmp_path, doc)
+
     def test_nan_likelihood_rejected(self, runner, tmp_path):
         # JSON has no NaN, but Python's reader accepts the literal
         doc = {**MODEL_DOC, "likelihood": [[float("nan"), 0.2], [0.2, 0.8]]}
@@ -111,6 +131,18 @@ class TestDecideCommand:
     def test_eta_loss_requires_eta(self, runner, model_file):
         res = runner.invoke(main, ["decide", "--model", model_file, "--loss", "rb-eta"])
         assert res.exit_code == 2
+
+    def test_risk_cross_check_exits_3(self, runner, model_file, monkeypatch):
+        from relbel import decision
+
+        exact = decision.conditional_error_probs
+        monkeypatch.setattr(
+            decision, "conditional_error_probs", lambda *args: exact(*args) + 1e-6
+        )
+        for loss in ("rb", "map"):
+            res = runner.invoke(main, ["decide", "--model", model_file, "--loss", loss])
+            assert res.exit_code == 3, res.output
+            assert res.output.startswith("error: risk cross-check failed")
 
 
 class TestClassifyCommands:
@@ -301,6 +333,77 @@ class TestLimitsCommand:
         assert doc["rb"] == [0.2 / 0.5, 0.8 / 0.5]
 
 
+GRID_CONFIG = {
+    "prior": {"family": "normal", "mu": 0.0, "sigma2": 1.0},
+    "likelihood": {"kind": "normal-location", "x": 1.0, "sigma2": 1.0},
+    "grid": {"lo": -5.0, "hi": 5.0, "n_cells": 16},
+    "steps": 2,
+    "gamma": 0.9,
+    "refine_factor": 4,
+}
+
+
+def invoke_limits(runner, tmp_path, experiment, doc):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    return runner.invoke(main, ["limits", experiment, "--config", str(cfg)])
+
+
+class TestMalformedLimitsConfigs:
+    """Malformed limits configs exit 2 with a one-line message, no traceback."""
+
+    def expect_2(self, runner, tmp_path, experiment, doc):
+        res = invoke_limits(runner, tmp_path, experiment, doc)
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith("error: ") and res.output.count("\n") == 1
+        return res.output
+
+    def test_config_not_an_object(self, runner, tmp_path):
+        for experiment in ("eta", "region", "sandwich"):
+            for doc in (5, "config", [GRID_CONFIG], None):
+                msg = self.expect_2(runner, tmp_path, experiment, doc)
+                assert "limits config must be a JSON object" in msg
+
+    def test_block_not_an_object(self, runner, tmp_path):
+        cases = [
+            ("region", {**GRID_CONFIG, "prior": 5}, "density config"),
+            ("lambda", {**GRID_CONFIG, "likelihood": [1.0]}, "likelihood config"),
+            ("map", {**GRID_CONFIG, "grid": "wide"}, "grid config"),
+            ("eta", {"table": 5}, "table config"),
+            ("sandwich", {"table": 5, "gamma": 0.5}, "table config"),
+            ("eta", {"model": 5, "x": 0}, "'model'"),
+            ("eta", {"model": "m.json", "x": 0}, "'model'"),
+        ]
+        for experiment, doc, where in cases:
+            assert where in self.expect_2(runner, tmp_path, experiment, doc)
+
+    def test_non_numeric_fields(self, runner, tmp_path):
+        g = GRID_CONFIG
+        cases = [
+            ("region", {**g, "prior": {"family": "normal", "mu": "0"}}, "'mu'"),
+            ("region", {**g, "grid": {**g["grid"], "lo": "a"}}, "'lo'"),
+            ("region", {**g, "grid": {**g["grid"], "n_cells": 16.5}}, "'n_cells'"),
+            ("lambda", {**g, "steps": "2"}, "'steps'"),
+            ("region", {**g, "gamma": [0.9]}, "'gamma'"),
+            ("map", {**g, "target": "0.5"}, "'target'"),
+            ("lambda", {**g, "likelihood": {"x": True}}, "'x'"),
+            ("eta", {"table": {"prior": "ab", "posterior": [0.5, 0.5]}}, "'prior'"),
+            ("eta", {"table": {"prior": [0.5, None], "posterior": [0.5, 0.5]}}, "'prior'"),
+            ("eta", {"model": MODEL_DOC, "x": "0"}, "'x'"),
+            ("region", {**g, "grid": {**g["grid"], "hi": 10**400}}, "'hi'"),
+        ]
+        for experiment, doc, field in cases:
+            msg = self.expect_2(runner, tmp_path, experiment, doc)
+            assert field in msg and ("number" in msg or "integer" in msg), msg
+
+    def test_integral_float_counts_accepted(self, runner, tmp_path):
+        doc = {**GRID_CONFIG, "steps": 2.0, "grid": {**GRID_CONFIG["grid"], "n_cells": 16.0}}
+        as_float = invoke_limits(runner, tmp_path, "region", doc)
+        as_int = invoke_limits(runner, tmp_path, "region", GRID_CONFIG)
+        assert as_float.exit_code == as_int.exit_code == 0
+        assert as_float.output == as_int.output
+
+
 class TestReportRoundTrips:
     def test_risk_table_csv_round_trip(self, runner):
         from relbel.classify import risk_table, rows_from_csv
@@ -355,3 +458,83 @@ class TestReportRoundTrips:
             ],
         )
         assert res.exit_code == 3
+
+
+# small values only: a large number in a count field (steps, n_cells,
+# refine_factor, ...) would ask for an enormous grid
+JSON_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-3, 5),
+    "float": st.floats(-10.0, 10.0) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    "str": st.text(max_size=4),
+    "list": st.lists(st.integers(-3, 5) | st.floats(-10.0, 10.0), max_size=4),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(-3, 5), max_size=2),
+}
+
+
+def json_type(value) -> str:
+    for name, kind in (("null", type(None)), ("bool", bool), ("int", int), ("float", float),
+                       ("str", str), ("list", list), ("object", dict)):
+        if isinstance(value, kind):
+            return name
+    raise TypeError(value)
+
+
+def field_paths(doc, prefix=()):
+    """The root and the path of every object field, at any depth."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from field_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    return {**doc, path[0]: replaced(doc[path[0]], path[1:], value)}
+
+
+# "@" stands for the path of the mutated document
+PSI_DOC = {**MODEL_DOC, "psi": {"labels": ["A", "B"], "assignment": [1, 0]}}
+FUZZ_CASES = [
+    (["evidence", "--model", "@", "--x", "0", "--psi0", "0"], PSI_DOC),
+    (["decide", "--model", "@", "--loss", "rb"], PSI_DOC),
+    (["model", "--model", "@", "--x", "1"], MODEL_DOC),
+    (["limits", "eta", "--config", "@"], {"model": PSI_DOC, "x": 1, "eta_steps": 4}),
+    (["limits", "eta", "--config", "@"], {"table": {"prior": [0.5, 0.5], "posterior": [0.2, 0.8]}}),
+    (["limits", "sandwich", "--config", "@"],
+     {"table": {"prior": [0.5, 0.25, 0.25], "posterior": [0.1, 0.2, 0.7]}, "gamma": 0.5}),
+    (["limits", "lambda", "--config", "@"], {**GRID_CONFIG, "target": 1.0}),
+    (["limits", "map", "--config", "@"], GRID_CONFIG),
+    (["limits", "region", "--config", "@"], GRID_CONFIG),
+    (["limits", "sandwich", "--config", "@"], {**GRID_CONFIG, "eta_steps": 3}),
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    argv, doc = draw(st.sampled_from(FUZZ_CASES))
+    path = draw(st.sampled_from(list(field_paths(doc))))
+    current = doc
+    for key in path:
+        current = current[key]
+    kind = draw(st.sampled_from(sorted(set(JSON_VALUES) - {json_type(current)})))
+    return argv, replaced(doc, path, draw(JSON_VALUES[kind]))
+
+
+class TestCliFuzz:
+    # a mutated grid range can cut off prior tail mass, which warns by design
+    @pytest.mark.filterwarnings("ignore:.*of the distribution lies outside")
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(case=mutated_documents())
+    def test_any_mistyped_field_exits_0_2_or_3(self, runner, tmp_path, case):
+        """Replace one field, or the whole document, by a value of another JSON type."""
+        argv, doc = case
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, [str(path) if a == "@" else a for a in argv])
+        assert res.exit_code in (0, 2, 3), (doc, res.exception, res.output)
+        assert "Traceback" not in res.output

@@ -54,11 +54,6 @@ class TestMakeLoss:
         with pytest.raises(BadEtaError):
             make_loss("rb-eta", [0.5, 0.5], eta=0.0)
 
-    def test_lambda_eta_kind_same_construction(self):
-        a = make_loss("rb-eta", [0.25, 0.75], eta=0.1)
-        b = make_loss("rb-lambda-eta", [0.25, 0.75], eta=0.1)
-        assert np.all(a.values == b.values)
-
 
 class TestPosteriorRisk:
     def test_certain_action_zero_one_loss(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from relbel.errors import BadGammaError, ValidationError, ZeroPriorPositivePosteriorError
@@ -46,7 +48,8 @@ class TestRbTable:
         t = rb_table([0.5, 0.0, 0.5], [0.2, 0.0, 0.8], labels=("a", "b", "c"))
         assert t.dropped_zero_prior == 1
         assert t.labels == ("a", "c")
-        assert t.kept_indices == (0, 2)
+        assert t.kept_indices.tolist() == [0, 2]
+        assert not t.kept_indices.flags.writeable
         assert t.original_indices([1]) == {2}
 
     def test_normalization_invariant(self, rng):
@@ -250,3 +253,64 @@ def test_tables_from_models_normalize(rng):
             t = rb_table(prior, post)
             assert abs(math.fsum((t.rb * t.prior).tolist()) - 1.0) < 1e-9
             assert prior_predictive(model).shape == (model.n_x,)
+
+
+@st.composite
+def zero_prior_tables(draw):
+    """Masses with zero-prior cells, some zero-likelihood cells and rb ties.
+
+    Returns (prior, posterior, labels, table); labels are label objects, a
+    float array as for grid midpoints, or absent (positions).
+    """
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kept = rng.random(n) < draw(st.floats(0.1, 1.0))
+    kept[rng.integers(n)] = True
+    prior = np.where(kept, rng.dirichlet(np.ones(n)), 0.0)
+    # small integer likelihoods make ties; zeros leave positive-prior cells
+    # without posterior mass
+    lik = rng.integers(0, 4, size=n).astype(float) if draw(st.booleans()) else rng.random(n)
+    lik[np.flatnonzero(kept)[0]] = 1.0
+    post = prior * lik
+    prior, post = prior / math.fsum(prior.tolist()), post / math.fsum(post.tolist())
+    choices = [tuple(f"v{i}" for i in range(n)), build_grid(-1.0, 1.0, n).midpoints, None]
+    labels = draw(st.sampled_from(choices))
+    return prior, post, labels, rb_table(prior, post, labels=labels)
+
+
+class TestZeroPriorProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(zero_prior_tables(), st.data())
+    def test_index_data_matches_per_cell_reference(self, case, data):
+        prior, _, labels, t = case
+        kept = [i for i in range(len(prior)) if prior[i] != 0.0]
+        assert t.kept_indices.tolist() == kept
+        assert not t.kept_indices.flags.writeable
+        assert t.dropped_zero_prior == len(prior) - len(kept)
+        assert list(t.labels) == (kept if labels is None else [labels[i] for i in kept])
+        rows = data.draw(st.sets(st.integers(0, len(t) - 1)))
+        assert t.original_indices(rows) == {kept[r] for r in rows}
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_prior_tables())
+    def test_prior_times_rb_sums_to_one(self, case):
+        t = case[3]
+        assert abs(math.fsum((t.prior * t.rb).tolist()) - 1.0) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_prior_tables(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5))
+    def test_credible_regions_nest_in_gamma(self, case, gammas):
+        t = case[3]
+        for convention in ("sup-geq", "quantile-gt"):
+            regions = [credible_region(t, g, convention).member_indices for g in sorted(gammas)]
+            for small, large in zip(regions, regions[1:]):
+                assert small <= large
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_prior_tables())
+    def test_quantile_gt_at_plausible_content_is_plausible_region(self, case):
+        t = case[3]
+        pl = plausible_region(t)
+        # an fsum content may pass 1 by an ulp of the posterior normalization
+        reg = credible_region(t, min(pl.posterior_content, 1.0), "quantile-gt")
+        assert reg.member_indices == pl.member_indices

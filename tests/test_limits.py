@@ -131,23 +131,6 @@ class TestLambdaLimit:
         with pytest.raises(SeparationViolatedError):
             lambda_limit(NORMAL_PRIOR.pdf, lambda p: np.ones_like(p), grids)
 
-    def test_custom_eta_rule(self):
-        from relbel.errors import ValidationError
-
-        lik = gaussian_location_likelihood(1.5, 1.0)
-        grids = grid_ladder(build_grid(-6, 6, 256), steps=2, factor=2)
-        trace = lambda_limit(
-            NORMAL_PRIOR.pdf, lik, grids, target=1.5,
-            eta_rule=lambda prior, best: 0.1 * float(prior[best]),
-        )
-        for width, d in zip(trace.parameter_values, trace.discrepancies):
-            assert d <= width
-        with pytest.raises(ValidationError):
-            lambda_limit(
-                NORMAL_PRIOR.pdf, lik, grids,
-                eta_rule=lambda prior, best: 2.0 * float(prior[best]),
-            )
-
 
 class TestMapLimitContrast:
     def test_uniform_prior_map_equals_rb_limit(self):
