@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from ._sums import fsums
 from .errors import (
     BadEtaError,
     BadGammaError,
@@ -126,6 +127,11 @@ def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRul
 
     The action at each outcome is the first argmax of posterior times error
     weight, flagged as a tie when another value attains the same product.
+    The posterior risk per outcome is the exact total of those products
+    without the action's, the decomposition pairs their exact total with
+    the action's product, and the prior risk is the exact total of
+    ``m(x)`` times posterior risk; all are summed by
+    :func:`relbel._sums.fsums`, with ``math.fsum``'s bits.
     """
     if loss.n != psi.n_psi:
         raise ValidationError(f"loss size {loss.n} != {psi.n_psi} psi values")
@@ -136,19 +142,17 @@ def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRul
     ties = np.count_nonzero(ratios == at_action[:, None], axis=1) > 1
     off_action = ratios.copy()
     off_action[rows, actions] = 0.0
-    risks = np.array([math.fsum(r.tolist()) for r in off_action])
+    risks = fsums(off_action, axis=1)
     decomp = None
     if loss.kind != "map":
-        decomp = tuple(
-            (float(math.fsum(r.tolist())), float(a)) for r, a in zip(ratios, at_action)
-        )
+        decomp = tuple(zip(fsums(ratios, axis=1).tolist(), at_action.tolist()))
     m = prior_predictive(model)
     return (
         DecisionRule(
             action_per_x=tuple(int(a) for a in actions), ties=tuple(bool(t) for t in ties)
         ),
         RiskReport(
-            prior_risk=float(math.fsum((m * risks).tolist())),
+            prior_risk=float(fsums(m * risks)),
             posterior_risk_per_x=risks,
             decomposition=decomp,
         ),
@@ -159,20 +163,21 @@ def conditional_error_probs(model: FiniteModel, psi: PsiMap, rule: DecisionRule)
     """Per-value error probabilities ``M(rule != psi | psi)``."""
     _, cond = marginalize(model, psi)
     acts = np.asarray(rule.action_per_x)
-    err = np.empty(psi.n_psi)
-    for j in range(psi.n_psi):
-        wrong = acts != j
-        err[j] = math.fsum(cond[j][wrong].tolist())
-    return err
+    # zeros at the correct actions leave each exact row total unchanged
+    wrong = acts[None, :] != np.arange(psi.n_psi)[:, None]
+    return fsums(np.where(wrong, cond, 0.0), axis=1)
 
 
 def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) -> float:
     """Expected loss of the rule under the joint distribution.
 
-    Computed directly in theta-space; for the uncapped reciprocal-prior and
-    constant losses the closed forms (sum of conditional error
-    probabilities, plain or prior-weighted) are cross-checked to 1e-9, and
-    a disagreement raises :class:`RiskCrossCheckError`.
+    Computed directly in theta-space as the exact total of joint mass
+    times loss over the theta x outcome table (:func:`relbel._sums.fsums`,
+    with ``math.fsum``'s bits and no Python list); for the uncapped
+    reciprocal-prior and constant losses the closed forms (sum of
+    conditional error probabilities, plain or prior-weighted) are
+    cross-checked to 1e-9, and a disagreement raises
+    :class:`RiskCrossCheckError`.
     """
     acts = np.asarray(rule.action_per_x)
     if acts.shape != (model.n_x,):
@@ -181,7 +186,7 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) 
     joint = model.prior[:, None] * model.likelihood
     correct = psi_of_theta[:, None] == acts[None, :]
     losses = np.where(correct, 0.0, loss.values[psi_of_theta][:, None])
-    direct = float(math.fsum((joint * losses).ravel().tolist()))
+    direct = float(fsums((joint * losses).ravel()))
     if loss.kind in ("rb", "map"):
         errs = conditional_error_probs(model, psi, rule)
         if loss.kind == "rb":
@@ -245,7 +250,7 @@ def unbiasedness_gap(model: FiniteModel, psi: PsiMap, h, rule: DecisionRule) -> 
     m = prior_predictive(model)
     post_at_action = posterior_table(model, psi)[np.arange(model.n_x), acts]
     terms = m * h[acts] * (post_at_action - pi_psi[acts])
-    return float(math.fsum(terms.tolist()))
+    return float(fsums(terms))
 
 
 def brute_force_bayes(

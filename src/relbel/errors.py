@@ -112,6 +112,10 @@ class NoAttainableGammaError(ValidationError):
     """No attainable posterior content matches the requested level."""
 
 
+class TooManyCellsError(ValidationError):
+    """A ladder or reference grid would have more cells than the cap."""
+
+
 # --- numerical guards -------------------------------------------------------
 
 class GridTooCoarseError(NumericalGuardError):

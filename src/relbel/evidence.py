@@ -208,8 +208,13 @@ def credible_region(t: EvidenceTable, gamma: float, convention: str = "sup-geq")
     values; members satisfy ``rb > cutoff``, so at ``gamma`` equal to the
     plausible region's posterior content the region is exactly the
     plausible region.
+
+    ``gamma`` lies in [0, 1] or, above 1, at most the table's total
+    posterior content: an fsum content, the plausible region's included,
+    can pass 1 by an ulp of the posterior normalization, and no region's
+    content exceeds the total.
     """
-    if not 0.0 <= gamma <= 1.0:
+    if not (0.0 <= gamma <= 1.0 or 1.0 < gamma <= math.fsum(t.posterior.tolist())):
         raise BadGammaError(f"gamma must be in [0, 1], got {gamma}")
     if convention == "sup-geq":
         values, content = _descending_levels(t.rb, t.posterior)

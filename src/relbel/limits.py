@@ -33,6 +33,7 @@ from .errors import (
     NoAttainableGammaError,
     SeparationViolatedError,
     TieAtMaximizerError,
+    TooManyCellsError,
     ValidationError,
 )
 from .evidence import (
@@ -48,6 +49,10 @@ from .grids import Grid1D, GriddedDistribution, discretize, masses_from_cdf, ref
 from .model import FiniteModel, PsiMap
 
 FLAT_TOL = 1e-12
+# Most cells any ladder or reference grid may have: 16 times the 65,536-cell
+# reference of a 512-cell, 4-step region run with a 16-fold refinement, and
+# small enough that quadrature on it takes a few hundred MB, not all memory.
+CELL_CAP = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +75,24 @@ def default_eta_ladder(prior, steps: int = 8) -> tuple[float, ...]:
     return tuple(top * 0.5**k for k in range(steps))
 
 
+def _capped(grid: Grid1D, what: str) -> Grid1D:
+    if grid.n_cells > CELL_CAP:
+        raise TooManyCellsError(
+            f"{what} would have {grid.n_cells} cells, more than the cap {CELL_CAP}"
+        )
+    return grid
+
+
 def grid_ladder(base: Grid1D, steps: int = 4, factor: int = 2) -> list[Grid1D]:
-    """Successively ``factor``-refined grids starting from ``base``."""
-    grids = [base]
-    for _ in range(steps - 1):
-        grids.append(refine(grids[-1], factor))
+    """Successively ``factor``-refined grids starting from ``base``.
+
+    Raises:
+        TooManyCellsError: some grid of the ladder would have more than
+            ``CELL_CAP`` cells; nothing has been discretized yet.
+    """
+    grids = [_capped(base, "the base grid")]
+    for k in range(1, steps):
+        grids.append(_capped(refine(grids[-1], factor), f"ladder step {k + 1} of {steps}"))
     return grids
 
 
@@ -212,9 +230,10 @@ def region_limit(
     The reference region lives on a ``refine_factor`` times finer grid than
     the finest ladder step; discrepancy is the reference-posterior mass of
     the symmetric difference after expanding ladder cells to reference
-    cells.
+    cells. A reference grid of more than ``CELL_CAP`` cells raises
+    :class:`TooManyCellsError` before any discretization.
     """
-    ref_grid = refine(grids[-1], refine_factor)
+    ref_grid = _capped(refine(grids[-1], refine_factor), "the reference grid")
     for g in grids:
         if ref_grid.n_cells % g.n_cells or g.lo != ref_grid.lo or g.hi != ref_grid.hi:
             raise ValidationError("ladder grids must nest into the reference grid")

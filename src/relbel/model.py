@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
+from ._sums import fsums
 from .errors import (
     EmptyFiberError,
     ImpossibleObservationError,
@@ -84,23 +85,26 @@ class PosteriorReport:
     evidence_norm: float
 
 
-def _unit_scale(v: np.ndarray, err: type[ValidationError], what: str) -> tuple[np.ndarray, bool]:
+def _unit_total(v: np.ndarray, err: type[ValidationError], what: str, total=None) -> float:
+    """The exact sum of ``v`` (``total`` when already known), checked to be 1 within NORM_TOL."""
     # NaN fails neither the sign check nor the sum check, so test it here
     if not np.all(np.isfinite(v)):
         raise err(f"{what} has a non-finite entry")
-    try:
-        total = math.fsum(v.tolist())
-    except OverflowError:
-        raise err(f"{what} sums past the float range, not 1 within {NORM_TOL}") from None
+    if total is None:
+        try:
+            total = float(fsums(v))
+        except OverflowError:
+            raise err(f"{what} sums past the float range, not 1 within {NORM_TOL}") from None
     if abs(total - 1.0) > NORM_TOL:
         raise err(f"{what} sums to {total!r}, not 1 within {NORM_TOL}")
-    if total == 1.0:
-        return v, False
-    return v / total, True
+    return total
 
 
 def validate(model: FiniteModel) -> FiniteModel:
     """Check model invariants; return the model with exact unit sums.
+
+    Each likelihood row and the prior is divided by its exact (``fsum``)
+    total, unless that total is exactly 1.
 
     Raises:
         NegativeMassError: any likelihood or prior entry is negative.
@@ -123,27 +127,28 @@ def validate(model: FiniteModel) -> FiniteModel:
     if np.any(prior < 0):
         raise NegativeMassError("prior masses must be nonnegative")
 
-    touched = False
-    rows = []
-    for i in range(lik.shape[0]):
-        row, scaled = _unit_scale(
-            lik[i], NonStochasticRowError, f"likelihood row {i} ({model.theta_labels[i]!r})"
-        )
-        rows.append(row)
-        touched |= scaled
-    prior, scaled = _unit_scale(prior, PriorNotNormalizedError, "prior")
-    touched |= scaled
+    try:
+        row_totals = fsums(lik, axis=1).tolist()
+    except OverflowError:
+        # some row sums past the float range; row by row, the first bad row reports
+        row_totals = [None] * model.n_theta
+    row_totals = np.array([
+        _unit_total(lik[i], NonStochasticRowError, f"likelihood row {i} ({label!r})", total)
+        for i, (label, total) in enumerate(zip(model.theta_labels, row_totals))
+    ])
+    prior_total = _unit_total(prior, PriorNotNormalizedError, "prior")
 
-    out = np.stack(rows)
+    # dividing by an exact 1.0 leaves a row bitwise unchanged
+    out = lik / row_totals[:, None]
     out.setflags(write=False)
-    prior = prior.copy()
+    prior = prior / prior_total
     prior.setflags(write=False)
     return FiniteModel(
         theta_labels=tuple(model.theta_labels),
         x_labels=tuple(model.x_labels),
         likelihood=out,
         prior=prior,
-        renormalized=touched,
+        renormalized=bool(np.any(row_totals != 1.0)) or prior_total != 1.0,
     )
 
 
@@ -186,7 +191,9 @@ def posterior_table(model: FiniteModel, psi: PsiMap) -> np.ndarray:
 
     Row ``x`` is bitwise equal to
     ``psi_marginal(posterior(model, x).posterior, psi)``: the same products,
-    the same ``fsum`` normalizer and the same theta-order accumulation.
+    the same normalizer and the same theta-order accumulation. The
+    normalizers of all outcomes come from one exact column sum
+    (:func:`relbel._sums.fsums`), which gives the bits ``math.fsum`` gives.
 
     Raises:
         ValidationError: the psi assignment does not fit the model.
@@ -194,8 +201,7 @@ def posterior_table(model: FiniteModel, psi: PsiMap) -> np.ndarray:
     """
     a = _checked_assignment(model, psi)
     joint = model.prior[:, None] * model.likelihood
-    # one outcome column at a time keeps the Python floats fsum needs small
-    m = np.array([math.fsum(col.tolist()) for col in joint.T])
+    m = fsums(joint, axis=0)
     if np.any(m <= 0.0):
         x = int(np.argmax(m <= 0.0))
         raise ImpossibleObservationError(

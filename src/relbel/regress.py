@@ -20,6 +20,7 @@ from .errors import (
     BadRangeError,
     GridTooCoarseError,
     NearSingularMagnifierError,
+    NumericalGuardError,
     RankDeficientError,
     ValidationError,
     ZeroDirectionError,
@@ -44,8 +45,10 @@ class RegressionSpec:
         y = np.asarray(self.response, dtype=float).ravel()
         object.__setattr__(self, "design", X)
         object.__setattr__(self, "response", y)
-        if self.sigma2 <= 0 or self.tau2 <= 0:
-            raise ValidationError("sigma2 and tau2 must be > 0")
+        if not (0 < self.sigma2 < math.inf and 0 < self.tau2 < math.inf):
+            raise ValidationError("sigma2 and tau2 must be finite and > 0")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+            raise ValidationError("design and response must be finite")
         n, k = X.shape
         if y.shape != (n,):
             raise ValidationError(f"response length {y.shape} != {n} rows")
@@ -140,16 +143,26 @@ def functional_inference(spec: RegressionSpec, w) -> FunctionalReport:
     w = np.asarray(w, dtype=float).ravel()
     if w.shape != (spec.k,):
         raise ValidationError(f"w length {w.shape} != {spec.k} columns")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("direction w must be finite")
     if not np.any(w != 0.0):
         raise ZeroDirectionError("direction w must be nonzero")
-    post = posterior_params(spec)
-    psi_map = float(w @ post.mean)
-    s2_psi = float(spec.tau2 * (w @ w))
-    s2_psi_post = float(w @ post.covariance @ w)
-    psi_rb = psi_map / _magnifier_gap(s2_psi_post, s2_psi)
-    s2_z = spec.sigma2 + s2_psi
-    s2_z_post = spec.sigma2 + s2_psi_post
-    z_rb = psi_map / _magnifier_gap(s2_z_post, s2_z)
+    # values past the float range are caught below, so numpy need not warn
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        s2_psi = float(spec.tau2 * (w @ w))
+        if not 0.0 < s2_psi < math.inf:
+            raise ValidationError(
+                f"prior variance tau2 * w'w = {s2_psi!r} of the functional is out of float range"
+            )
+        post = posterior_params(spec)
+        psi_map = float(w @ post.mean)
+        s2_psi_post = float(w @ post.covariance @ w)
+        psi_rb = psi_map / _magnifier_gap(s2_psi_post, s2_psi)
+        s2_z = spec.sigma2 + s2_psi
+        s2_z_post = spec.sigma2 + s2_psi_post
+        z_rb = psi_map / _magnifier_gap(s2_z_post, s2_z)
+    if not all(math.isfinite(v) for v in (psi_map, psi_rb, s2_psi_post, s2_z, s2_z_post, z_rb)):
+        raise NumericalGuardError("functional inference overflowed the float range")
     return FunctionalReport(
         w=w,
         psi_map=psi_map,

@@ -396,6 +396,18 @@ class TestMalformedLimitsConfigs:
             msg = self.expect_2(runner, tmp_path, experiment, doc)
             assert field in msg and ("number" in msg or "integer" in msg), msg
 
+    def test_grids_past_the_cell_cap(self, runner, tmp_path):
+        g = GRID_CONFIG
+        cases = [
+            ("lambda", {**g, "steps": 70}, "ladder step 18 of 70"),
+            ("sandwich", {**g, "factor": 2**30}, "ladder step 2 of 2"),
+            ("map", {**g, "grid": {**g["grid"], "n_cells": 2**40}}, "base grid"),
+            ("region", {**g, "refine_factor": 2**17}, "reference grid"),
+        ]
+        for experiment, doc, what in cases:
+            msg = self.expect_2(runner, tmp_path, experiment, doc)
+            assert what in msg and "cap" in msg, msg
+
     def test_integral_float_counts_accepted(self, runner, tmp_path):
         doc = {**GRID_CONFIG, "steps": 2.0, "grid": {**GRID_CONFIG["grid"], "n_cells": 16.0}}
         as_float = invoke_limits(runner, tmp_path, "region", doc)
@@ -538,3 +550,56 @@ class TestCliFuzz:
         res = runner.invoke(main, [str(path) if a == "@" else a for a in argv])
         assert res.exit_code in (0, 2, 3), (doc, res.exception, res.output)
         assert "Traceback" not in res.output
+
+
+
+CSV_CELLS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "1e999", "0", "", " ", "x", "1;2"]
+) | st.floats(-1e6, 1e6).map(repr)
+GOOD_CSV = {
+    "design": [["1.0", "0.5"], ["1.0", "1.5"], ["1.0", "2.0"]],
+    "response": [["1.0"], ["3.0"], ["2.0"]],
+    "w": [["1.0"], ["0.0"]],
+}
+
+
+@st.composite
+def csv_text(draw, rows):
+    """A valid CSV with one cell replaced, a row made ragged, a header, or no data."""
+    rows = [list(r) for r in rows]
+    change = draw(st.sampled_from(["none", "cell", "ragged", "header", "empty"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if change == "cell":
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(CSV_CELLS)
+    elif change == "ragged":
+        rows[i] = rows[i][:-1] if len(rows[i]) > 1 and draw(st.booleans()) else rows[i] + ["1.0"]
+    elif change == "header":
+        rows.insert(0, draw(st.sampled_from([["a", "b"], ["y"], ["#"], ["a", "b", "c"]])))
+    elif change == "empty":
+        return draw(st.sampled_from(["", "\n", "a,b\n"]))
+    return "\n".join(",".join(r) for r in rows) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestRegressCsvFuzz:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        files=st.fixed_dictionaries({k: csv_text(rows) for k, rows in GOOD_CSV.items()}),
+        grid_check=st.sampled_from([None, "1", "64"]),
+    )
+    def test_malformed_csv_exits_0_2_or_3(self, runner, tmp_path, files, grid_check):
+        """Ragged, non-numeric, non-finite or empty CSV inputs never end in a traceback."""
+        argv = ["regress", "--sigma2", "1", "--tau2", "1"]
+        for key, text in files.items():
+            path = tmp_path / f"{key}.csv"
+            path.write_text(text)
+            argv += ["--" + key, str(path)]
+        if grid_check is not None:
+            argv += ["--grid-check", grid_check]
+        res = runner.invoke(main, argv)
+        assert res.exit_code in (0, 2, 3), (files, res.exception, res.output)
+        if res.exit_code == 0:
+            # strict JSON: a NaN or an infinity would parse as a constant
+            json.loads(res.output, parse_constant=lambda c: pytest.fail(f"{c} in {files}"))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relbel.decision import (
     all_rules,
@@ -19,7 +21,7 @@ from relbel.decision import (
 from relbel.errors import BadEtaError, RuleSpaceTooLargeError, ZeroPriorMassError
 from relbel.evidence import attainable_gammas, credible_region, rb_estimate, rb_table
 from relbel.model import FiniteModel, identity_psi, posterior, psi_marginal, validate
-from conftest import random_model
+from conftest import finite_models, random_model
 
 
 class TestMakeLoss:
@@ -112,6 +114,17 @@ class TestBayesRule:
             best_rule, best_risk = brute_force_bayes(model, psi, loss)
             assert abs(report.prior_risk - best_risk) < 1e-12
             assert best_rule == rule.action_per_x
+
+    @settings(max_examples=150, deadline=None)
+    @given(finite_models(max_theta=6, max_x=4, max_psi=3), st.sampled_from(["map", "rb", "rb-eta"]))
+    def test_prior_risk_matches_oracle_with_zero_prior_theta(self, case, kind):
+        model, psi = case
+        pi_psi = psi_marginal(model.prior, psi)
+        loss = make_loss(kind, pi_psi, eta=0.5 * float(pi_psi.max()) if kind == "rb-eta" else None)
+        rule, report = bayes_rule(model, psi, loss)
+        _, best_risk = brute_force_bayes(model, psi, loss)
+        assert abs(report.prior_risk - best_risk) <= 1e-12
+        assert abs(prior_risk(model, psi, loss, rule) - best_risk) <= 1e-12
 
     def test_uniform_prior_rb_equals_map(self, rng):
         for _ in range(20):

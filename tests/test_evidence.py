@@ -153,6 +153,23 @@ class TestCredible:
         reg = credible_region(t, pl.posterior_content, "quantile-gt")
         assert reg.member_indices == pl.member_indices == {2}
 
+    def test_plausible_content_past_one_round_trips(self):
+        # the normalized posterior of the eight kept cells fsums to 1 + 2**-52,
+        # and every one of them has rb > 1
+        t = rb_table(
+            [0.5] + [0.0625] * 8,
+            [0.0, 0.13993458547651016, 0.14780797014690802, 0.12905580721766435,
+             0.14632169480832322, 0.06370268976432047, 0.16072471746814834,
+             0.0669444269295607, 0.14550810818856466],
+        )
+        pl = plausible_region(t)
+        assert pl.posterior_content == 1.0 + 2.0**-52
+        for convention in ("sup-geq", "quantile-gt"):
+            reg = credible_region(t, pl.posterior_content, convention)
+            assert reg.member_indices == pl.member_indices == set(range(1, 9))
+        with pytest.raises(BadGammaError):
+            credible_region(t, 1.0 + 2.0**-51)
+
     def test_bad_gamma(self):
         with pytest.raises(BadGammaError):
             credible_region(example_table(), 1.5)
@@ -311,6 +328,5 @@ class TestZeroPriorProperties:
     def test_quantile_gt_at_plausible_content_is_plausible_region(self, case):
         t = case[3]
         pl = plausible_region(t)
-        # an fsum content may pass 1 by an ulp of the posterior normalization
-        reg = credible_region(t, min(pl.posterior_content, 1.0), "quantile-gt")
+        reg = credible_region(t, pl.posterior_content, "quantile-gt")
         assert reg.member_indices == pl.member_indices

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from relbel.errors import SeparationViolatedError, TieAtMaximizerError
+from relbel.errors import SeparationViolatedError, TieAtMaximizerError, TooManyCellsError
 from relbel.evidence import rb_table
 from relbel.grids import build_grid, family
 from relbel.limits import (
+    CELL_CAP,
     default_eta_ladder,
     eta_limit,
     gaussian_location_likelihood,
@@ -105,6 +106,28 @@ class TestEtaLimit:
 
 
 NORMAL_PRIOR = family("normal", mu=0.0, sigma2=1.0)
+
+
+class TestCellCap:
+    def test_ladder_may_reach_the_cap(self):
+        grids = grid_ladder(build_grid(0.0, 1.0, CELL_CAP // 8), steps=4, factor=2)
+        assert grids[-1].n_cells == CELL_CAP
+
+    def test_ladder_past_the_cap_rejected(self):
+        with pytest.raises(TooManyCellsError, match="ladder step 5 of 5"):
+            grid_ladder(build_grid(0.0, 1.0, CELL_CAP // 8), steps=5, factor=2)
+        with pytest.raises(TooManyCellsError, match="ladder step 22 of 70"):
+            grid_ladder(build_grid(0.0, 1.0, 1), steps=70, factor=2)
+        with pytest.raises(TooManyCellsError, match="base grid"):
+            grid_ladder(build_grid(0.0, 1.0, CELL_CAP + 1), steps=1)
+
+    def test_reference_past_the_cap_rejected_before_discretizing(self):
+        def density(p):
+            raise AssertionError("discretized")
+
+        grids = grid_ladder(build_grid(-6.0, 6.0, CELL_CAP // 4), steps=2)
+        with pytest.raises(TooManyCellsError, match="reference grid"):
+            region_limit(density, density, 0.9, grids, refine_factor=4)
 
 
 class TestLambdaLimit:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from relbel.errors import (
     EmptyFiberError,
@@ -25,7 +26,7 @@ from relbel.model import (
     psi_marginal,
     validate,
 )
-from conftest import random_model
+from conftest import finite_models, random_model
 
 
 def two_by_two():
@@ -75,6 +76,24 @@ class TestValidate:
         ):
             with pytest.raises(err, match="non-finite"):
                 validate(FiniteModel(("a", "b"), ("x0", "x1"), bad_lik, prior))
+
+    def test_first_bad_row_reports_its_own_error(self):
+        big = np.finfo(float).max
+        rows = {
+            "off": [0.2, 0.7],
+            "overflow": [big, big],
+            "nan": [np.nan, 0.5],
+            "fine": [0.5, 0.5],
+        }
+        for first, second, message in (
+            ("fine", "overflow", "row 1 .*float range"),
+            ("off", "overflow", "row 0 .*sums to 0.89"),
+            ("overflow", "nan", "row 0 .*float range"),
+            ("nan", "overflow", "row 0 .*non-finite"),
+        ):
+            lik = np.array([rows[first], rows[second]])
+            with pytest.raises(NonStochasticRowError, match=message):
+                validate(FiniteModel(("a", "b"), ("x0", "x1"), lik, np.array([0.5, 0.5])))
 
     def test_renormalizes_within_tolerance_once(self):
         m = validate(
@@ -143,6 +162,14 @@ class TestPosteriorTable:
             for x in range(model.n_x):
                 row = psi_marginal(posterior(model, x).posterior, psi)
                 assert table[x].tobytes() == row.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(finite_models(max_theta=12, max_x=9, max_psi=5))
+    def test_rows_bitwise_equal_on_models_with_zero_prior_theta(self, case):
+        model, psi = case
+        table = posterior_table(model, psi)
+        for x in range(model.n_x):
+            assert table[x].tobytes() == psi_marginal(posterior(model, x).posterior, psi).tobytes()
 
     def test_impossible_observation(self):
         m = validate(
