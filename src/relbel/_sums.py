@@ -61,12 +61,19 @@ def fsums(a, axis: int = 0) -> np.ndarray:
     With the float total ``A_hat >= (1 - gamma(n)) A`` this gives
     ``|c - E| <= B = 4 (n + 2L) L u**2 A_hat`` (order ``n u**2 log n A``;
     the factor 4 covers the ``1 + O(n u)`` terms and the rounding of
-    ``B``). The exact total is ``r + t + (E - c)``, so when
-    ``|t| + B`` is strictly less than half the *smaller* neighbour gap of
-    ``r`` (the gap below a power of two is half the gap above), ``r`` is
-    the correctly rounded total and no tie is possible. Because rounding
-    is monotone and that half gap is a float, comparing the rounded
-    ``|t| + B`` decides the exact inequality.
+    ``B``). The exact total is ``r + t + d`` with ``d = E - c`` and
+    ``|d| <= B``, so it lies within ``|t| + B`` of ``r``. When
+    ``|t| > B``, ``t + d`` has the sign of ``t``: the exact total lies
+    strictly on the side of ``r`` that ``t`` points to, away from zero when
+    ``t`` and ``r`` share a sign and towards zero otherwise. When
+    ``|t| <= B`` either side is possible. The gap from ``|r|`` to the next
+    float towards zero is never wider than the gap away from zero (they
+    differ only at a power of two, where it is half as wide). So ``r`` is
+    the correctly rounded total, with no tie possible, when ``|t| + B`` is
+    strictly less than half the gap away from zero if ``|t| > B`` and
+    ``t`` points away from zero, and half the gap towards zero otherwise.
+    Because rounding is monotone and that half gap is a float, comparing
+    the rounded ``|t| + B`` decides the exact inequality.
 
     Fallback. A slice is certified only when ``2**-900 <= A_hat <= 2**1020``
     and ``r != 0``: a tiny ``A_hat`` would let ``B`` underflow, NaN or infinite
@@ -97,9 +104,10 @@ def fsums(a, axis: int = 0) -> np.ndarray:
         r, t = _two_sum(s[0], c)
         a_hat = np.abs(x).sum(axis=0)
         bound = a_hat * (4.0 * (n + 2 * levels) * levels * _U * _U)
-        mag = np.abs(r)
-        half_gap = np.minimum(np.spacing(mag), mag - np.nextafter(mag, 0.0)) * 0.5
-        ok = (a_hat >= _TINY) & (a_hat <= _HUGE) & (r != 0.0) & (np.abs(t) + bound < half_gap)
+        mag, slack = np.abs(r), np.abs(t)
+        outward = (slack > bound) & ((t > 0.0) == (r > 0.0))
+        gap = np.where(outward, np.spacing(mag), mag - np.nextafter(mag, 0.0))
+        ok = (a_hat >= _TINY) & (a_hat <= _HUGE) & (r != 0.0) & (slack + bound < gap * 0.5)
     for j in np.flatnonzero(~ok).tolist():
         r[j] = math.fsum(x[:, j].tolist())
     return r.reshape(out_shape)

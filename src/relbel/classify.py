@@ -192,6 +192,11 @@ def _columns(n: int) -> int:
     return 2 * n + 3
 
 
+# replications drawn at a time: memory stays bounded as reps grows, and the
+# chunks continue one Philox stream, so no estimate depends on the size
+_CHUNK_ROWS = 2**15
+
+
 def risk_table(
     alpha: float,
     betas,
@@ -221,26 +226,28 @@ def risk_table(
         if beta <= 0:
             raise ValidationError("every beta must be > 0")
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), bi])))
-        u = gen.random((reps, _columns(n)))
-        eps = betaincinv(alpha, beta, u[:, 0])
-        c = u[:, 1 : 1 + n] < eps[:, None]
-        x_test0 = ndtri(u[:, 1 + 2 * n])
-        x_test1 = mu + ndtri(u[:, 2 + 2 * n])
-        k = c.sum(axis=1).astype(float)
-
-        # log predictive ratios; the Gaussian density ratio is linear in x
-        count_term = (gammaln(alpha + k + 1.0) - gammaln(alpha + k)) - (
-            gammaln(beta + n - k + 1.0) - gammaln(beta + n - k)
-        )
         rb_shift = _log_count_ratio(beta, alpha)
+        # error counts of map on class 0, map on class 1, rb on class 0, rb on class 1
+        errors = [0, 0, 0, 0]
+        for start in range(0, reps, _CHUNK_ROWS):
+            u = gen.random((min(_CHUNK_ROWS, reps - start), _columns(n)))
+            eps = betaincinv(alpha, beta, u[:, 0])
+            c = u[:, 1 : 1 + n] < eps[:, None]
+            x_test0 = ndtri(u[:, 1 + 2 * n])
+            x_test1 = mu + ndtri(u[:, 2 + 2 * n])
+            k = c.sum(axis=1).astype(float)
 
-        def labels(x_new, shift):
-            return (mu * x_new - 0.5 * mu * mu) + count_term + shift > 0.0
-
-        map_err0 = float(np.mean(labels(x_test0, 0.0)))
-        map_err1 = float(np.mean(~labels(x_test1, 0.0)))
-        rb_err0 = float(np.mean(labels(x_test0, rb_shift)))
-        rb_err1 = float(np.mean(~labels(x_test1, rb_shift)))
+            # log predictive ratios; the Gaussian density ratio is linear in x
+            count_term = (gammaln(alpha + k + 1.0) - gammaln(alpha + k)) - (
+                gammaln(beta + n - k + 1.0) - gammaln(beta + n - k)
+            )
+            odds0 = (mu * x_test0 - 0.5 * mu * mu) + count_term
+            odds1 = (mu * x_test1 - 0.5 * mu * mu) + count_term
+            for i, shift in enumerate((0.0, rb_shift)):
+                errors[2 * i] += int(np.count_nonzero(odds0 + shift > 0.0))
+                errors[2 * i + 1] += int(np.count_nonzero(~(odds1 + shift > 0.0)))
+        # an exact count over reps: the bits of the mean of all the 0/1 errors
+        map_err0, map_err1, rb_err0, rb_err1 = (e / reps for e in errors)
         rows.append(
             RiskTableRow(
                 beta=float(beta),

@@ -113,7 +113,7 @@ class NoAttainableGammaError(ValidationError):
 
 
 class TooManyCellsError(ValidationError):
-    """A ladder or reference grid would have more cells than the cap."""
+    """A ladder, reference or cross-check grid would have more cells than the cap."""
 
 
 # --- numerical guards -------------------------------------------------------

@@ -5,6 +5,11 @@ turned into cell masses by composite midpoint quadrature (or by exact CDF
 differences when a CDF is available). Mass lost outside the range is
 recorded as ``tail_mass``, never hidden. Index sets map back to maximal
 disjoint intervals via :func:`undiscretize`.
+
+The built-in density families are closed forms on ``scipy.special`` ufuncs,
+written so that every pdf and cdf value has the bits of the matching frozen
+``scipy.stats`` distribution; the module does not import ``scipy.stats``,
+whose import costs more than the rest of a CLI run.
 """
 
 from __future__ import annotations
@@ -15,18 +20,27 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import stats
+from scipy.special import betainc, ndtr
+from scipy.special._ufuncs import _beta_pdf  # the kernel of scipy.stats.beta.pdf
 
 from .errors import (
     AllZeroMassError,
     BadRangeError,
     IndexOutOfRangeError,
     NegativeDensityError,
+    TooManyCellsError,
     ValidationError,
     ZeroCellsError,
 )
 
 TAIL_WARN = 0.01
+# Most cells any ladder, reference or cross-check grid may have: 16 times the
+# 65,536-cell reference of a 512-cell, 4-step region run with a 16-fold
+# refinement, and small enough that quadrature on it takes a few hundred MB,
+# not all memory.
+CELL_CAP = 2**20
+# sqrt(2 pi) as scipy.stats computes it for the normal pdf
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +85,15 @@ def build_grid(lo: float, hi: float, n_cells: int) -> Grid1D:
     if n_cells < 1:
         raise ZeroCellsError(f"n_cells must be >= 1, got {n_cells}")
     return Grid1D(float(lo), float(hi), int(n_cells))
+
+
+def capped(grid: Grid1D, what: str) -> Grid1D:
+    """``grid`` itself, or :class:`TooManyCellsError` past ``CELL_CAP`` cells."""
+    if grid.n_cells > CELL_CAP:
+        raise TooManyCellsError(
+            f"{what} would have {grid.n_cells} cells, more than the cap {CELL_CAP}"
+        )
+    return grid
 
 
 def refine(grid: Grid1D, factor: int) -> Grid1D:
@@ -148,10 +171,9 @@ def normal_masses(mu: float, sigma2: float, grid: Grid1D) -> GriddedDistribution
     """
     if sigma2 <= 0:
         raise ValidationError("sigma2 must be > 0")
-    d = stats.norm(loc=mu, scale=math.sqrt(sigma2))
-    edges = grid.edges
-    lower = np.diff(d.cdf(edges))
-    upper = -np.diff(d.sf(edges))
+    z = (grid.edges - mu) / math.sqrt(sigma2)
+    lower = np.diff(ndtr(z))
+    upper = -np.diff(ndtr(-z))
     raw = np.where(grid.midpoints <= mu, lower, upper)
     return _normalize(grid, np.clip(raw, 0.0, None), warn_tail=None)
 
@@ -159,6 +181,9 @@ def normal_masses(mu: float, sigma2: float, grid: Grid1D) -> GriddedDistribution
 def masses_from_cdf(cdf: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
     """Raw (unnormalized) masses of arbitrary consecutive cells ``[e_i, e_{i+1})``."""
     vals = np.asarray(cdf(np.asarray(edges, dtype=float)), dtype=float)
+    # NaN passes the sign check below, so reject it first
+    if not np.all(np.isfinite(vals)):
+        raise ValidationError("CDF is not finite on the given edges")
     raw = np.diff(vals)
     if np.any(raw < -1e-12):
         raise NegativeDensityError("CDF is decreasing on the given edges")
@@ -199,33 +224,94 @@ class DensityFamily:
     support: tuple[float, float]
 
 
+def _pdf_on(z, lo: float, hi: float, inner) -> np.ndarray:
+    """``inner`` on the closed support ``[lo, hi]`` of ``z``, 0 outside it.
+
+    NaN fails both comparisons, so it keeps ``inner``, which is NaN there.
+    """
+    return np.where((z < lo) | (z > hi), 0.0, inner)[()]
+
+
+def _cdf_on(z, lo: float, hi: float, inner) -> np.ndarray:
+    """``inner`` inside the open support ``(lo, hi)`` of ``z``, 0 or 1 beyond it."""
+    return np.where(z <= lo, 0.0, np.where(z >= hi, 1.0, inner))[()]
+
+
 def family(name: str, **params: float) -> DensityFamily:
     """Built-in families: normal(mu, sigma2), beta(alpha, beta),
-    uniform(a, b), lognormal(mu, sigma2)."""
+    uniform(a, b), lognormal(mu, sigma2).
+
+    Each pdf and cdf takes arrays and returns the bits of the frozen
+    ``scipy.stats`` distribution with the same parameters (``norm``,
+    ``beta``, ``uniform``, ``lognorm``): the same standardization, the same
+    ``scipy.special`` kernels, 0 (and 1 for a cdf) beyond the support, and
+    NaN for NaN input.
+    """
     if name == "normal":
         mu, sigma2 = params.get("mu", 0.0), params.get("sigma2", 1.0)
         if sigma2 <= 0:
             raise ValidationError("normal needs sigma2 > 0")
-        d = stats.norm(loc=mu, scale=math.sqrt(sigma2))
+        sd = math.sqrt(sigma2)
+
+        def pdf(x):
+            z = (np.asarray(x, dtype=float) - mu) / sd
+            return np.exp(-(z * z) / 2.0) / _SQRT_2PI / sd
+
+        def cdf(x):
+            return ndtr((np.asarray(x, dtype=float) - mu) / sd)
+
         support = (-math.inf, math.inf)
     elif name == "beta":
         a, b = params.get("alpha", 1.0), params.get("beta", 1.0)
         if a <= 0 or b <= 0:
             raise ValidationError("beta needs alpha > 0 and beta > 0")
-        d = stats.beta(a, b)
+
+        def pdf(x):
+            x = np.asarray(x, dtype=float)
+            with np.errstate(over="ignore"):
+                return _pdf_on(x, 0.0, 1.0, _beta_pdf(x, a, b))
+
+        def cdf(x):
+            x = np.asarray(x, dtype=float)
+            return _cdf_on(x, 0.0, 1.0, betainc(a, b, x))
+
         support = (0.0, 1.0)
     elif name == "uniform":
         a, b = params.get("a", 0.0), params.get("b", 1.0)
         if a >= b:
             raise BadRangeError("uniform needs a < b")
-        d = stats.uniform(loc=a, scale=b - a)
+        width = b - a
+
+        def pdf(x):
+            z = (np.asarray(x, dtype=float) - a) / width
+            return _pdf_on(z, 0.0, 1.0, np.where(np.isnan(z), np.nan, 1.0 / width))
+
+        def cdf(x):
+            z = (np.asarray(x, dtype=float) - a) / width
+            return _cdf_on(z, 0.0, 1.0, z)
+
         support = (a, b)
     elif name == "lognormal":
         mu, sigma2 = params.get("mu", 0.0), params.get("sigma2", 1.0)
         if sigma2 <= 0:
             raise ValidationError("lognormal needs sigma2 > 0")
-        d = stats.lognorm(s=math.sqrt(sigma2), scale=math.exp(mu))
+        # math.exp, not np.exp: the two differ by an ulp for some mu
+        s, scale = math.sqrt(sigma2), math.exp(mu)
+
+        def pdf(x):
+            z = np.asarray(x, dtype=float) / scale
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_z = np.log(z)
+                log_pdf = -(log_z * log_z) / (2 * (s * s)) - np.log(s * z * _SQRT_2PI)
+            # at z = 0 the log pdf above is NaN; scipy takes it as -inf there
+            return np.where(z <= 0.0, 0.0, np.exp(log_pdf) / scale)[()]
+
+        def cdf(x):
+            z = np.asarray(x, dtype=float) / scale
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return _cdf_on(z, 0.0, math.inf, ndtr(np.log(z) / s))
+
         support = (0.0, math.inf)
     else:
         raise ValidationError(f"unknown density family {name!r}")
-    return DensityFamily(name=name, pdf=d.pdf, cdf=d.cdf, support=support)
+    return DensityFamily(name=name, pdf=pdf, cdf=cdf, support=support)

@@ -33,7 +33,6 @@ from .errors import (
     NoAttainableGammaError,
     SeparationViolatedError,
     TieAtMaximizerError,
-    TooManyCellsError,
     ValidationError,
 )
 from .evidence import (
@@ -45,14 +44,11 @@ from .evidence import (
     table_from_gridded,
     table_from_model,
 )
-from .grids import Grid1D, GriddedDistribution, discretize, masses_from_cdf, refine
+from .grids import CELL_CAP  # noqa: F401  (re-exported: the cap every ladder grid meets)
+from .grids import Grid1D, GriddedDistribution, capped, discretize, masses_from_cdf, refine
 from .model import FiniteModel, PsiMap
 
 FLAT_TOL = 1e-12
-# Most cells any ladder or reference grid may have: 16 times the 65,536-cell
-# reference of a 512-cell, 4-step region run with a 16-fold refinement, and
-# small enough that quadrature on it takes a few hundred MB, not all memory.
-CELL_CAP = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +71,6 @@ def default_eta_ladder(prior, steps: int = 8) -> tuple[float, ...]:
     return tuple(top * 0.5**k for k in range(steps))
 
 
-def _capped(grid: Grid1D, what: str) -> Grid1D:
-    if grid.n_cells > CELL_CAP:
-        raise TooManyCellsError(
-            f"{what} would have {grid.n_cells} cells, more than the cap {CELL_CAP}"
-        )
-    return grid
-
-
 def grid_ladder(base: Grid1D, steps: int = 4, factor: int = 2) -> list[Grid1D]:
     """Successively ``factor``-refined grids starting from ``base``.
 
@@ -90,9 +78,9 @@ def grid_ladder(base: Grid1D, steps: int = 4, factor: int = 2) -> list[Grid1D]:
         TooManyCellsError: some grid of the ladder would have more than
             ``CELL_CAP`` cells; nothing has been discretized yet.
     """
-    grids = [_capped(base, "the base grid")]
+    grids = [capped(base, "the base grid")]
     for k in range(1, steps):
-        grids.append(_capped(refine(grids[-1], factor), f"ladder step {k + 1} of {steps}"))
+        grids.append(capped(refine(grids[-1], factor), f"ladder step {k + 1} of {steps}"))
     return grids
 
 
@@ -233,7 +221,7 @@ def region_limit(
     cells. A reference grid of more than ``CELL_CAP`` cells raises
     :class:`TooManyCellsError` before any discretization.
     """
-    ref_grid = _capped(refine(grids[-1], refine_factor), "the reference grid")
+    ref_grid = capped(refine(grids[-1], refine_factor), "the reference grid")
     for g in grids:
         if ref_grid.n_cells % g.n_cells or g.lo != ref_grid.lo or g.hi != ref_grid.hi:
             raise ValidationError("ladder grids must nest into the reference grid")

@@ -26,7 +26,7 @@ from .errors import (
     ZeroDirectionError,
 )
 from .evidence import rb_estimate, table_from_gridded
-from .grids import Grid1D, normal_masses
+from .grids import Grid1D, capped, normal_masses
 
 # below this relative prior-to-posterior variance gap the magnification
 # factor is all cancellation noise
@@ -199,8 +199,10 @@ def rb_grid_check(spec: RegressionSpec, w, grid: Grid1D) -> GridCheckReport:
     CDF differences on ``grid`` and locates the cell maximizing the
     posterior-to-prior mass ratio. The grid must cover six prior standard
     deviations on both sides; a gap beyond two cell widths trips
-    :class:`GridTooCoarseError`.
+    :class:`GridTooCoarseError`. A grid of more than ``grids.CELL_CAP``
+    cells raises :class:`TooManyCellsError` before anything is computed.
     """
+    capped(grid, "the grid check")
     report = functional_inference(spec, w)
     sd = math.sqrt(report.sigma2_psi)
     if grid.lo > -6.0 * sd or grid.hi < 6.0 * sd:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import relbel.classify as classify_mod
 from relbel.classify import (
     PredictiveSpec,
     RiskTableRow,
@@ -171,6 +172,13 @@ class TestRiskTable:
         recomputed = risk_table(1.0, [1.0], 1.0, 10, 5000, 9)[0]
         assert both[0] == recomputed
         assert alone[0] != both[1]
+
+    @pytest.mark.parametrize("reps", [1, 6, 7, 8, 1000])
+    def test_rows_independent_of_the_chunk_size(self, monkeypatch, reps):
+        whole = risk_table(1.0, [1.0, 14.0], 1.3, 10, reps, 21)
+        assert reps <= classify_mod._CHUNK_ROWS
+        monkeypatch.setattr(classify_mod, "_CHUNK_ROWS", 7)
+        assert risk_table(1.0, [1.0, 14.0], 1.3, 10, reps, 21) == whole
 
     def test_alpha_beta_symmetric_classifiers_match(self):
         (row,) = risk_table(1.0, [1.0], 1.0, 10, 40000, 11)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import relbel
 from relbel.cli import main
 
 
@@ -228,6 +233,20 @@ class TestRegressCommand:
             ],
         )
         assert res.exit_code == 2
+
+    def test_grid_check_past_the_cell_cap_exits_2(self, runner, tmp_path):
+        (tmp_path / "X.csv").write_text("1.0\n2.0\n3.0\n")
+        (tmp_path / "y.csv").write_text("1.0\n2.1\n2.9\n")
+        (tmp_path / "w.csv").write_text("1.0\n")
+        argv = [
+            "regress", "--design", str(tmp_path / "X.csv"),
+            "--response", str(tmp_path / "y.csv"),
+            "--sigma2", "1", "--tau2", "1", "--w", str(tmp_path / "w.csv"),
+        ]
+        res = runner.invoke(main, argv + ["--grid-check", "10000000000000"])
+        assert res.exit_code == 2, res.output
+        assert res.output.count("\n") == 1 and "cap" in res.output, res.output
+        assert runner.invoke(main, argv + ["--grid-check", str(2**20)]).exit_code == 0
 
 
 class TestLimitsCommand:
@@ -603,3 +622,14 @@ class TestRegressCsvFuzz:
         if res.exit_code == 0:
             # strict JSON: a NaN or an infinity would parse as a constant
             json.loads(res.output, parse_constant=lambda c: pytest.fail(f"{c} in {files}"))
+
+
+def test_cli_starts_without_scipy_stats():
+    # a fresh interpreter: this test process has imported scipy.stats already
+    src = str(Path(relbel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, relbel.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "[]", out.stdout

@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from relbel.errors import (
@@ -14,10 +18,12 @@ from relbel.errors import (
 )
 from relbel.grids import (
     build_grid,
+    _normalize,
     discretize,
     discretize_cdf,
     family,
     masses_from_cdf,
+    normal_masses,
     refine,
     undiscretize,
 )
@@ -160,3 +166,133 @@ class TestFamilies:
         m = masses_from_cdf(stats.lognorm(s=1.0).cdf, edges)
         direct = np.diff(stats.lognorm(s=1.0).cdf(edges))
         assert np.allclose(m, direct, atol=1e-15)
+
+    def test_masses_from_cdf_rejects_non_finite_values(self):
+        edges = np.array([0.0, 0.5, 1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="not finite"):
+                masses_from_cdf(lambda e, bad=bad: np.where(e > 0.7, bad, e), edges)
+
+
+# --- the closed forms against scipy.stats, bit for bit -----------------------
+
+SPECIAL_POINTS = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
+
+
+def _results(fn, x):
+    """``fn(x)`` as (value, None), or (None, exception type) if it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return fn(x), None
+        except ArithmeticError as exc:
+            return None, type(exc)
+
+
+def assert_same_bits(ours, oracle, x) -> None:
+    """``ours(x)`` has the bits of ``oracle(x)`` (NaN matches NaN) or raises as it does."""
+    (got, got_exc), (want, want_exc) = _results(ours, x), _results(oracle, x)
+    assert got_exc == want_exc, (x, got_exc, want_exc)
+    if want_exc is not None:
+        return
+    assert type(got) is type(want) and np.shape(got) == np.shape(want), (got, want)
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), (x, got, want)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)), (x, got, want)
+
+
+positive = st.floats(1e-3, 1e3)
+spread = st.floats(1e-8, 1e8)
+location = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def families_with_oracles(draw):
+    """A family, its frozen scipy.stats twin, and points near its support edges."""
+    name = draw(st.sampled_from(["normal", "beta", "uniform", "lognormal"]))
+    if name == "normal":
+        mu, sigma2 = draw(location), draw(spread)
+        sd = math.sqrt(sigma2)
+        ours, oracle = family(name, mu=mu, sigma2=sigma2), stats.norm(loc=mu, scale=sd)
+        edges = [mu, mu - 8 * sd, mu + 8 * sd]
+    elif name == "beta":
+        a, b = draw(positive), draw(positive)
+        ours, oracle = family(name, alpha=a, beta=b), stats.beta(a, b)
+        edges = [0.0, 1.0, 0.5]
+    elif name == "uniform":
+        a = draw(location)
+        b = a + draw(spread)
+        ours, oracle = family(name, a=a, b=b), stats.uniform(loc=a, scale=b - a)
+        edges = [a, b]
+    else:
+        mu, sigma2 = draw(st.floats(-20.0, 20.0)), draw(st.floats(1e-6, 1e3))
+        ours = family(name, mu=mu, sigma2=sigma2)
+        oracle = stats.lognorm(s=math.sqrt(sigma2), scale=math.exp(mu))
+        edges = [0.0, math.exp(mu), math.exp(mu + 8 * math.sqrt(sigma2))]
+    near = [v for e in edges for v in (e, np.nextafter(e, -math.inf), np.nextafter(e, math.inf))]
+    lo, hi = min(edges) - 1.0, max(edges) + 1.0
+    points = st.sampled_from(near + SPECIAL_POINTS) | st.floats(lo, hi) | st.floats()
+    return ours, oracle, points
+
+
+class TestFamiliesMatchScipyStats:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_pdf_and_cdf_bit_for_bit(self, data):
+        ours, oracle, points = data.draw(families_with_oracles())
+        x = data.draw(arrays(np.float64, st.integers(1, 30), elements=points))
+        for inputs in (x, x.reshape(1, -1), x[0]):
+            assert_same_bits(ours.pdf, oracle.pdf, inputs)
+            assert_same_bits(ours.cdf, oracle.cdf, inputs)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            # np.exp(mu) is an ulp below math.exp(mu), the scale scipy.stats is given
+            ("lognormal", {"mu": -5.688192131637191, "sigma2": 0.3}),
+            ("lognormal", {"mu": 11.4314280285523, "sigma2": 2.0}),
+            # a scalar z**2 (C pow) is an ulp off z * z, which scipy.stats squares with
+            ("normal", {"mu": -1.4907107315762915, "sigma2": 0.05951011210828862}),
+        ],
+    )
+    def test_ulp_sensitive_parameters(self, name, params):
+        ours = family(name, **params)
+        sd = math.sqrt(params["sigma2"])
+        if name == "lognormal":
+            oracle = stats.lognorm(s=sd, scale=math.exp(params["mu"]))
+        else:
+            oracle = stats.norm(loc=params["mu"], scale=sd)
+        x = np.exp(np.linspace(-1.0, 1.0, 41) * 12.0 + params["mu"])
+        for inputs in (x, 1e-300, *x[::8]):
+            assert_same_bits(ours.pdf, oracle.pdf, inputs)
+            assert_same_bits(ours.cdf, oracle.cdf, inputs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        location,
+        spread,
+        st.floats(-12.0, 4.0),
+        st.floats(-4.0, 12.0),
+        st.integers(1, 3000),
+    )
+    def test_normal_masses_bit_for_bit(self, mu, sigma2, lo_sd, hi_sd, n_cells):
+        sd = math.sqrt(sigma2)
+        # at least one sd wide, so the grid holds mass for any draw
+        grid = build_grid(mu + lo_sd * sd, mu + max(hi_sd, lo_sd + 1.0) * sd, n_cells)
+        d = stats.norm(loc=mu, scale=sd)
+        lower, upper = np.diff(d.cdf(grid.edges)), -np.diff(d.sf(grid.edges))
+        raw = np.where(grid.midpoints <= mu, lower, upper)
+        want = _normalize(grid, np.clip(raw, 0.0, None), warn_tail=None)
+        got = normal_masses(mu, sigma2, grid)
+        assert got.masses.tobytes() == want.masses.tobytes()
+        assert got.tail_mass == want.tail_mass
+
+    def test_nan_points_are_rejected_downstream(self):
+        grid = build_grid(0.0, 1.0, 4)
+        for name in ("normal", "beta", "uniform", "lognormal"):
+            fam = family(name)
+            with pytest.raises(ValidationError, match="not finite"):
+                discretize(lambda p, f=fam: f.pdf(np.where(p < 0.5, np.nan, p)), grid)
+            with pytest.raises(ValidationError, match="not finite"):
+                masses_from_cdf(fam.cdf, np.array([0.0, np.nan, 1.0]))

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from relbel.errors import SeparationViolatedError, TieAtMaximizerError, TooManyCellsError
+import relbel.grids as grids_mod
 from relbel.evidence import rb_table
 from relbel.grids import build_grid, family
 from relbel.limits import (
@@ -109,6 +110,9 @@ NORMAL_PRIOR = family("normal", mu=0.0, sigma2=1.0)
 
 
 class TestCellCap:
+    def test_cap_is_the_grids_cap(self):
+        assert CELL_CAP == grids_mod.CELL_CAP == 2**20
+
     def test_ladder_may_reach_the_cap(self):
         grids = grid_ladder(build_grid(0.0, 1.0, CELL_CAP // 8), steps=4, factor=2)
         assert grids[-1].n_cells == CELL_CAP

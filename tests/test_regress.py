@@ -7,9 +7,10 @@ from relbel.errors import (
     BadRangeError,
     NearSingularMagnifierError,
     RankDeficientError,
+    TooManyCellsError,
     ZeroDirectionError,
 )
-from relbel.grids import build_grid
+from relbel.grids import CELL_CAP, build_grid
 from relbel.regress import (
     RegressionSpec,
     functional_inference,
@@ -163,3 +164,11 @@ class TestGridCheck:
         check = rb_grid_check(spec, [1.0], grid)
         assert check.closed_form == pytest.approx(0.0, abs=1e-15)
         assert abs(check.grid_argmax) <= grid.cell_width
+
+
+def test_grid_check_past_the_cell_cap_rejected():
+    spec = random_spec(np.random.default_rng(3))
+    w = np.ones(spec.k)
+    sd = math.sqrt(functional_inference(spec, w).sigma2_psi)
+    with pytest.raises(TooManyCellsError, match="grid check"):
+        rb_grid_check(spec, w, build_grid(-8 * sd, 8 * sd, CELL_CAP + 1))

@@ -138,6 +138,40 @@ class TestKnownCases:
         a = np.array([1.0, -(2.0**-54), -(2.0**-200)])
         assert float(fsums(a)) == math.fsum(a.tolist()) == 1.0 - 2.0**-53
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            # t points up: the exact total is 1 + 0.75 * 2**-53, inside the gap above 1
+            [1.0, 0.75 * 2.0**-53],
+            [0.5, 0.5, 0.375 * 2.0**-53, 0.375 * 2.0**-53],
+            # t points down: the exact total is 1 - 0.25 * 2**-53
+            [1.0, -0.25 * 2.0**-53],
+            # and the same below -1, where up and down swap
+            [-1.0, -0.75 * 2.0**-53],
+            [-1.0, 0.25 * 2.0**-53],
+        ],
+    )
+    def test_totals_of_one_certified_on_the_side_of_t(self, monkeypatch, a):
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v))
+        assert float(fsums(np.array(a))) == fsum(a) == math.copysign(1.0, a[0])
+        assert calls == []
+
+    def test_normalized_rows_totalling_one_skip_fsum(self, monkeypatch):
+        # rows divided by their float total: many total exactly 1.0, from both sides
+        rng = np.random.default_rng(11)
+        rows = rng.dirichlet(np.full(2000, 1.5), size=120)
+        rows /= rows.sum(axis=1, keepdims=True)
+        expected = [math.fsum(r) for r in rows.tolist()]
+        excess = [math.fsum(r + [-1.0]) for r in rows.tolist()]
+        ones = [e for t, e in zip(expected, excess) if t == 1.0]
+        assert min(ones) < 0.0 < max(ones)
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v))
+        got = fsums(rows, axis=1)
+        assert got.tobytes() == np.array(expected).tobytes()
+        assert not [total for total in map(fsum, calls) if total == 1.0]
+
     def test_intermediate_overflow_raises(self):
         with pytest.raises(OverflowError):
             fsums(np.array([1e308, 1e308, -1e308]))
