@@ -169,22 +169,6 @@ class RiskTableRow:
     def csv_header() -> str:
         return "beta,map_err0,map_err1,map_sum,rb_err0,rb_err1,rb_sum,reps,seed"
 
-    @classmethod
-    def from_csv_row(cls, line: str) -> "RiskTableRow":
-        parts = line.strip().split(",")
-        if len(parts) != 9:
-            raise ValidationError(f"expected 9 CSV fields, got {len(parts)}")
-        floats = [float(v) for v in parts[:7]]
-        return cls(*floats, reps=int(parts[7]), seed=int(parts[8]))
-
-
-def rows_from_csv(text: str) -> list[RiskTableRow]:
-    """Parse a risk table emitted with the canonical header back into rows."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != RiskTableRow.csv_header():
-        raise ValidationError("missing or unexpected risk-table header")
-    return [RiskTableRow.from_csv_row(ln) for ln in lines[1:]]
-
 
 # doubles consumed per replication: 1 (eps) + n (labels) + n (training x,
 # drawn for stream fidelity) + 2 (one test point per class)

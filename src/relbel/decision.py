@@ -36,7 +36,6 @@ from .model import (
     PsiMap,
     marginalize,
     posterior_table,
-    prior_predictive,
     psi_marginal,
 )
 
@@ -94,34 +93,6 @@ def make_loss(kind: str, prior, eta: float | None = None) -> Loss:
     return Loss(kind=kind, values=weights, eta=eta)
 
 
-def _weighted(loss: Loss, posterior_masses) -> np.ndarray:
-    """Posterior times error weight per value: the action-dependent risk term."""
-    post = np.asarray(posterior_masses, dtype=float)
-    if post.shape != (loss.n,):
-        raise ValidationError(f"posterior length {post.shape} != loss size {loss.n}")
-    return post * loss.values
-
-
-def posterior_risk(loss: Loss, posterior_masses, action: int) -> float:
-    """Expected loss of ``action`` under the posterior over true values."""
-    r = _weighted(loss, posterior_masses)
-    if not 0 <= action < loss.n:
-        raise ValidationError(f"action index {action} not in [0, {loss.n})")
-    return math.fsum(np.delete(r, action).tolist())
-
-
-def rb_decomposition(loss: Loss, posterior_masses, action: int) -> tuple[float, float]:
-    """(sum of capped rb over values, capped rb at the action).
-
-    The posterior risk of a reciprocal-prior loss equals the difference of
-    these two terms; only the second depends on the action.
-    """
-    if loss.kind == "map":
-        raise ValidationError("decomposition applies to reciprocal-prior losses only")
-    ratios = _weighted(loss, posterior_masses)
-    return float(math.fsum(ratios.tolist())), float(ratios[action])
-
-
 def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRule, RiskReport]:
     """Per-outcome posterior-risk minimizer and its risk accounting.
 
@@ -135,7 +106,8 @@ def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRul
     """
     if loss.n != psi.n_psi:
         raise ValidationError(f"loss size {loss.n} != {psi.n_psi} psi values")
-    ratios = posterior_table(model, psi) * loss.values
+    table, m = posterior_table(model, psi)
+    ratios = table * loss.values
     rows = np.arange(model.n_x)
     actions = np.argmax(ratios, axis=1)
     at_action = ratios[rows, actions]
@@ -146,7 +118,6 @@ def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRul
     decomp = None
     if loss.kind != "map":
         decomp = tuple(zip(fsums(ratios, axis=1).tolist(), at_action.tolist()))
-    m = prior_predictive(model)
     return (
         DecisionRule(
             action_per_x=tuple(int(a) for a in actions), ties=tuple(bool(t) for t in ties)
@@ -214,7 +185,9 @@ def lpl_region(loss: Loss, posterior_masses, gamma: float, prior=None) -> Region
     if not 0.0 <= gamma <= 1.0:
         raise BadGammaError(f"gamma must be in [0, 1], got {gamma}")
     post = np.asarray(posterior_masses, dtype=float)
-    ratios = _weighted(loss, post)
+    if post.shape != (loss.n,):
+        raise ValidationError(f"posterior length {post.shape} != loss size {loss.n}")
+    ratios = post * loss.values
     levels, content = _descending_levels(ratios, post)
     hit = np.flatnonzero(content >= gamma)
     # float shortfall at gamma=1 falls back to full support
@@ -247,8 +220,8 @@ def unbiasedness_gap(model: FiniteModel, psi: PsiMap, h, rule: DecisionRule) -> 
     if acts.shape != (model.n_x,):
         raise ValidationError(f"rule covers {acts.shape} outcomes, model has {model.n_x}")
     pi_psi = psi_marginal(model.prior, psi)
-    m = prior_predictive(model)
-    post_at_action = posterior_table(model, psi)[np.arange(model.n_x), acts]
+    table, m = posterior_table(model, psi)
+    post_at_action = table[np.arange(model.n_x), acts]
     terms = m * h[acts] * (post_at_action - pi_psi[acts])
     return float(fsums(terms))
 

@@ -132,3 +132,7 @@ class SeparationViolatedError(NumericalGuardError):
 
 class RiskCrossCheckError(NumericalGuardError):
     """A direct prior risk disagrees with its closed form beyond 1e-9."""
+
+
+class DensityOverflowError(NumericalGuardError):
+    """A density evaluation overflowed the float range on the grid."""

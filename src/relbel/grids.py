@@ -1,8 +1,8 @@
 """Regular 1-D discretizations: cells, masses, and interval reconstruction.
 
 A grid splits ``[lo, hi)`` into equal-width half-open cells; a density is
-turned into cell masses by composite midpoint quadrature (or by exact CDF
-differences when a CDF is available). Mass lost outside the range is
+turned into cell masses by composite midpoint quadrature, or by exact CDF
+differences (:func:`masses_from_cdf`). Mass lost outside the range is
 recorded as ``tail_mass``, never hidden. Index sets map back to maximal
 disjoint intervals via :func:`undiscretize`.
 
@@ -26,6 +26,7 @@ from scipy.special._ufuncs import _beta_pdf  # the kernel of scipy.stats.beta.pd
 from .errors import (
     AllZeroMassError,
     BadRangeError,
+    DensityOverflowError,
     IndexOutOfRangeError,
     NegativeDensityError,
     TooManyCellsError,
@@ -62,12 +63,6 @@ class Grid1D:
     @property
     def midpoints(self) -> np.ndarray:
         return self.lo + (np.arange(self.n_cells) + 0.5) * self.cell_width
-
-    def cell_of(self, value: float) -> int:
-        """Index of the cell containing ``value`` (right-open convention)."""
-        if not self.lo <= value < self.hi:
-            raise IndexOutOfRangeError(f"{value} outside [{self.lo}, {self.hi})")
-        return min(int((value - self.lo) / self.cell_width), self.n_cells - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,24 +116,16 @@ def discretize(
     w = grid.cell_width
     offsets = (np.arange(quadrature_points) + 0.5) * (w / quadrature_points)
     points = grid.edges[:-1, None] + offsets[None, :]
-    values = np.asarray(density(points), dtype=float)
+    try:
+        values = np.asarray(density(points), dtype=float)
+    except OverflowError:
+        # a beta pdf with alpha < 1 overflows at subnormal points, as scipy's does
+        raise DensityOverflowError(
+            f"density overflows the float range on the grid [{grid.lo}, {grid.hi})"
+        ) from None
     if np.any(values < 0):
         raise NegativeDensityError("density evaluated negative on the grid")
     raw = values.mean(axis=1) * w
-    return _normalize(grid, raw, warn_tail)
-
-
-def discretize_cdf(
-    cdf: Callable[[np.ndarray], np.ndarray],
-    grid: Grid1D,
-    warn_tail: float | None = TAIL_WARN,
-) -> GriddedDistribution:
-    """Cell masses by exact CDF differences."""
-    vals = np.asarray(cdf(grid.edges), dtype=float)
-    raw = np.diff(vals)
-    if np.any(raw < -1e-12):
-        raise NegativeDensityError("CDF is decreasing on the grid")
-    raw = np.clip(raw, 0.0, None)
     return _normalize(grid, raw, warn_tail)
 
 

@@ -66,11 +66,6 @@ class PsiMap:
     def n_psi(self) -> int:
         return len(self.psi_labels)
 
-    def fibers(self) -> list[np.ndarray]:
-        """Theta-index arrays, one per psi value, in psi order."""
-        a = np.asarray(self.assignment)
-        return [np.flatnonzero(a == j) for j in range(self.n_psi)]
-
 
 def identity_psi(model: FiniteModel) -> PsiMap:
     """The trivial marginalization (psi = theta)."""
@@ -166,53 +161,71 @@ def posterior(model: FiniteModel, x: int) -> PosteriorReport:
 
 
 def prior_predictive(model: FiniteModel) -> np.ndarray:
-    """Marginal outcome distribution m(x) = sum_theta prior * likelihood."""
-    return model.prior @ model.likelihood
+    """Marginal outcome distribution m(x) = sum_theta prior * likelihood.
+
+    Each entry is the exact column total of the joint table
+    (:func:`relbel._sums.fsums`, with ``math.fsum``'s bits), so ``m[x]`` is
+    bitwise ``posterior(model, x).evidence_norm`` and does not depend on the
+    BLAS build. Impossible outcomes keep m(x) = 0 here.
+    """
+    return _joint_and_predictive(model)[1]
+
+
+def _joint_and_predictive(model: FiniteModel) -> tuple[np.ndarray, np.ndarray]:
+    """The joint table ``prior * likelihood`` (theta by outcome) and its column totals m(x)."""
+    joint = model.prior[:, None] * model.likelihood
+    return joint, fsums(joint, axis=0)
 
 
 def psi_marginal(masses: np.ndarray, psi: PsiMap) -> np.ndarray:
-    """Push masses over theta forward through the psi assignment."""
-    return np.bincount(np.asarray(psi.assignment), weights=masses, minlength=psi.n_psi)
+    """Push masses over theta forward through the psi assignment.
 
+    ``masses`` is indexed by theta along its first axis: a vector over
+    theta, or a table with one row per theta value. Entry ``j`` (row ``j``)
+    of the result accumulates the theta entries (rows) of psi value ``j`` in
+    theta order, starting from zero.
 
-def _checked_assignment(model: FiniteModel, psi: PsiMap) -> np.ndarray:
+    Raises:
+        ValidationError: the assignment does not cover the theta axis.
+        IndexOutOfRangeError: an assignment entry is not a psi index.
+    """
+    masses = np.asarray(masses, dtype=float)
     a = np.asarray(psi.assignment)
-    if a.shape != (model.n_theta,):
+    if a.shape != masses.shape[:1]:
         raise ValidationError(
-            f"assignment length {a.shape} != {model.n_theta} theta values"
+            f"psi assignment covers {a.size} theta values, masses have shape {masses.shape}"
         )
     if np.any(a < 0) or np.any(a >= psi.n_psi):
         raise IndexOutOfRangeError("psi assignment index out of range")
-    return a
+    if masses.ndim == 1:
+        return np.bincount(a, weights=masses, minlength=psi.n_psi)
+    # one row per theta value, in theta order, as bincount adds the 1-D entries
+    out = np.zeros((psi.n_psi,) + masses.shape[1:])
+    for i, j in enumerate(a.tolist()):
+        out[j] += masses[i]
+    return out
 
 
-def posterior_table(model: FiniteModel, psi: PsiMap) -> np.ndarray:
-    """Posterior masses over psi for every outcome, one row per outcome.
+def posterior_table(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior masses over psi for every outcome, and the m(x) they divide by.
 
-    Row ``x`` is bitwise equal to
-    ``psi_marginal(posterior(model, x).posterior, psi)``: the same products,
-    the same normalizer and the same theta-order accumulation. The
-    normalizers of all outcomes come from one exact column sum
-    (:func:`relbel._sums.fsums`), which gives the bits ``math.fsum`` gives.
+    Returns ``(table, m)``: ``table`` has one row per outcome, and row ``x``
+    is bitwise equal to ``psi_marginal(posterior(model, x).posterior, psi)``
+    (the same products, the same normalizer and the same theta-order
+    accumulation); ``m`` is :func:`prior_predictive`, totalled once from
+    the same joint table, so callers that weight by m(x) reuse it.
 
     Raises:
         ValidationError: the psi assignment does not fit the model.
         ImpossibleObservationError: some outcome has zero prior-predictive mass.
     """
-    a = _checked_assignment(model, psi)
-    joint = model.prior[:, None] * model.likelihood
-    m = fsums(joint, axis=0)
+    joint, m = _joint_and_predictive(model)
     if np.any(m <= 0.0):
         x = int(np.argmax(m <= 0.0))
         raise ImpossibleObservationError(
             f"outcome {model.x_labels[x]!r} has zero prior-predictive mass"
         )
-    post = joint / m
-    # theta-order accumulation per psi value, as psi_marginal's bincount does
-    table = np.zeros((psi.n_psi, model.n_x))
-    for i, j in enumerate(a.tolist()):
-        table[j] += post[i]
-    return table.T
+    return psi_marginal(joint / m, psi).T, m
 
 
 def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray]:
@@ -225,16 +238,13 @@ def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray
     Raises:
         EmptyFiberError: some psi value has zero prior mass.
     """
-    a = _checked_assignment(model, psi)
     pi_psi = psi_marginal(model.prior, psi)
     if np.any(pi_psi <= 0.0):
         j = int(np.argmin(pi_psi))
         raise EmptyFiberError(
             f"psi value {psi.psi_labels[j]!r} has zero prior mass"
         )
-    joint = model.prior[:, None] * model.likelihood
-    cond = np.zeros((psi.n_psi, model.n_x))
-    np.add.at(cond, a, joint)
+    cond = psi_marginal(model.prior[:, None] * model.likelihood, psi)
     cond /= pi_psi[:, None]
     return pi_psi, cond
 

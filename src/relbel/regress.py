@@ -105,20 +105,6 @@ def functional_report_to_dict(rep: FunctionalReport) -> dict:
     }
 
 
-def functional_report_from_dict(doc: dict) -> FunctionalReport:
-    return FunctionalReport(
-        w=np.asarray(doc["w"], dtype=float),
-        psi_map=float(doc["psi_map"]),
-        psi_rb=float(doc["psi_rb"]),
-        sigma2_psi=float(doc["sigma2_psi"]),
-        sigma2_psi_post=float(doc["sigma2_psi_post"]),
-        z_map=float(doc["z_map"]),
-        z_rb=float(doc["z_rb"]),
-        sigma2_z=float(doc["sigma2_z"]),
-        sigma2_z_post=float(doc["sigma2_z_post"]),
-    )
-
-
 def posterior_params(spec: RegressionSpec) -> PosteriorGaussian:
     """Posterior mean and covariance of the coefficients, plus the MLE."""
     X, y = spec.design, spec.response

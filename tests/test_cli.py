@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -435,9 +438,21 @@ class TestMalformedLimitsConfigs:
         assert as_float.output == as_int.output
 
 
+def test_beta_density_overflow_exits_3(runner, tmp_path):
+    # the beta(0.5, 2) pdf overflows the float range at subnormal points
+    doc = {
+        **GRID_CONFIG,
+        "prior": {"family": "beta", "alpha": 0.5, "beta": 2.0},
+        "grid": {"lo": 0.0, "hi": 1e-307, "n_cells": 16},
+    }
+    res = invoke_limits(runner, tmp_path, "lambda", doc)
+    assert res.exit_code == 3, res.output
+    assert res.output.startswith("error: density overflows") and res.output.count("\n") == 1
+
+
 class TestReportRoundTrips:
     def test_risk_table_csv_round_trip(self, runner):
-        from relbel.classify import risk_table, rows_from_csv
+        from relbel.classify import RiskTableRow, risk_table
 
         args = [
             "classify", "table1", "--betas", "1,14", "--reps", "2000",
@@ -445,14 +460,15 @@ class TestReportRoundTrips:
         ]
         res = runner.invoke(main, args)
         assert res.exit_code == 0, res.output
-        assert rows_from_csv(res.output) == risk_table(1.0, [1.0, 14.0], 1.0, 10, 2000, 21)
+        rows = list(csv.DictReader(io.StringIO(res.output)))
+        assert list(rows[0]) == RiskTableRow.csv_header().split(",")
+        want = risk_table(1.0, [1.0, 14.0], 1.0, 10, 2000, 21)
+        assert [{k: float(v) for k, v in r.items()} for r in rows] == [
+            dataclasses.asdict(w) for w in want
+        ]
 
     def test_functional_report_json_round_trip(self, runner, tmp_path):
-        from relbel.regress import (
-            RegressionSpec,
-            functional_inference,
-            functional_report_from_dict,
-        )
+        from relbel.regress import RegressionSpec, functional_inference
 
         (tmp_path / "X.csv").write_text("1.0\n1.0\n")
         (tmp_path / "y.csv").write_text("1.0\n3.0\n")
@@ -465,7 +481,8 @@ class TestReportRoundTrips:
                 "--sigma2", "1", "--tau2", "1", "--w", str(tmp_path / "w.csv"),
             ],
         )
-        parsed = functional_report_from_dict(json.loads(res.output))
+        assert res.exit_code == 0, res.output
+        parsed = json.loads(res.output)
         direct = functional_inference(
             RegressionSpec(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]), 1.0, 1.0), [1.0]
         )
@@ -473,8 +490,8 @@ class TestReportRoundTrips:
             "psi_map", "psi_rb", "sigma2_psi", "sigma2_psi_post",
             "z_map", "z_rb", "sigma2_z", "sigma2_z_post",
         ):
-            assert getattr(parsed, field) == getattr(direct, field)
-        assert np.all(parsed.w == direct.w)
+            assert parsed[field] == getattr(direct, field)
+        assert parsed["w"] == direct.w.tolist()
 
     def test_numerical_guard_exits_3(self, runner, tmp_path):
         (tmp_path / "X.csv").write_text("1.0\n1.0\n")

@@ -12,9 +12,7 @@ from relbel.decision import (
     conditional_error_probs,
     lpl_region,
     make_loss,
-    posterior_risk,
     prior_risk,
-    rb_decomposition,
     unbiasedness_gap,
     DecisionRule,
 )
@@ -57,21 +55,42 @@ class TestMakeLoss:
             make_loss("rb-eta", [0.5, 0.5], eta=0.0)
 
 
+def two_outcome_model():
+    # uniform prior; the posterior at x0 is (0.2, 0.8)
+    return validate(
+        FiniteModel(
+            ("t0", "t1"),
+            ("x0", "x1"),
+            np.array([[0.2, 0.8], [0.8, 0.2]]),
+            np.array([0.5, 0.5]),
+        )
+    )
+
+
 class TestPosteriorRisk:
     def test_certain_action_zero_one_loss(self):
-        loss = make_loss("map", [0.5, 0.5])
-        assert posterior_risk(loss, [0.0, 1.0], 1) == 0.0
+        m = validate(
+            FiniteModel(("t0", "t1"), ("x0", "x1"), np.array([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
+        )
+        rule, report = bayes_rule(m, identity_psi(m), make_loss("map", m.prior))
+        assert rule.action_per_x == (0, 1)
+        assert report.posterior_risk_per_x.tolist() == [0.0, 0.0]
 
     def test_rb_decomposition_example(self):
-        loss = make_loss("rb", [0.5, 0.5])
-        assert posterior_risk(loss, [0.2, 0.8], 1) == pytest.approx(0.4, abs=1e-15)
-        total, at_action = rb_decomposition(loss, [0.2, 0.8], 1)
+        m = two_outcome_model()
+        rule, report = bayes_rule(m, identity_psi(m), make_loss("rb", m.prior))
+        assert rule.action_per_x[0] == 1
+        assert report.posterior_risk_per_x[0] == pytest.approx(0.4, abs=1e-15)
+        total, at_action = report.decomposition[0]
         assert (total, at_action) == (pytest.approx(2.0), pytest.approx(1.6))
         assert total - at_action == pytest.approx(0.4, abs=1e-15)
 
     def test_map_risk_example(self):
-        loss = make_loss("map", [0.5, 0.5])
-        assert posterior_risk(loss, [0.2, 0.8], 1) == pytest.approx(0.2, abs=1e-15)
+        m = two_outcome_model()
+        rule, report = bayes_rule(m, identity_psi(m), make_loss("map", m.prior))
+        assert rule.action_per_x[0] == 1
+        assert report.posterior_risk_per_x[0] == pytest.approx(0.2, abs=1e-15)
+        assert report.decomposition is None
 
 
 def example1_model():

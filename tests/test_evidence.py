@@ -18,7 +18,7 @@ from relbel.evidence import (
     strength,
     table_from_gridded,
 )
-from relbel.grids import build_grid, discretize_cdf
+from relbel.grids import _normalize, build_grid, masses_from_cdf
 from relbel.model import posterior, prior_predictive, psi_marginal
 from conftest import random_model
 
@@ -239,8 +239,10 @@ class TestGridTables:
         # strictly monotone map of the cells transports masses exactly, so
         # rb per cell is unchanged while cell shapes are not
         grid = build_grid(-5, 5, 200)
-        prior = discretize_cdf(stats.norm(0, 1).cdf, grid, warn_tail=None)
-        post = discretize_cdf(stats.norm(0.75, math.sqrt(0.5)).cdf, grid, warn_tail=None)
+        prior = _normalize(grid, masses_from_cdf(stats.norm(0, 1).cdf, grid.edges), warn_tail=None)
+        post = _normalize(
+            grid, masses_from_cdf(stats.norm(0.75, math.sqrt(0.5)).cdf, grid.edges), warn_tail=None
+        )
         t = table_from_gridded(prior, post)
         edges = grid.edges
         image_prior = np.diff(stats.lognorm(s=1.0).cdf(np.exp(edges)))

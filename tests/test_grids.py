@@ -11,6 +11,7 @@ from scipy import stats
 from relbel.errors import (
     AllZeroMassError,
     BadRangeError,
+    DensityOverflowError,
     IndexOutOfRangeError,
     NegativeDensityError,
     ValidationError,
@@ -20,7 +21,6 @@ from relbel.grids import (
     build_grid,
     _normalize,
     discretize,
-    discretize_cdf,
     family,
     masses_from_cdf,
     normal_masses,
@@ -54,13 +54,6 @@ class TestBuildGrid:
         # every old edge is also a new edge, so each new cell lies in one old cell
         assert np.allclose(fine.edges[::3], g.edges, atol=1e-15)
 
-    def test_cell_of(self):
-        g = build_grid(0, 1, 4)
-        assert g.cell_of(0.0) == 0
-        assert g.cell_of(0.999) == 3
-        with pytest.raises(IndexOutOfRangeError):
-            g.cell_of(1.0)
-
 
 class TestDiscretize:
     def test_uniform_density(self):
@@ -91,6 +84,12 @@ class TestDiscretize:
             with pytest.raises(ValidationError, match="not finite"):
                 discretize(lambda p, bad=bad: np.where(p < 0.5, bad, 1.0), g)
 
+    def test_density_overflow_is_a_numerical_guard(self):
+        # the beta(0.5, 2) pdf overflows at subnormal points; family() keeps scipy's error
+        pdf = family("beta", alpha=0.5, beta=2.0).pdf
+        with pytest.raises(DensityOverflowError, match="overflows the float range"):
+            discretize(pdf, build_grid(0.0, 1e-307, 16))
+
     def test_tail_mass_recorded_and_warns(self):
         g = build_grid(-1, 1, 16)
         with pytest.warns(UserWarning):
@@ -110,14 +109,16 @@ class TestDiscretize:
     def test_mass_over_width_approaches_density(self):
         g = build_grid(-6, 6, 4096)
         gd = discretize(stats.norm.pdf, g)
-        i = g.cell_of(0.0)
+        # 0 lies on the left edge of cell 2048 of 4096 equal cells over [-6, 6)
+        i = int((0.0 - g.lo) / g.cell_width)
+        assert g.edges[i] <= 0.0 < g.edges[i + 1]
         approx = gd.masses[i] / g.cell_width
         assert abs(approx - stats.norm.pdf(0.0)) / stats.norm.pdf(0.0) < 1e-3
 
     def test_cdf_route_matches_quadrature(self):
         g = build_grid(-6, 6, 256)
         quad = discretize(stats.norm.pdf, g, quadrature_points=64)
-        exact = discretize_cdf(stats.norm.cdf, g)
+        exact = _normalize(g, masses_from_cdf(stats.norm.cdf, g.edges), warn_tail=None)
         assert np.max(np.abs(quad.masses - exact.masses)) < 1e-9
 
 

@@ -157,8 +157,9 @@ class TestPosteriorTable:
     def test_rows_bitwise_equal_per_outcome_route(self, rng):
         for _ in range(50):
             model, psi = random_model(rng, max_theta=12, max_x=9, max_psi=5)
-            table = posterior_table(model, psi)
+            table, m = posterior_table(model, psi)
             assert table.shape == (model.n_x, psi.n_psi)
+            assert m.tobytes() == prior_predictive(model).tobytes()
             for x in range(model.n_x):
                 row = psi_marginal(posterior(model, x).posterior, psi)
                 assert table[x].tobytes() == row.tobytes()
@@ -167,7 +168,7 @@ class TestPosteriorTable:
     @given(finite_models(max_theta=12, max_x=9, max_psi=5))
     def test_rows_bitwise_equal_on_models_with_zero_prior_theta(self, case):
         model, psi = case
-        table = posterior_table(model, psi)
+        table, _ = posterior_table(model, psi)
         for x in range(model.n_x):
             assert table[x].tobytes() == psi_marginal(posterior(model, x).posterior, psi).tobytes()
 
@@ -192,6 +193,27 @@ class TestPosteriorTable:
 
 
 class TestPriorPredictive:
+    @settings(max_examples=150, deadline=None)
+    @given(finite_models(max_theta=40, max_x=12, max_psi=5))
+    def test_bitwise_the_posterior_normalizer(self, case):
+        # exact column totals, not a BLAS product whose bits vary with the build
+        model, _ = case
+        m = prior_predictive(model)
+        assert m.shape == (model.n_x,)
+        for x in range(model.n_x):
+            assert m[x] == posterior(model, x).evidence_norm
+
+    def test_impossible_outcome_has_zero_mass(self):
+        m = validate(
+            FiniteModel(
+                ("a", "b"),
+                ("x0", "x1"),
+                np.array([[0.0, 1.0], [0.0, 1.0]]),
+                np.array([0.5, 0.5]),
+            )
+        )
+        assert prior_predictive(m).tolist() == [0.0, 1.0]
+
     def test_point_mass_prior_gives_that_row(self):
         m = validate(
             FiniteModel(
@@ -212,6 +234,35 @@ class TestPriorPredictive:
             p = rng.dirichlet(np.ones(2))
             m = validate(FiniteModel(("a", "b"), ("x0", "x1", "x2"), np.array([row, row]), p))
             assert np.allclose(prior_predictive(m), row, atol=1e-12)
+
+
+class TestPsiMarginal:
+    @settings(max_examples=150, deadline=None)
+    @given(finite_models(max_theta=12, max_x=9, max_psi=5))
+    def test_bitwise_the_scatter_add_references(self, case):
+        model, psi = case
+        a = np.asarray(psi.assignment)
+        for v in (model.prior, model.likelihood[:, 0]):
+            want = np.bincount(a, weights=v, minlength=psi.n_psi)
+            assert psi_marginal(v, psi).tobytes() == want.tobytes()
+        joint = model.prior[:, None] * model.likelihood
+        want = np.zeros((psi.n_psi, model.n_x))
+        np.add.at(want, a, joint)
+        got = psi_marginal(joint, psi)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_bad_assignment_rejected(self):
+        masses = np.array([0.2, 0.3, 0.5])
+        for bad in (PsiMap((0, 1), ("A", "B")), PsiMap((0, 1, 1, 0), ("A", "B"))):
+            with pytest.raises(ValidationError, match="covers"):
+                psi_marginal(masses, bad)
+            with pytest.raises(ValidationError, match="covers"):
+                psi_marginal(np.ones((3, 2)), bad)
+        # bincount would grow the output for 2 and raise ValueError for -1
+        for bad in (PsiMap((0, 1, 2), ("A", "B")), PsiMap((0, -1, 1), ("A", "B"))):
+            for v in (masses, np.ones((3, 2))):
+                with pytest.raises(IndexOutOfRangeError):
+                    psi_marginal(v, bad)
 
 
 class TestMarginalize:
