@@ -12,6 +12,9 @@ under Gaussian class densities.
 
 Class indices are 0 and 1 throughout; ties in any threshold comparison
 label 0.
+
+``scipy.special`` is imported on first use, by the predictive classifiers
+and the Monte Carlo table; the known-epsilon rules never load scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, gammaln, ndtri
 
 from .errors import BothDensitiesZeroError, ValidationError
 
@@ -98,8 +100,8 @@ class PredictiveSpec:
     f1_at_x: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValidationError("alpha and beta must be > 0")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ValidationError("alpha and beta must be finite and > 0")
         if self.n < 0:
             raise ValidationError(f"n must be >= 0, got {self.n}")
         if not 0.0 <= self.c_bar <= 1.0:
@@ -107,8 +109,8 @@ class PredictiveSpec:
         k = self.n * self.c_bar
         if abs(k - round(k)) > 1e-9:
             raise ValidationError(f"n * c_bar = {k} is not an integer count")
-        if self.f0_at_x < 0 or self.f1_at_x < 0:
-            raise ValidationError("density values must be nonnegative")
+        if not (0.0 <= self.f0_at_x < math.inf and 0.0 <= self.f1_at_x < math.inf):
+            raise ValidationError("density values must be finite and nonnegative")
         if self.f0_at_x == 0.0 and self.f1_at_x == 0.0:
             raise BothDensitiesZeroError("both class densities are zero at x")
 
@@ -123,6 +125,8 @@ class PredictiveResult:
 
 def _log_count_ratio(a: float, b: float) -> float:
     """log(a / b) via log-gamma: log Gamma(z+1) - log Gamma(z) = log z."""
+    from scipy.special import gammaln
+
     return (gammaln(a + 1.0) - gammaln(a)) - (gammaln(b + 1.0) - gammaln(b))
 
 
@@ -199,16 +203,24 @@ def risk_table(
     (seed, beta index), mapped through inverse CDFs, so any row or
     replication can be regenerated independently and in parallel.
     """
+    from scipy.special import betaincinv, gammaln, ndtri
+
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    if alpha <= 0:
-        raise ValidationError("alpha must be > 0")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if not (0.0 < alpha < math.inf):
+        raise ValidationError(f"alpha must be finite and > 0, got {alpha}")
+    if not math.isfinite(mu):
+        raise ValidationError(f"mu must be finite, got {mu}")
+    betas = list(betas)
+    for beta in betas:
+        if not (0.0 < beta < math.inf):
+            raise ValidationError(f"every beta must be finite and > 0, got {beta}")
     rows = []
     for bi, beta in enumerate(betas):
-        if beta <= 0:
-            raise ValidationError("every beta must be > 0")
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), bi])))
         rb_shift = _log_count_ratio(beta, alpha)
         # error counts of map on class 0, map on class 1, rb on class 0, rb on class 1

@@ -17,6 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from . import classify as classify_mod
 from . import decision as decision_mod
 from . import evidence as evidence_mod
@@ -121,7 +122,7 @@ def _region_doc(report: evidence_mod.RegionReport) -> dict:
 
 
 @click.group()
-@click.version_option()
+@click.version_option(version=__version__, prog_name="relbel")
 def main():
     """Relative belief inference toolkit."""
 

@@ -86,8 +86,8 @@ def make_loss(kind: str, prior, eta: float | None = None) -> Loss:
             raise ZeroPriorMassError("reciprocal-prior loss needs all prior masses > 0")
         weights = 1.0 / prior
     else:
-        if eta is None or not eta > 0.0:
-            raise BadEtaError(f"eta must be > 0, got {eta}")
+        if eta is None or not (math.isfinite(eta) and eta > 0.0):
+            raise BadEtaError(f"eta must be finite and > 0, got {eta}")
         weights = 1.0 / np.maximum(eta, prior)
     weights.setflags(write=False)
     return Loss(kind=kind, values=weights, eta=eta)

@@ -9,7 +9,9 @@ disjoint intervals via :func:`undiscretize`.
 The built-in density families are closed forms on ``scipy.special`` ufuncs,
 written so that every pdf and cdf value has the bits of the matching frozen
 ``scipy.stats`` distribution; the module does not import ``scipy.stats``,
-whose import costs more than the rest of a CLI run.
+whose import costs more than the rest of a CLI run. ``scipy.special`` itself
+is imported on first use, by :func:`family` and :func:`normal_masses`, so the
+finite commands, which need neither, never load scipy.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import betainc, ndtr
-from scipy.special._ufuncs import _beta_pdf  # the kernel of scipy.stats.beta.pdf
 
 from .errors import (
     AllZeroMassError,
@@ -156,6 +156,8 @@ def normal_masses(mu: float, sigma2: float, grid: Grid1D) -> GriddedDistribution
     above the mean (values round to 1); using the survival function for
     cells right of the mean keeps every cell mass correct to rounding.
     """
+    from scipy.special import ndtr
+
     if sigma2 <= 0:
         raise ValidationError("sigma2 must be > 0")
     z = (grid.edges - mu) / math.sqrt(sigma2)
@@ -234,6 +236,9 @@ def family(name: str, **params: float) -> DensityFamily:
     ``scipy.special`` kernels, 0 (and 1 for a cdf) beyond the support, and
     NaN for NaN input.
     """
+    from scipy.special import betainc, ndtr
+    from scipy.special._ufuncs import _beta_pdf  # the kernel of scipy.stats.beta.pdf
+
     if name == "normal":
         mu, sigma2 = params.get("mu", 0.0), params.get("sigma2", 1.0)
         if sigma2 <= 0:

@@ -158,6 +158,13 @@ class TestPredictive:
         with pytest.raises(ValidationError):
             PredictiveSpec(alpha=1.0, beta=1.0, n=10, c_bar=0.55, f0_at_x=1.0, f1_at_x=1.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "f0_at_x", "f1_at_x"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        good = dict(alpha=1.0, beta=1.0, n=0, c_bar=0.0, f0_at_x=1.0, f1_at_x=1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            PredictiveSpec(**{**good, field: value})
+
 
 class TestRiskTable:
     def test_determinism(self):
@@ -211,3 +218,23 @@ class TestRiskTable:
             risk_table(1.0, [1.0], 1.0, 10, 0, 1)
         with pytest.raises(ValidationError):
             risk_table(1.0, [-2.0], 1.0, 10, 10, 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (math.nan, [1.0], 1.0, 10, 10, 1),
+            (math.inf, [1.0], 1.0, 10, 10, 1),
+            (1.0, [1.0, math.nan], 1.0, 10, 10, 1),
+            (1.0, [1.0, math.inf], 1.0, 10, 10, 1),
+            (1.0, [1.0], math.nan, 10, 10, 1),
+            (1.0, [1.0], -math.inf, 10, 10, 1),
+            (1.0, [1.0], 1.0, 10, 10, -1),
+        ],
+    )
+    def test_rejects_non_finite_parameters_before_any_draw(self, monkeypatch, args):
+        def no_draws(*_):
+            raise AssertionError("a Philox stream was built before validation")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        with pytest.raises(ValidationError):
+            risk_table(*args)

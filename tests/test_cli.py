@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,12 @@ class TestClassifyCommands:
         short = runner.invoke(main, args).output
         full = runner.invoke(main, args + ["--precision", "full"]).output
         assert short != full
+
+    def test_negative_seed_exits_2(self, runner):
+        args = ["classify", "table1", "--betas", "1", "--reps", "10", "--seed", "-1"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert res.output == "error: seed must be >= 0, got -1\n"
 
     def test_known_eps_values(self, runner):
         res = runner.invoke(
@@ -641,12 +648,112 @@ class TestRegressCsvFuzz:
             json.loads(res.output, parse_constant=lambda c: pytest.fail(f"{c} in {files}"))
 
 
-def test_cli_starts_without_scipy_stats():
-    # a fresh interpreter: this test process has imported scipy.stats already
+# a valid command line per command, and the float options each one takes;
+# an option given twice takes its last value, so appending one overrides it
+FLOAT_OPTIONS = [
+    (["evidence", "--model", "{model}", "--x", "0"], "--gamma"),
+    (["decide", "--model", "{model}", "--loss", "rb-eta", "--eta", "0.3"], "--eta"),
+    *(
+        (["classify", "known", "--psi0", "0.05", "--psi1", "0.8", "--epsilon", "0.01"], opt)
+        for opt in ("--psi0", "--psi1", "--epsilon")
+    ),
+    *(
+        (["classify", "table1", "--betas", "1", "--reps", "10", "--seed", "7"], opt)
+        for opt in ("--alpha", "--mu", "--betas")
+    ),
+    *(
+        (
+            [
+                "classify", "predict", "--alpha", "1", "--beta", "2", "--n", "10",
+                "--c-bar", "0.5", "--f0", "0.1", "--f1", "0.3",
+            ],
+            opt,
+        )
+        for opt in ("--alpha", "--beta", "--c-bar", "--f0", "--f1")
+    ),
+    *(
+        (
+            [
+                "regress", "--design", "{dir}/X.csv", "--response", "{dir}/y.csv",
+                "--sigma2", "1", "--tau2", "1", "--w", "{dir}/w.csv",
+            ],
+            opt,
+        )
+        for opt in ("--sigma2", "--tau2")
+    ),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "base, option",
+    FLOAT_OPTIONS,
+    ids=[f"{'-'.join(b[:2]) if b[0] == 'classify' else b[0]}{o}" for b, o in FLOAT_OPTIONS],
+)
+def test_non_finite_float_option_exits_2(runner, tmp_path, model_file, base, option, value):
+    (tmp_path / "X.csv").write_text("1.0\n2.0\n")
+    (tmp_path / "y.csv").write_text("1.0\n3.0\n")
+    (tmp_path / "w.csv").write_text("1.0\n")
+    argv = [a.format(model=model_file, dir=tmp_path) for a in base]
+    # a --betas entry: one good value, then the bad one
+    argv.append(f"{option}={'1,' if option == '--betas' else ''}{value}")
+    assert runner.invoke(main, argv[:-1]).exit_code == 0
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2, (argv, res.output)
+    assert res.stdout == "" and res.stderr.startswith("error: "), res.output
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a new interpreter that imports relbel from this tree."""
     src = str(Path(relbel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, relbel.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+# the last line a fresh interpreter prints: every scipy module it has loaded
+SCIPY_MODULES = (
+    "import sys; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+)
+
+
+def test_cli_imports_no_scipy():
+    # a fresh interpreter: this test process has imported scipy already
+    out = fresh_python("-c", "import relbel, relbel.cli; " + SCIPY_MODULES)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_finite_commands_load_no_scipy(tmp_path, model_file):
+    cfg = tmp_path / "eta.json"
+    cfg.write_text(json.dumps({"model": MODEL_DOC, "x": 1, "eta_steps": 4}))
+    commands = [
+        ["model", "--model", model_file, "--x", "1"],
+        ["evidence", "--model", model_file, "--x", "1", "--psi0", "0"],
+        *(["decide", "--model", model_file, "--loss", loss] for loss in ("rb", "map")),
+        ["decide", "--model", model_file, "--loss", "rb-eta", "--eta", "0.3"],
+        ["limits", "eta", "--config", str(cfg)],
+        ["classify", "known", "--psi0", "0.05", "--psi1", "0.8", "--epsilon", "0.01"],
+    ]
+    code = (
+        "from relbel.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    main(argv, standalone_mode=False)\n" + SCIPY_MODULES
+    )
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]", out.stdout
+
+
+def test_version_from_a_source_checkout():
+    out = fresh_python("-m", "relbel.cli", "--version")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "relbel, version 0.1.0\n"
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert relbel.__version__ == tomllib.load(f)["project"]["version"]

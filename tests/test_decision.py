@@ -51,8 +51,9 @@ class TestMakeLoss:
     def test_errors(self):
         with pytest.raises(ZeroPriorMassError):
             make_loss("rb", [1.0, 0.0])
-        with pytest.raises(BadEtaError):
-            make_loss("rb-eta", [0.5, 0.5], eta=0.0)
+        for eta in (0.0, math.nan, math.inf):
+            with pytest.raises(BadEtaError):
+                make_loss("rb-eta", [0.5, 0.5], eta=eta)
 
 
 def two_outcome_model():
