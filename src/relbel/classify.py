@@ -5,16 +5,16 @@ test behavior per class, both classifiers reduce to closed-form threshold
 rules and their per-class error probabilities are exact. With an unknown
 proportion under a beta prior, a new item is classified from the posterior
 predictive of its label (``c_map``) or from the predictive relative belief
-ratio (``c_rb``); both conditions are evaluated in log space through
-log-gamma differences. Finally, a seeded Monte Carlo harness estimates the
+ratio (``c_rb``); both conditions are evaluated in log space as
+differences of logs. Finally, a seeded Monte Carlo harness estimates the
 per-class misclassification probabilities of both predictive classifiers
 under Gaussian class densities.
 
 Class indices are 0 and 1 throughout; ties in any threshold comparison
 label 0.
 
-``scipy.special`` is imported on first use, by the predictive classifiers
-and the Monte Carlo table; the known-epsilon rules never load scipy.
+``scipy.special`` is imported on first use, by the Monte Carlo table; the
+known-epsilon rules and the predictive classifiers never load scipy.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sums import fsums
 from .errors import BothDensitiesZeroError, ValidationError
 
 
@@ -80,11 +81,10 @@ def error_sum(spec: TwoClassSpec, rule) -> tuple[float, float, float]:
     ``rule`` maps the test result (0 or 1) to a label; dicts and sequences
     both work.
     """
-    pmf0 = (1.0 - spec.psi0, spec.psi0)
-    pmf1 = (1.0 - spec.psi1, spec.psi1)
-    err0 = math.fsum(pmf0[x] for x in (0, 1) if rule[x] != 0)
-    err1 = math.fsum(pmf1[x] for x in (0, 1) if rule[x] != 1)
-    return err0, err1, math.fsum((err0, err1))
+    pmfs = np.array([[1.0 - spec.psi0, spec.psi0], [1.0 - spec.psi1, spec.psi1]])
+    wrong = np.array([[rule[x] != c for x in (0, 1)] for c in (0, 1)])  # row c: class c
+    err0, err1 = fsums(np.where(wrong, pmfs, 0.0), axis=1).tolist()
+    return err0, err1, float(fsums(np.array([err0, err1])))
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ class PredictiveSpec:
     def __post_init__(self):
         if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
             raise ValidationError("alpha and beta must be finite and > 0")
-        if self.n < 0:
-            raise ValidationError(f"n must be >= 0, got {self.n}")
+        # up to 2^53 the count n * c_bar is exact and at most n
+        if not 0 <= self.n <= 2**53:
+            raise ValidationError(f"n must be in [0, 2^53], got {self.n}")
         if not 0.0 <= self.c_bar <= 1.0:
             raise ValidationError(f"c_bar must be in [0, 1], got {self.c_bar}")
         k = self.n * self.c_bar
@@ -124,10 +125,16 @@ class PredictiveResult:
 
 
 def _log_count_ratio(a: float, b: float) -> float:
-    """log(a / b) via log-gamma: log Gamma(z+1) - log Gamma(z) = log z."""
-    from scipy.special import gammaln
+    """log(a / b) as a difference of logs, which neither cancels nor overflows."""
+    return math.log(a) - math.log(b)
 
-    return (gammaln(a + 1.0) - gammaln(a)) - (gammaln(b + 1.0) - gammaln(b))
+
+def _ratio(log_r: float) -> float:
+    """exp(log_r), saturating to inf where it passes the float range."""
+    try:
+        return math.exp(log_r)
+    except OverflowError:
+        return math.inf
 
 
 def predictive_classify(spec: PredictiveSpec) -> PredictiveResult:
@@ -145,13 +152,14 @@ def predictive_classify(spec: PredictiveSpec) -> PredictiveResult:
         log_f = -math.inf
     else:
         log_f = math.log(spec.f1_at_x) - math.log(spec.f0_at_x)
-    log_map = log_f + _log_count_ratio(spec.alpha + k, spec.beta + spec.n - k)
+    # n - k first: beta + n could round away a tiny beta
+    log_map = log_f + _log_count_ratio(spec.alpha + k, spec.beta + (spec.n - k))
     log_rb = log_map + _log_count_ratio(spec.beta, spec.alpha)
     return PredictiveResult(
         c_map=int(log_map > 0.0),
         c_rb=int(log_rb > 0.0),
-        map_ratio=math.exp(log_map) if math.isfinite(log_map) else math.inf if log_map > 0 else 0.0,
-        rb_ratio=math.exp(log_rb) if math.isfinite(log_rb) else math.inf if log_rb > 0 else 0.0,
+        map_ratio=_ratio(log_map),
+        rb_ratio=_ratio(log_rb),
     )
 
 
@@ -180,9 +188,11 @@ def _columns(n: int) -> int:
     return 2 * n + 3
 
 
-# replications drawn at a time: memory stays bounded as reps grows, and the
+# doubles drawn at a time (2^15 replications at n = 10), up to the largest n
+# whose replication fits: memory stays bounded as reps and n grow, and the
 # chunks continue one Philox stream, so no estimate depends on the size
-_CHUNK_ROWS = 2**15
+_CHUNK_DOUBLES = _columns(10) * 2**15
+_N_CAP = (_CHUNK_DOUBLES - 3) // 2
 
 
 def risk_table(
@@ -203,12 +213,12 @@ def risk_table(
     (seed, beta index), mapped through inverse CDFs, so any row or
     replication can be regenerated independently and in parallel.
     """
-    from scipy.special import betaincinv, gammaln, ndtri
+    from scipy.special import betaincinv, ndtri
 
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
+    if not 0 <= n <= _N_CAP:
+        raise ValidationError(f"n must be in [0, {_N_CAP}], got {n}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if not (0.0 < alpha < math.inf):
@@ -219,14 +229,15 @@ def risk_table(
     for beta in betas:
         if not (0.0 < beta < math.inf):
             raise ValidationError(f"every beta must be finite and > 0, got {beta}")
+    chunk = _CHUNK_DOUBLES // _columns(n)
     rows = []
     for bi, beta in enumerate(betas):
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), bi])))
         rb_shift = _log_count_ratio(beta, alpha)
         # error counts of map on class 0, map on class 1, rb on class 0, rb on class 1
         errors = [0, 0, 0, 0]
-        for start in range(0, reps, _CHUNK_ROWS):
-            u = gen.random((min(_CHUNK_ROWS, reps - start), _columns(n)))
+        for start in range(0, reps, chunk):
+            u = gen.random((min(chunk, reps - start), _columns(n)))
             eps = betaincinv(alpha, beta, u[:, 0])
             c = u[:, 1 : 1 + n] < eps[:, None]
             x_test0 = ndtri(u[:, 1 + 2 * n])
@@ -234,9 +245,7 @@ def risk_table(
             k = c.sum(axis=1).astype(float)
 
             # log predictive ratios; the Gaussian density ratio is linear in x
-            count_term = (gammaln(alpha + k + 1.0) - gammaln(alpha + k)) - (
-                gammaln(beta + n - k + 1.0) - gammaln(beta + n - k)
-            )
+            count_term = np.log(alpha + k) - np.log(beta + (n - k))
             odds0 = (mu * x_test0 - 0.5 * mu * mu) + count_term
             odds1 = (mu * x_test1 - 0.5 * mu * mu) + count_term
             for i, shift in enumerate((0.0, rb_shift)):

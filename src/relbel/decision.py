@@ -10,9 +10,11 @@ of error weights.
 The posterior risk of action ``a`` is the total of posterior times weight
 minus that product at ``a``, so the Bayes rule at each outcome is the
 argmax of posterior times weight; under the ``rb`` loss that product is the
-relative belief ratio. :func:`brute_force_bayes` independently scores every
-deterministic rule from the joint distribution and a dense loss matrix,
-and serves as an oracle for that shortcut.
+relative belief ratio. Lowest-posterior-loss regions are superlevel sets of
+that product, built by the helper that builds ``sup-geq`` credible regions.
+:func:`brute_force_bayes` independently scores every deterministic rule
+from the joint distribution and a dense loss matrix, and serves as an
+oracle for that shortcut.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     ValidationError,
     ZeroPriorMassError,
 )
-from .evidence import RegionReport, _descending_levels
+from .evidence import RegionReport, _superlevel_region
 from .model import (
     FiniteModel,
     PsiMap,
@@ -159,12 +161,9 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) 
     losses = np.where(correct, 0.0, loss.values[psi_of_theta][:, None])
     direct = float(fsums((joint * losses).ravel()))
     if loss.kind in ("rb", "map"):
-        errs = conditional_error_probs(model, psi, rule)
-        if loss.kind == "rb":
-            closed = float(math.fsum(errs.tolist()))
-        else:
-            pi_psi = psi_marginal(model.prior, psi)
-            closed = float(math.fsum((errs * pi_psi).tolist()))
+        # conditional error probabilities, summed plain (rb) or prior-weighted (map)
+        weights = 1.0 if loss.kind == "rb" else psi_marginal(model.prior, psi)
+        closed = float(fsums(conditional_error_probs(model, psi, rule) * weights))
         if abs(direct - closed) > 1e-9:
             raise RiskCrossCheckError(
                 f"risk cross-check failed: direct {direct!r} vs closed form {closed!r}"
@@ -180,29 +179,14 @@ def lpl_region(loss: Loss, posterior_masses, gamma: float, prior=None) -> Region
     the largest product level whose superlevel set reaches content gamma,
     and members satisfy ``ratio >= cutoff``. Under the ``rb`` loss the
     product is the relative belief ratio, and the region is the credible
-    region of the same content.
+    region of the same content by construction: one helper builds both.
     """
     if not 0.0 <= gamma <= 1.0:
         raise BadGammaError(f"gamma must be in [0, 1], got {gamma}")
     post = np.asarray(posterior_masses, dtype=float)
     if post.shape != (loss.n,):
         raise ValidationError(f"posterior length {post.shape} != loss size {loss.n}")
-    ratios = post * loss.values
-    levels, content = _descending_levels(ratios, post)
-    hit = np.flatnonzero(content >= gamma)
-    # float shortfall at gamma=1 falls back to full support
-    cutoff = float(levels[hit[0]] if len(hit) else levels[-1])
-    members = np.flatnonzero(ratios >= cutoff)
-    prior_content = None
-    if prior is not None:
-        prior = np.asarray(prior, dtype=float)
-        prior_content = float(math.fsum(prior[members].tolist()))
-    return RegionReport(
-        member_indices=frozenset(int(i) for i in members),
-        cutoff=cutoff,
-        posterior_content=float(math.fsum(post[members].tolist())),
-        prior_content=prior_content,
-    )
+    return _superlevel_region(post * loss.values, post, gamma, prior)
 
 
 def unbiasedness_gap(model: FiniteModel, psi: PsiMap, h, rule: DecisionRule) -> float:

@@ -15,11 +15,13 @@ Argmax and argmin ties break to the smallest index and are flagged.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._sums import fsums
 from .errors import (
     BadGammaError,
     IndexOutOfRangeError,
@@ -27,7 +29,7 @@ from .errors import (
     ZeroPriorPositivePosteriorError,
 )
 from .grids import GriddedDistribution
-from .model import NORM_TOL, FiniteModel, PsiMap, identity_psi, posterior, psi_marginal
+from .model import FiniteModel, PsiMap, _unit_total, identity_psi, posterior, psi_marginal
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,13 +81,9 @@ class HypothesisReport:
 
 
 def _unit(v: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{what} masses must be finite")
     if np.any(v < 0):
         raise ValidationError(f"{what} masses must be nonnegative")
-    total = math.fsum(v.tolist())
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValidationError(f"{what} masses sum to {total!r}, not 1 within {NORM_TOL}")
+    total = _unit_total(v, ValidationError, what)
     return v if total == 1.0 else v / total
 
 
@@ -167,30 +165,47 @@ def rb_estimate(t: EvidenceTable) -> Estimate:
     return Estimate(index=best, tie=tie)
 
 
+def _region(members: np.ndarray, cutoff: float, posterior: np.ndarray, prior=None) -> RegionReport:
+    """The region of the given positions with its exact contents (prior's when given)."""
+    return RegionReport(
+        member_indices=frozenset(members.tolist()),
+        cutoff=cutoff,
+        posterior_content=float(fsums(posterior[members])),
+        prior_content=None if prior is None else float(fsums(np.asarray(prior)[members])),
+    )
+
+
 def plausible_region(t: EvidenceTable) -> RegionReport:
     """Values with strictly more posterior than prior mass (rb > 1)."""
-    members = np.flatnonzero(t.rb > 1.0)
-    return RegionReport(
-        member_indices=frozenset(int(i) for i in members),
-        cutoff=1.0,
-        posterior_content=float(math.fsum(t.posterior[members].tolist())),
-        prior_content=float(math.fsum(t.prior[members].tolist())),
-    )
+    return _region(np.flatnonzero(t.rb > 1.0), 1.0, t.posterior, t.prior)
 
 
 def _descending_levels(ratios: np.ndarray, posterior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unique ratio values descending with cumulative posterior content.
 
-    The cumulative sums run over the stable ratio-descending element order.
-    Credible regions pass the rb column and lowest-posterior-loss regions
-    pass posterior times error weight; when both order the elements alike,
-    level contents compare bitwise across the two routes.
+    The cumulative sums run over the stable ratio-descending element order,
+    so ratios that order the elements alike give bitwise equal contents.
     """
     order = np.argsort(-ratios, kind="stable")
     sorted_r = ratios[order]
     cum = np.cumsum(posterior[order])
     ends = np.append(np.flatnonzero(np.diff(sorted_r)), len(sorted_r) - 1)
     return sorted_r[ends], cum[ends]
+
+
+def _superlevel_region(
+    ratios: np.ndarray, posterior: np.ndarray, gamma: float, prior=None
+) -> RegionReport:
+    """Members with ``ratio >= cutoff``, the largest level whose content reaches gamma.
+
+    ``sup-geq`` credible regions pass rb, lowest-posterior-loss regions
+    posterior times error weight: one computation under the ``rb`` loss.
+    """
+    levels, content = _descending_levels(ratios, posterior)
+    hit = np.flatnonzero(content >= gamma)
+    # float shortfall at gamma=1 falls back to full support
+    cutoff = float(levels[hit[0]] if len(hit) else levels[-1])
+    return _region(np.flatnonzero(ratios >= cutoff), cutoff, posterior, prior)
 
 
 def attainable_gammas(t: EvidenceTable) -> np.ndarray:
@@ -214,60 +229,38 @@ def credible_region(t: EvidenceTable, gamma: float, convention: str = "sup-geq")
     can pass 1 by an ulp of the posterior normalization, and no region's
     content exceeds the total.
     """
-    if not (0.0 <= gamma <= 1.0 or 1.0 < gamma <= math.fsum(t.posterior.tolist())):
+    if not (0.0 <= gamma <= 1.0 or 1.0 < gamma <= float(fsums(t.posterior))):
         raise BadGammaError(f"gamma must be in [0, 1], got {gamma}")
     if convention == "sup-geq":
-        values, content = _descending_levels(t.rb, t.posterior)
-        hit = np.flatnonzero(content >= gamma)
-        # float shortfall at gamma=1 falls back to full support
-        j = int(hit[0]) if len(hit) else len(values) - 1
-        cutoff = float(values[j])
-        members = np.flatnonzero(t.rb >= cutoff)
-    elif convention == "quantile-gt":
+        return _superlevel_region(t.rb, t.posterior, gamma, t.prior)
+    if convention == "quantile-gt":
         if gamma >= 1.0:
             # cells without posterior mass (rb = 0) stay out, as from the plausible region
             cutoff = 0.0 if np.any(t.rb == 0.0) else -math.inf
         else:
-            # smallest rb level whose strict-superlevel mass is <= gamma;
-            # evaluated by fsum over the same masks plausible_region uses,
-            # so the tie at gamma = Pl content is exact, and located by
-            # binary search (the condition is monotone across levels)
+            # smallest rb level whose strict-superlevel mass is <= gamma, an
+            # exact total over the masks plausible_region uses (so the tie at
+            # gamma = Pl content is exact), bisected: it is monotone in level
             levels = np.unique(t.rb)
 
             def small_enough(j: int) -> bool:
-                return math.fsum(t.posterior[t.rb > levels[j]].tolist()) <= gamma
+                return float(fsums(t.posterior[t.rb > levels[j]])) <= gamma
 
-            lo_j, hi_j = 0, len(levels) - 1
-            while lo_j < hi_j:
-                mid = (lo_j + hi_j) // 2
-                if small_enough(mid):
-                    hi_j = mid
-                else:
-                    lo_j = mid + 1
-            cutoff = float(levels[lo_j])
-        members = np.flatnonzero(t.rb > cutoff)
-    else:
-        raise ValidationError(f"unknown credible-region convention {convention!r}")
-    return RegionReport(
-        member_indices=frozenset(int(i) for i in members),
-        cutoff=cutoff,
-        posterior_content=float(math.fsum(t.posterior[members].tolist())),
-        prior_content=float(math.fsum(t.prior[members].tolist())),
-    )
+            cutoff = float(levels[bisect_left(range(len(levels) - 1), True, key=small_enough)])
+        return _region(np.flatnonzero(t.rb > cutoff), cutoff, t.posterior, t.prior)
+    raise ValidationError(f"unknown credible-region convention {convention!r}")
 
 
 def strength(t: EvidenceTable, psi0: int) -> float:
     """Posterior probability of evidence no larger than at ``psi0``."""
     if not 0 <= psi0 < len(t):
         raise IndexOutOfRangeError(f"psi0 index {psi0} not in [0, {len(t)})")
-    mask = t.rb <= t.rb[psi0]
-    return float(math.fsum(t.posterior[mask].tolist()))
+    return float(fsums(t.posterior[t.rb <= t.rb[psi0]]))
 
 
 def assess_hypothesis(t: EvidenceTable, psi0: int) -> HypothesisReport:
     """Evidence verdict for one hypothesized value plus its strength."""
-    if not 0 <= psi0 < len(t):
-        raise IndexOutOfRangeError(f"psi0 index {psi0} not in [0, {len(t)})")
+    strength_at = strength(t, psi0)  # checks the index first
     rb0 = float(t.rb[psi0])
     if rb0 > 1.0:
         verdict = "evidence-for"
@@ -277,7 +270,7 @@ def assess_hypothesis(t: EvidenceTable, psi0: int) -> HypothesisReport:
         verdict = "no-evidence"
     return HypothesisReport(
         rb_at_psi0=rb0,
-        strength=strength(t, psi0),
+        strength=strength_at,
         posterior_mass=float(t.posterior[psi0]),
         verdict=verdict,
     )

@@ -23,6 +23,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from ._sums import fsums
 from .errors import (
     AllZeroMassError,
     BadRangeError,
@@ -133,8 +134,7 @@ def _normalize(grid: Grid1D, raw: np.ndarray, warn_tail: float | None) -> Gridde
     # NaN passes every sign and total check below, so reject it first
     if not np.all(np.isfinite(raw)):
         raise ValidationError("density is not finite on the grid")
-    # fsum keeps the total independent of evaluation order at the 1e-9 level
-    total = math.fsum(raw.tolist())
+    total = float(fsums(raw))
     if total <= 0.0:
         raise AllZeroMassError("density places no mass on the grid range")
     tail = 1.0 - total

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._sums import fsums
 from .decision import lpl_region, make_loss
 from .errors import (
     NoAttainableGammaError,
@@ -234,7 +235,7 @@ def region_limit(
     for grid in grids:
         cells = _region_mask(_grid_table(prior_density, likelihood_at_x, grid), gamma, grid.n_cells)
         mask = np.repeat(cells, ref_grid.n_cells // grid.n_cells)
-        discrepancies.append(float(math.fsum(ref_post[mask ^ ref_mask].tolist())))
+        discrepancies.append(float(fsums(ref_post[mask ^ ref_mask])))
         regions.append(frozenset(np.flatnonzero(cells).tolist()))
     return LimitTrace(
         parameter_values=tuple(grid.cell_width for grid in grids),
@@ -367,7 +368,7 @@ def invariance_demo(
         raise ValidationError("transform must be strictly increasing on the grid")
 
     def unit(v: np.ndarray) -> np.ndarray:
-        return v / math.fsum(v.tolist())
+        return v / float(fsums(v))
 
     prior_m = unit(masses_from_cdf(prior_cdf, edges))
     post_m = unit(masses_from_cdf(post_cdf, edges))

@@ -10,7 +10,6 @@ All values are immutable after validation and safe to share across threads.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,7 +151,7 @@ def posterior(model: FiniteModel, x: int) -> PosteriorReport:
     if not 0 <= x < model.n_x:
         raise IndexOutOfRangeError(f"outcome index {x} not in [0, {model.n_x})")
     joint = model.prior * model.likelihood[:, x]
-    m_x = math.fsum(joint.tolist())
+    m_x = float(fsums(joint))
     if m_x <= 0.0:
         raise ImpossibleObservationError(
             f"outcome {model.x_labels[x]!r} has zero prior-predictive mass"

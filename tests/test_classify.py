@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,9 +184,38 @@ class TestRiskTable:
     @pytest.mark.parametrize("reps", [1, 6, 7, 8, 1000])
     def test_rows_independent_of_the_chunk_size(self, monkeypatch, reps):
         whole = risk_table(1.0, [1.0, 14.0], 1.3, 10, reps, 21)
-        assert reps <= classify_mod._CHUNK_ROWS
-        monkeypatch.setattr(classify_mod, "_CHUNK_ROWS", 7)
-        assert risk_table(1.0, [1.0, 14.0], 1.3, 10, reps, 21) == whole
+        # n = 10 draws 23 doubles a replication: one chunk at the default
+        # budget, chunks of 7 replications at 161 doubles and of 4 at 100
+        assert reps * classify_mod._columns(10) <= classify_mod._CHUNK_DOUBLES
+        for budget in (161, 100):
+            monkeypatch.setattr(classify_mod, "_CHUNK_DOUBLES", budget)
+            assert risk_table(1.0, [1.0, 14.0], 1.3, 10, reps, 21) == whole
+
+    def test_chunk_memory_does_not_grow_with_n(self):
+        # 2^15 replications at n = 10, as many doubles at every n
+        budget = classify_mod._CHUNK_DOUBLES
+        assert budget // classify_mod._columns(10) == 2**15
+        tracemalloc.start()
+        try:
+            risk_table(1.0, [1.0], 1.0, 2000, 1000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one replication alone holds 4,003 doubles: 1,000 of them would take 32 MB
+        assert peak < 3 * 8 * budget, peak
+
+    def test_n_capped_so_one_replication_fits_a_chunk(self, monkeypatch):
+        cap = classify_mod._N_CAP
+        assert classify_mod._columns(cap) <= classify_mod._CHUNK_DOUBLES
+        assert classify_mod._columns(cap + 1) > classify_mod._CHUNK_DOUBLES
+
+        def no_draws(*_):
+            raise AssertionError("a Philox stream was built before validation")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        for n in (cap + 1, 10**12):
+            with pytest.raises(ValidationError, match="n must be in"):
+                risk_table(1.0, [1.0], 1.0, n, 1, 1)
 
     def test_alpha_beta_symmetric_classifiers_match(self):
         (row,) = risk_table(1.0, [1.0], 1.0, 10, 40000, 11)

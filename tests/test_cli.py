@@ -197,6 +197,44 @@ class TestClassifyCommands:
         doc = json.loads(res.output)
         assert doc["c_rb"] == 1 and doc["c_map"] == 0
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            # predictive odds 1e17; the rb ratio is exactly 1 with no training data
+            (["1e17", "1", "0", "0", "1", "1"], (1, 0, 1e17, 1.0)),
+            # count and density log ratios near +-709 each: exp of their sum overflows
+            (["1e308", "1e-308", "1", "1", "1e-308", "1e308"], (1, 1, math.inf, math.inf)),
+            (["1", "1", "0", "0", "1e-308", "1e308"], (1, 1, math.inf, math.inf)),
+            # the largest n, all of class 1
+            (["1", "1", str(2**53), "1", "1", "1"], (1, 1, 2.0**53 + 1, 2.0**53 + 1)),
+        ],
+    )
+    def test_predict_extreme_counts_and_densities(self, runner, args, expected):
+        opts = ("--alpha", "--beta", "--n", "--c-bar", "--f0", "--f1")
+        argv = ["classify", "predict", *(a for pair in zip(opts, args) for a in pair)]
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 0 and res.stderr == "", res.output
+        doc = json.loads(res.stdout)
+        c_map, c_rb, map_ratio, rb_ratio = expected
+        assert (doc["c_map"], doc["c_rb"]) == (c_map, c_rb)
+        assert doc["map_ratio"] == pytest.approx(map_ratio, rel=1e-12)
+        assert doc["rb_ratio"] == pytest.approx(rb_ratio, rel=1e-12)
+
+    def test_predict_n_past_exact_counts_exits_2(self, runner):
+        # past 2^53 the float count n * c_bar is inexact, past 2^1024 not a float
+        for n in (2**53 + 1, 10**308, 10**400):
+            args = ["--alpha", "1", "--beta", "1", "--n", str(n), "--c-bar", "1"]
+            res = runner.invoke(main, ["classify", "predict", *args, "--f0", "1", "--f1", "1"])
+            assert res.exit_code == 2, res.output
+            assert res.output.startswith("error: n must be in [0, 2^53]"), res.output
+            assert res.output.count("\n") == 1
+
+    def test_table1_n_past_the_cap_exits_2(self, runner):
+        args = ["classify", "table1", "--betas", "1", "--n", "1000000000000", "--reps", "1"]
+        res = runner.invoke(main, args + ["--seed", "1"])
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith("error: n must be in [0, ") and res.output.count("\n") == 1
+
 
 class TestRegressCommand:
     def test_functional_report(self, runner, tmp_path):
@@ -436,6 +474,16 @@ class TestMalformedLimitsConfigs:
         for experiment, doc, what in cases:
             msg = self.expect_2(runner, tmp_path, experiment, doc)
             assert what in msg and "cap" in msg, msg
+
+    def test_table_totals_past_the_float_range(self, runner, tmp_path):
+        huge, half = [1e308, 1e308], [0.5, 0.5]
+        cases = [
+            ("eta", {"table": {"prior": huge, "posterior": half}}, "prior"),
+            ("sandwich", {"table": {"prior": half, "posterior": huge}, "gamma": 0.5}, "posterior"),
+        ]
+        for experiment, doc, what in cases:
+            msg = self.expect_2(runner, tmp_path, experiment, doc)
+            assert msg.startswith(f"error: {what} sums past the float range"), msg
 
     def test_integral_float_counts_accepted(self, runner, tmp_path):
         doc = {**GRID_CONFIG, "steps": 2.0, "grid": {**GRID_CONFIG["grid"], "n_cells": 16.0}}
@@ -736,6 +784,8 @@ def test_finite_commands_load_no_scipy(tmp_path, model_file):
         ["decide", "--model", model_file, "--loss", "rb-eta", "--eta", "0.3"],
         ["limits", "eta", "--config", str(cfg)],
         ["classify", "known", "--psi0", "0.05", "--psi1", "0.8", "--epsilon", "0.01"],
+        ["classify", "predict", "--alpha", "1", "--beta", "100", "--n", "10", "--c-bar", "0",
+         "--f0", "0.1", "--f1", "0.3"],
     ]
     code = (
         "from relbel.cli import main\n"

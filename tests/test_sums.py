@@ -1,6 +1,12 @@
-"""The summation kernel gives math.fsum's bits on every slice, or fsum's exception."""
+"""The summation kernel gives math.fsum's bits on every slice, or fsum's exception.
 
+Arrays below the crossover never reach the TwoSum tree through ``fsums``, so
+the property tests check the tree directly as well as through ``fsums``.
+"""
+
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +15,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import relbel._sums as sums_mod
-from relbel._sums import fsums
+from relbel._sums import _CROSSOVER, _tree_sums, fsums
 
 TINY_NORMAL = 2.2250738585072014e-308
 
 
+def tree_sums(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The TwoSum tree on every slice of ``a`` along ``axis``, whatever its size."""
+    x = np.moveaxis(a, axis, 0)
+    return _tree_sums(x.reshape(x.shape[0], math.prod(x.shape[1:]))).reshape(x.shape[1:])
+
+
+SUMMERS = (fsums, tree_sums)
+
+
 def assert_matches_fsum(a: np.ndarray, axis: int = 0) -> None:
-    """``fsums(a, axis)`` equals per-slice ``math.fsum`` bitwise, or raises as it does."""
+    """``fsums`` and the tree equal per-slice ``math.fsum`` bitwise, or raise as it does."""
     slices = np.moveaxis(a, axis, -1)
     rows = slices.reshape(math.prod(slices.shape[:-1]), slices.shape[-1]).tolist()
     expected = []
@@ -23,12 +38,15 @@ def assert_matches_fsum(a: np.ndarray, axis: int = 0) -> None:
         try:
             expected.append(math.fsum(row))
         except (OverflowError, ValueError) as exc:
-            with pytest.raises(type(exc)):
-                fsums(a, axis)
+            for total in SUMMERS:
+                with pytest.raises(type(exc)):
+                    total(a, axis)
             return
-    got = fsums(a, axis)
-    assert got.shape == slices.shape[:-1]
-    assert got.tobytes() == np.array(expected, dtype=float).reshape(got.shape).tobytes(), (a, axis)
+    for total in SUMMERS:
+        got = total(a, axis)
+        assert got.shape == slices.shape[:-1]
+        want = np.array(expected, dtype=float).reshape(got.shape)
+        assert got.tobytes() == want.tobytes(), (total, a, axis)
 
 
 def check_all_axes(a: np.ndarray) -> None:
@@ -154,7 +172,7 @@ class TestKnownCases:
     def test_totals_of_one_certified_on_the_side_of_t(self, monkeypatch, a):
         calls, fsum = [], math.fsum
         monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v))
-        assert float(fsums(np.array(a))) == fsum(a) == math.copysign(1.0, a[0])
+        assert float(tree_sums(np.array(a))) == fsum(a) == math.copysign(1.0, a[0])
         assert calls == []
 
     def test_normalized_rows_totalling_one_skip_fsum(self, monkeypatch):
@@ -173,21 +191,24 @@ class TestKnownCases:
         assert not [total for total in map(fsum, calls) if total == 1.0]
 
     def test_intermediate_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            fsums(np.array([1e308, 1e308, -1e308]))
-        with pytest.raises(OverflowError):
-            fsums(np.array([[1.0, 1e308], [2.0, 1e308]]), axis=0)
+        for total in SUMMERS:
+            with pytest.raises(OverflowError):
+                total(np.array([1e308, 1e308, -1e308]))
+            with pytest.raises(OverflowError):
+                total(np.array([[1.0, 1e308], [2.0, 1e308]]), axis=0)
 
     def test_special_values(self):
-        assert float(fsums(np.array([1.0, math.inf]))) == math.inf
-        assert math.isnan(float(fsums(np.array([1.0, math.nan]))))
-        with pytest.raises(ValueError):
-            fsums(np.array([math.inf, -math.inf]))
+        for total in SUMMERS:
+            assert float(total(np.array([1.0, math.inf]))) == math.inf
+            assert math.isnan(float(total(np.array([1.0, math.nan]))))
+            with pytest.raises(ValueError):
+                total(np.array([math.inf, -math.inf]))
 
     def test_empty_and_zero_slices(self):
-        assert fsums(np.empty((0, 3)), axis=0).tobytes() == np.zeros(3).tobytes()
-        assert fsums(np.empty((3, 0)), axis=0).shape == (0,)
-        assert float(fsums(np.array([-0.0, -0.0]))).hex() == "0x0.0p+0"
+        for total in SUMMERS:
+            assert total(np.empty((0, 3)), axis=0).tobytes() == np.zeros(3).tobytes()
+            assert total(np.empty((3, 0)), axis=0).shape == (0,)
+            assert float(total(np.array([-0.0, -0.0]))).hex() == "0x0.0p+0"
 
     def test_certified_slices_skip_fsum(self, monkeypatch):
         calls, fsum = [], math.fsum
@@ -197,3 +218,37 @@ class TestKnownCases:
         fsums(3.0 * rng.random((300, 64)), axis=0)
         fsums(rng.random(100_000))
         assert calls == []
+
+
+class TestCrossover:
+    @pytest.mark.parametrize("size", [_CROSSOVER - 1, _CROSSOVER, _CROSSOVER + 1])
+    def test_fsum_bits_and_route_around_the_crossover(self, monkeypatch, size):
+        rng = np.random.default_rng(size)
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+        unit = rng.dirichlet(np.ones(size))
+        tree_calls, tree = [], sums_mod._tree_sums
+        monkeypatch.setattr(
+            sums_mod, "_tree_sums", lambda *args: tree_calls.append(args) or tree(*args)
+        )
+        # the crossover counts all values: one long slice or many of length 1
+        for a in (values, unit, values.reshape(-1, 1)):
+            check_all_axes(a)
+        assert len(tree_calls) == (4 if size >= _CROSSOVER else 0)
+
+
+def test_math_fsum_called_only_in_the_kernel():
+    # every exact total in the library goes through fsums
+    src = Path(sums_mod.__file__).parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "_sums.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name == "fsum":
+                    calls.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                calls += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "fsum"]
+    assert calls == []
