@@ -99,14 +99,18 @@ def _tree_sums(x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     if n == 0:
         return np.zeros(x.shape[1])
-    # level sums alternate between work[0] and work[1]; work[2] and work[3]
-    # hold TwoSum's temporary and errors
-    work = np.empty((4, max(n // 2, 1), x.shape[1]))
+    # A level of h pair sums takes 3h rows of work: its sums, TwoSum's
+    # temporary and its errors. Even levels start at row 0 and odd levels at
+    # row h0 = n // 2, which keeps every level clear of the sums it reads,
+    # so the work is 1.5 times the input.
+    h0 = max(n // 2, 1)
+    work = np.empty((3 * h0, x.shape[1]))
     s, c, levels = x, np.zeros(x.shape[1]), 0
     with np.errstate(all="ignore"):
         while len(s) > 1:
             h = len(s) // 2
-            hi, tmp, err = work[levels % 2, :h], work[2, :h], work[3, :h]
+            at = h0 if levels % 2 else 0
+            hi, tmp, err = work[at : at + h], work[at + h : at + 2 * h], work[at + 2 * h : at + 3 * h]
             _two_sum(s[:h], s[h : 2 * h], hi, tmp, err)
             c += err.sum(axis=0)
             if len(s) % 2:
@@ -114,7 +118,8 @@ def _tree_sums(x: np.ndarray) -> np.ndarray:
                 c += err[0]
             s, levels = hi, levels + 1
         r, t = _two_sum(s[0], c)
-        a_hat = np.abs(x).sum(axis=0)
+        # the work is free again and has at least n rows
+        a_hat = np.abs(x, out=work[:n]).sum(axis=0)
         bound = a_hat * (4.0 * (n + 2 * levels) * levels * _U * _U)
         mag, slack = np.abs(r), np.abs(t)
         outward = (slack > bound) & ((t > 0.0) == (r > 0.0))

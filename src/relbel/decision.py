@@ -81,6 +81,8 @@ def make_loss(kind: str, prior, eta: float | None = None) -> Loss:
     prior = np.asarray(prior, dtype=float)
     if prior.ndim != 1 or len(prior) == 0:
         raise ValidationError("prior must be a nonempty 1-D array")
+    if not np.all(np.isfinite(prior)):
+        raise ValidationError("prior masses must be finite")
     if kind == "map":
         weights = np.ones(len(prior))
     elif kind == "rb":
@@ -156,10 +158,9 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) 
     if acts.shape != (model.n_x,):
         raise ValidationError(f"rule covers {acts.shape} outcomes, model has {model.n_x}")
     psi_of_theta = np.asarray(psi.assignment)
-    joint = model.prior[:, None] * model.likelihood
     correct = psi_of_theta[:, None] == acts[None, :]
     losses = np.where(correct, 0.0, loss.values[psi_of_theta][:, None])
-    direct = float(fsums((joint * losses).ravel()))
+    direct = float(fsums((model.joint * losses).ravel()))
     if loss.kind in ("rb", "map"):
         # conditional error probabilities, summed plain (rb) or prior-weighted (map)
         weights = 1.0 if loss.kind == "rb" else psi_marginal(model.prior, psi)
@@ -186,6 +187,8 @@ def lpl_region(loss: Loss, posterior_masses, gamma: float, prior=None) -> Region
     post = np.asarray(posterior_masses, dtype=float)
     if post.shape != (loss.n,):
         raise ValidationError(f"posterior length {post.shape} != loss size {loss.n}")
+    if not np.all(np.isfinite(post)):
+        raise ValidationError("posterior masses must be finite")
     return _superlevel_region(post * loss.values, post, gamma, prior)
 
 
@@ -198,6 +201,9 @@ def unbiasedness_gap(model: FiniteModel, psi: PsiMap, h, rule: DecisionRule) -> 
     h = np.asarray(h, dtype=float)
     if h.shape != (psi.n_psi,):
         raise ValidationError(f"h length {h.shape} != {psi.n_psi} psi values")
+    # NaN passes the sign check, so finiteness is tested first
+    if not np.all(np.isfinite(h)):
+        raise ValidationError("h weights must be finite")
     if np.any(h < 0):
         raise ValidationError("h weights must be nonnegative")
     acts = np.asarray(rule.action_per_x)
@@ -224,9 +230,8 @@ def brute_force_bayes(
     n = loss.n
     dense = np.where(np.eye(n, dtype=bool), 0.0, loss.values[:, None] * np.ones((1, n)))
     psi_of_theta = np.asarray(psi.assignment)
-    joint = model.prior[:, None] * model.likelihood
     # W[x, a] = joint expectation of the loss when outcome x gets action a
-    W = joint.T @ dense[psi_of_theta]
+    W = model.joint.T @ dense[psi_of_theta]
     risks = W[np.arange(model.n_x)[:, None], rules.T].sum(axis=0)
     best = int(np.argmin(risks))
     return tuple(int(a) for a in rules[best]), float(risks[best])

@@ -5,13 +5,22 @@ point: a model is a likelihood table ``f(x | theta)`` over finite outcome
 and parameter sets plus a prior over ``theta``. A marginal quantity of
 interest is described by a surjection from theta-indices to psi-indices.
 All values are immutable after validation and safe to share across threads.
+
+A model computes its joint table, the table's exact column totals m(x) and
+one posterior table per :class:`PsiMap` once, on first use, and keeps them
+read-only, so every decision on the same model and psi map reads the same
+arrays. The caches assume the model's arrays do not change after first
+use; :func:`validate` makes them read-only. Two threads that fill a cache at
+once compute identical arrays, so sharing a model across threads stays safe.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 import numpy as np
 
@@ -37,6 +46,12 @@ class FiniteModel:
 
     ``likelihood`` has one row per theta value and one column per outcome;
     each row is a probability mass function over outcomes.
+
+    ``joint`` (the table ``prior * likelihood``), ``predictive`` (its exact
+    column totals m(x)) and the per-psi tables of :func:`posterior_table`
+    are computed on first use and kept, read-only; they assume
+    ``likelihood`` and ``prior`` do not change after that. A psi map's
+    table is held weakly, by the map's identity, and freed with the map.
     """
 
     theta_labels: tuple
@@ -52,6 +67,23 @@ class FiniteModel:
     @property
     def n_x(self) -> int:
         return len(self.x_labels)
+
+    # cached_property writes the instance __dict__, which the frozen dataclass leaves open
+    @cached_property
+    def joint(self) -> np.ndarray:
+        joint = self.prior[:, None] * self.likelihood
+        joint.setflags(write=False)
+        return joint
+
+    @cached_property
+    def predictive(self) -> np.ndarray:
+        m = fsums(self.joint, axis=0)
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def _psi_tables(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,15 +197,10 @@ def prior_predictive(model: FiniteModel) -> np.ndarray:
     Each entry is the exact column total of the joint table
     (:func:`relbel._sums.fsums`, with ``math.fsum``'s bits), so ``m[x]`` is
     bitwise ``posterior(model, x).evidence_norm`` and does not depend on the
-    BLAS build. Impossible outcomes keep m(x) = 0 here.
+    BLAS build. Impossible outcomes keep m(x) = 0 here. The array is the
+    model's cached, read-only ``predictive``.
     """
-    return _joint_and_predictive(model)[1]
-
-
-def _joint_and_predictive(model: FiniteModel) -> tuple[np.ndarray, np.ndarray]:
-    """The joint table ``prior * likelihood`` (theta by outcome) and its column totals m(x)."""
-    joint = model.prior[:, None] * model.likelihood
-    return joint, fsums(joint, axis=0)
+    return model.predictive
 
 
 def psi_marginal(masses: np.ndarray, psi: PsiMap) -> np.ndarray:
@@ -212,19 +239,25 @@ def posterior_table(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.nda
     is bitwise equal to ``psi_marginal(posterior(model, x).posterior, psi)``
     (the same products, the same normalizer and the same theta-order
     accumulation); ``m`` is :func:`prior_predictive`, totalled once from
-    the same joint table, so callers that weight by m(x) reuse it.
+    the same joint table, so callers that weight by m(x) reuse it. Both are
+    read-only: m is built once per model, the table once per model and psi map.
 
     Raises:
         ValidationError: the psi assignment does not fit the model.
         ImpossibleObservationError: some outcome has zero prior-predictive mass.
     """
-    joint, m = _joint_and_predictive(model)
+    m = model.predictive
     if np.any(m <= 0.0):
         x = int(np.argmax(m <= 0.0))
         raise ImpossibleObservationError(
             f"outcome {model.x_labels[x]!r} has zero prior-predictive mass"
         )
-    return psi_marginal(joint / m, psi).T, m
+    table = model._psi_tables.get(psi)
+    if table is None:
+        table = psi_marginal(model.joint / m, psi).T
+        table.setflags(write=False)
+        model._psi_tables[psi] = table
+    return table, m
 
 
 def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +276,7 @@ def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray
         raise EmptyFiberError(
             f"psi value {psi.psi_labels[j]!r} has zero prior mass"
         )
-    cond = psi_marginal(model.prior[:, None] * model.likelihood, psi)
+    cond = psi_marginal(model.joint, psi)
     cond /= pi_psi[:, None]
     return pi_psi, cond
 

@@ -1,11 +1,18 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relbel.decision as decision_mod
+import relbel.model as model_mod
+from relbel._sums import fsums
 from relbel.decision import (
+    LOSS_KINDS,
     all_rules,
     bayes_rule,
     brute_force_bayes,
@@ -16,9 +23,18 @@ from relbel.decision import (
     unbiasedness_gap,
     DecisionRule,
 )
-from relbel.errors import BadEtaError, RuleSpaceTooLargeError, ZeroPriorMassError
+from relbel.errors import BadEtaError, RuleSpaceTooLargeError, ValidationError, ZeroPriorMassError
 from relbel.evidence import attainable_gammas, credible_region, rb_estimate, rb_table
-from relbel.model import FiniteModel, identity_psi, posterior, psi_marginal, validate
+from relbel.model import (
+    FiniteModel,
+    PsiMap,
+    identity_psi,
+    posterior,
+    posterior_table,
+    prior_predictive,
+    psi_marginal,
+    validate,
+)
 from conftest import finite_models, random_model
 
 
@@ -54,6 +70,13 @@ class TestMakeLoss:
         for eta in (0.0, math.nan, math.inf):
             with pytest.raises(BadEtaError):
                 make_loss("rb-eta", [0.5, 0.5], eta=eta)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prior_mass_rejected(self, kind, bad):
+        # rb and rb-eta gave NaN weights, and rb a weight of 0 for an infinite mass
+        with pytest.raises(ValidationError, match="prior masses must be finite"):
+            make_loss(kind, [0.5, bad], eta=0.3 if kind == "rb-eta" else None)
 
 
 def two_outcome_model():
@@ -274,6 +297,13 @@ class TestLplRegion:
         loss = make_loss("rb", [0.5, 0.5])
         assert lpl_region(loss, [0.2, 0.8], 1.0).member_indices == {0, 1}
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_posterior_mass_rejected(self, bad):
+        # a NaN mass gave a region with posterior content 1.0
+        loss = make_loss("rb", [0.5, 0.5])
+        with pytest.raises(ValidationError, match="posterior masses must be finite"):
+            lpl_region(loss, [bad, 0.8], 0.5)
+
     def test_eta_loss_region_direct_evaluation(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 8))
@@ -299,6 +329,14 @@ class TestUnbiasedness:
             rule, _ = bayes_rule(model, psi, make_loss("rb", pi_psi))
             for h in (np.ones(psi.n_psi), 1.0 / pi_psi):
                 assert unbiasedness_gap(model, psi, h, rule) >= -1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_h_rejected(self, bad):
+        # NaN passed the sign check and the gap came out nan or inf
+        model = two_outcome_model()
+        rule = DecisionRule(action_per_x=(1, 0), ties=(False, False))
+        with pytest.raises(ValidationError, match="h weights must be finite"):
+            unbiasedness_gap(model, identity_psi(model), np.array([1.0, bad]), rule)
 
     def test_non_informative_model_gap_zero(self):
         model = validate(
@@ -344,3 +382,98 @@ class TestAdmissibilityWitness:
                 errs = conditional_error_probs(model, psi, rule)
                 dominates = np.all(errs <= base + 1e-12) and np.any(errs < base - 1e-12)
                 assert not dominates
+
+
+def raw_model() -> tuple[FiniteModel, PsiMap]:
+    """An unvalidated 7 x 5 model and a psi map onto 3 values."""
+    rng = np.random.default_rng(3)
+    raw = FiniteModel(
+        tuple(f"t{i}" for i in range(7)),
+        tuple(f"x{i}" for i in range(5)),
+        rng.dirichlet(np.ones(5), size=7),
+        rng.dirichlet(np.ones(7)),
+    )
+    return raw, PsiMap((0, 1, 2, 0, 1, 2, 0), ("a", "b", "c"))
+
+
+def decide_all(model, psi, copy=lambda m: m):
+    """Bits of every loss's rule, risk report, prior risk and unbiasedness gap.
+
+    Each call gets ``copy(model)``: the model itself, or a field-for-field
+    copy whose caches start empty, so that every call computes its tables.
+    """
+    pi = psi_marginal(model.prior, psi)
+    out = []
+    for kind in LOSS_KINDS:
+        loss = make_loss(kind, pi, eta=0.5 * float(pi.max()) if kind == "rb-eta" else None)
+        rule, report = bayes_rule(copy(model), psi, loss)
+        out += [
+            rule.action_per_x,
+            rule.ties,
+            report.prior_risk.hex(),
+            report.posterior_risk_per_x.tobytes(),
+            np.array(report.decomposition or ()).tobytes(),
+            prior_risk(copy(model), psi, loss, rule).hex(),
+            unbiasedness_gap(copy(model), psi, loss.values, rule).hex(),
+        ]
+    return out
+
+
+class TestCachedTables:
+    """One joint table, one m(x) and one posterior table per model and psi map."""
+
+    def test_m_totalled_once_and_table_built_once(self, monkeypatch):
+        raw, psi = raw_model()
+        model = validate(raw)
+        joint_totals, tables = [], []
+        counted_fsums, counted_marginal = fsums, model_mod.psi_marginal
+
+        def counting_fsums(a, axis=0):
+            joint_totals.append(np.shape(a) == (model.n_theta, model.n_x))
+            return counted_fsums(a, axis)
+
+        def counting_marginal(masses, p):
+            # marginalize pushes the joint itself forward; posterior_table divides it first
+            tables.append(np.ndim(masses) == 2 and masses is not model.joint)
+            return counted_marginal(masses, p)
+
+        # fsums and psi_marginal are looked up in the modules that call them
+        for mod in (model_mod, decision_mod):
+            monkeypatch.setattr(mod, "fsums", counting_fsums)
+        monkeypatch.setattr(model_mod, "psi_marginal", counting_marginal)
+        decide_all(model, psi)
+        prior_predictive(model)
+        assert sum(joint_totals) == 1
+        assert sum(tables) == 1
+        assert posterior_table(model, psi)[0] is posterior_table(model, psi)[0]
+
+    def test_cached_arrays_read_only_and_bitwise_fresh(self):
+        raw, psi = raw_model()
+        model, fresh = validate(raw), validate(raw)
+        table, m = posterior_table(model, psi)
+        assert m is prior_predictive(model) is model.predictive
+        for cached in (model.joint, m, table):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+        joint = fresh.prior[:, None] * fresh.likelihood
+        fresh_m = fsums(joint, axis=0)
+        assert model.joint.tobytes() == joint.tobytes()
+        assert m.tobytes() == fresh_m.tobytes()
+        assert table.tobytes() == psi_marginal(joint / fresh_m, psi).T.tobytes()
+
+    def test_dropped_psi_map_releases_its_table(self):
+        raw, psi = raw_model()
+        model = validate(raw)
+        table, _ = posterior_table(model, psi)
+        table_ref, psi_ref = weakref.ref(table), weakref.ref(psi)
+        del table, psi
+        gc.collect()
+        assert psi_ref() is None and table_ref() is None
+        assert len(model._psi_tables) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(finite_models(max_theta=10, max_x=8, max_psi=4))
+    def test_cached_and_uncached_paths_agree(self, case):
+        model, psi = case
+        assert decide_all(model, psi) == decide_all(model, psi, dataclasses.replace)

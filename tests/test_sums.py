@@ -6,6 +6,7 @@ the property tests check the tree directly as well as through ``fsums``.
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,19 @@ class TestKnownCases:
         fsums(3.0 * rng.random((300, 64)), axis=0)
         fsums(rng.random(100_000))
         assert calls == []
+
+
+    @pytest.mark.parametrize("shape", [(2**20, 1), (256, 4096)])
+    def test_tree_work_below_twice_the_input(self, shape):
+        # level buffers sized to their level and |a| summed in the free work
+        x = np.random.default_rng(5).random(shape)
+        tracemalloc.start()
+        try:
+            tree_sums(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes
 
 
 class TestCrossover:
