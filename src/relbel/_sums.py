@@ -48,7 +48,12 @@ def fsums(a, axis: int = 0) -> np.ndarray:
     total, 0.0 for an empty or all-zero slice, NaN or infinity where fsum
     gives them, and ``OverflowError`` or ``ValueError`` where fsum raises.
     """
-    x = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
+    x = np.asarray(a, dtype=float)
+    if axis != 0 or x.ndim == 0:
+        # moveaxis is most of a small call's cost; it is kept for its axis checks
+        x = np.moveaxis(x, axis, 0)
+    if x.ndim == 1 and x.size < _CROSSOVER:
+        return np.array(math.fsum(x.tolist()))
     out_shape = x.shape[1:]
     x = x.reshape(x.shape[0], math.prod(out_shape))
     if x.size < _CROSSOVER:

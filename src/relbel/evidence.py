@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._sums import fsums
+from ._sums import _TINY, _U, fsums
 from .errors import (
     BadGammaError,
     IndexOutOfRangeError,
@@ -180,17 +180,21 @@ def plausible_region(t: EvidenceTable) -> RegionReport:
     return _region(np.flatnonzero(t.rb > 1.0), 1.0, t.posterior, t.prior)
 
 
-def _descending_levels(ratios: np.ndarray, posterior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _descending_levels(ratios: np.ndarray, posterior: np.ndarray) -> tuple[np.ndarray, ...]:
     """Unique ratio values descending with cumulative posterior content.
 
-    The cumulative sums run over the stable ratio-descending element order,
-    so ratios that order the elements alike give bitwise equal contents.
+    Returns ``(levels, content, order, ends)``: ``order`` is the stable
+    ratio-descending element order, the elements with ratio at least
+    ``levels[i]`` are ``order[: ends[i] + 1]``, and ``content[i]`` is their
+    float prefix sum (a recursive sum), so ratios that order the elements
+    alike give bitwise equal contents.
     """
     order = np.argsort(-ratios, kind="stable")
     sorted_r = ratios[order]
     cum = np.cumsum(posterior[order])
-    ends = np.append(np.flatnonzero(np.diff(sorted_r)), len(sorted_r) - 1)
-    return sorted_r[ends], cum[ends]
+    # != rather than np.diff, whose inf - inf would split a run of infinite ratios
+    ends = np.append(np.flatnonzero(sorted_r[1:] != sorted_r[:-1]), len(sorted_r) - 1)
+    return sorted_r[ends], cum[ends], order, ends
 
 
 def _superlevel_region(
@@ -201,7 +205,7 @@ def _superlevel_region(
     ``sup-geq`` credible regions pass rb, lowest-posterior-loss regions
     posterior times error weight: one computation under the ``rb`` loss.
     """
-    levels, content = _descending_levels(ratios, posterior)
+    levels, content = _descending_levels(ratios, posterior)[:2]
     hit = np.flatnonzero(content >= gamma)
     # float shortfall at gamma=1 falls back to full support
     cutoff = float(levels[hit[0]] if len(hit) else levels[-1])
@@ -210,8 +214,46 @@ def _superlevel_region(
 
 def attainable_gammas(t: EvidenceTable) -> np.ndarray:
     """Posterior contents exactly attainable by rb-cutoff regions, ascending."""
-    _, content = _descending_levels(t.rb, t.posterior)
+    content = _descending_levels(t.rb, t.posterior)[1]
     return np.sort(content)
+
+
+def _quantile_cutoff(t: EvidenceTable, gamma: float) -> float:
+    """The smallest rb level whose strict-superlevel mass is at most ``gamma``.
+
+    The mass is the exact ``fsums`` total of the members ``rb > level``,
+    as in :func:`plausible_region`, so the tie at ``gamma`` equal to the
+    plausible region's content is exact. It grows as the level falls, so
+    the level is bisected over the descending levels: the mass above
+    ``levels[i]`` is the total of the prefix ``order[:k]``, ``k = ends[i -
+    1] + 1``, whose float prefix sum ``c = content[i - 1]`` is at hand.
+
+    For ``k`` non-negative terms summed in order, ``|c - S| <= g S`` with
+    ``g = gamma_{k-1}`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 4.2), so ``|c - S| <= e = 2 k u c +
+    2**-900``: the factor 2 covers ``g / (1 - g)`` and the rounding of
+    ``e`` while ``k`` is far below ``2**46``, and the absolute term covers
+    underflow. Rounding is monotone, so ``fl(S)`` lies between
+    ``fl(c - e)`` and ``fl(c + e)``: a probe is decided without an exact
+    sum when ``fl(c - e) > gamma`` (too much mass) or ``fl(c + e) <=
+    gamma`` (small enough). Any other probe takes the exact total of the
+    prefix, which has the bits of the masked total because ``fsums`` does
+    not depend on order.
+    """
+    levels, content, order, ends = _descending_levels(t.rb, t.posterior)
+
+    def too_much(i: int) -> bool:
+        k = int(ends[i - 1]) + 1
+        c = float(content[i - 1])
+        e = c * (2.0 * k * _U) + _TINY
+        if c - e > gamma:
+            return True
+        if c + e <= gamma:
+            return False
+        return float(fsums(t.posterior[order[:k]])) > gamma
+
+    # levels[0] has nothing above it; levels[i] is the cutoff when levels[i + 1] holds too much
+    return float(levels[bisect_left(range(1, len(levels)), True, key=too_much)])
 
 
 def credible_region(t: EvidenceTable, gamma: float, convention: str = "sup-geq") -> RegionReport:
@@ -238,15 +280,7 @@ def credible_region(t: EvidenceTable, gamma: float, convention: str = "sup-geq")
             # cells without posterior mass (rb = 0) stay out, as from the plausible region
             cutoff = 0.0 if np.any(t.rb == 0.0) else -math.inf
         else:
-            # smallest rb level whose strict-superlevel mass is <= gamma, an
-            # exact total over the masks plausible_region uses (so the tie at
-            # gamma = Pl content is exact), bisected: it is monotone in level
-            levels = np.unique(t.rb)
-
-            def small_enough(j: int) -> bool:
-                return float(fsums(t.posterior[t.rb > levels[j]])) <= gamma
-
-            cutoff = float(levels[bisect_left(range(len(levels) - 1), True, key=small_enough)])
+            cutoff = _quantile_cutoff(t, gamma)
         return _region(np.flatnonzero(t.rb > cutoff), cutoff, t.posterior, t.prior)
     raise ValidationError(f"unknown credible-region convention {convention!r}")
 

@@ -112,8 +112,11 @@ def discretize(
     density is normalized; pass ``warn_tail=None`` for unnormalized
     integrands.
     """
-    if quadrature_points < 1:
-        raise ValidationError("quadrature_points must be >= 1")
+    if not (float(quadrature_points).is_integer() and quadrature_points >= 1):
+        raise ValidationError(
+            f"quadrature_points must be an integer >= 1, got {quadrature_points}"
+        )
+    quadrature_points = int(quadrature_points)
     w = grid.cell_width
     offsets = (np.arange(quadrature_points) + 0.5) * (w / quadrature_points)
     points = grid.edges[:-1, None] + offsets[None, :]
@@ -155,15 +158,17 @@ def normal_masses(mu: float, sigma2: float, grid: Grid1D) -> GriddedDistribution
     Plain CDF differences lose all digits past a few standard deviations
     above the mean (values round to 1); using the survival function for
     cells right of the mean keeps every cell mass correct to rounding.
+    Each side takes ``ndtr`` only over its own edges: midpoints ascend, so
+    the cells with midpoint at or below ``mu`` are the first ``k``, and
+    the two sides share only edge ``k``.
     """
     from scipy.special import ndtr
 
     if sigma2 <= 0:
         raise ValidationError("sigma2 must be > 0")
     z = (grid.edges - mu) / math.sqrt(sigma2)
-    lower = np.diff(ndtr(z))
-    upper = -np.diff(ndtr(-z))
-    raw = np.where(grid.midpoints <= mu, lower, upper)
+    k = int(np.count_nonzero(grid.midpoints <= mu))
+    raw = np.concatenate((np.diff(ndtr(z[: k + 1])), -np.diff(ndtr(-z[k:]))))
     return _normalize(grid, np.clip(raw, 0.0, None), warn_tail=None)
 
 

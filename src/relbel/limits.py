@@ -132,10 +132,22 @@ def eta_limit(source, x=None, psi: PsiMap | None = None, eta_ladder=None) -> Lim
 def _gridded_pair(
     prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D
 ) -> tuple[GriddedDistribution, GriddedDistribution]:
-    def joint(p):
-        return np.asarray(prior_density(p)) * np.asarray(likelihood_at_x(p))
+    """Prior and joint cell masses from one prior-density pass.
 
-    return discretize(prior_density, grid), discretize(joint, grid, warn_tail=None)
+    Both ``discretize`` calls place the same quadrature nodes on ``grid``,
+    so the joint multiplies the prior values of the first call by the
+    likelihood and never evaluates the prior density again.
+    """
+    prior_at_nodes = []
+
+    def prior_once(p):
+        prior_at_nodes.append(np.asarray(prior_density(p)))
+        return prior_at_nodes[-1]
+
+    def joint(p):
+        return prior_at_nodes[-1] * np.asarray(likelihood_at_x(p))
+
+    return discretize(prior_once, grid), discretize(joint, grid, warn_tail=None)
 
 
 def _grid_table(prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D) -> EvidenceTable:

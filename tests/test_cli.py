@@ -400,6 +400,25 @@ class TestLimitsCommand:
         assert doc["rb"] == [0.2 / 0.5, 0.8 / 0.5]
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("experiment", ["region", "sandwich"])
+@pytest.mark.parametrize("prior", ["normal", "beta"])
+def test_limits_full_precision_output_is_pinned(runner, experiment, prior):
+    """`limits region|sandwich --precision full` prints exactly the committed CSV.
+
+    CI also runs the installed console script on the same configs and diffs
+    its output against the same files.
+    """
+    config = DATA / f"limits_{prior}.json"
+    res = runner.invoke(
+        main, ["limits", experiment, "--config", str(config), "--precision", "full"]
+    )
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == (DATA / f"limits_{experiment}_{prior}.csv").read_bytes()
+
+
 GRID_CONFIG = {
     "prior": {"family": "normal", "mu": 0.0, "sigma2": 1.0},
     "likelihood": {"kind": "normal-location", "x": 1.0, "sigma2": 1.0},

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from relbel.evidence import (
     strength,
     table_from_gridded,
 )
+import relbel.evidence as evidence_mod
+from relbel._sums import fsums
 from relbel.grids import _normalize, build_grid, masses_from_cdf
 from relbel.model import posterior, prior_predictive, psi_marginal
 from conftest import random_model
@@ -169,6 +172,18 @@ class TestCredible:
             assert reg.member_indices == pl.member_indices == set(range(1, 9))
         with pytest.raises(BadGammaError):
             credible_region(t, 1.0 + 2.0**-51)
+
+    def test_infinite_ratios_form_one_level(self):
+        # two posterior masses over a subnormal prior mass overflow to rb = inf;
+        # they are one level, reached only together
+        with np.errstate(over="ignore"):
+            t = rb_table([5e-324, 5e-324, 1.0], [0.25, 0.25, 0.5])
+        assert t.rb[:2].tolist() == [math.inf, math.inf]
+        assert attainable_gammas(t).tolist() == [0.5, 1.0]
+        assert credible_region(t, 0.25).member_indices == {0, 1}
+        for gamma in (0.25, 0.5, 0.75):
+            reg = credible_region(t, gamma, "quantile-gt")
+            assert reg.cutoff.hex() == bisected_quantile_cutoff(t, gamma).hex()
 
     def test_bad_gamma(self):
         with pytest.raises(BadGammaError):
@@ -332,3 +347,61 @@ class TestZeroPriorProperties:
         pl = plausible_region(t)
         reg = credible_region(t, pl.posterior_content, "quantile-gt")
         assert reg.member_indices == pl.member_indices
+
+
+def bisected_quantile_cutoff(t, gamma):
+    """The ``quantile-gt`` cutoff as first written: a bisection over
+    ``np.unique(t.rb)`` with one masked exact total per probe."""
+    if gamma >= 1.0:
+        return 0.0 if np.any(t.rb == 0.0) else -math.inf
+    levels = np.unique(t.rb)
+
+    def small_enough(j):
+        return float(fsums(t.posterior[t.rb > levels[j]])) <= gamma
+
+    return float(levels[bisect_left(range(len(levels) - 1), True, key=small_enough)])
+
+
+def quantile_gammas(t, drawn, every=1):
+    """Gammas where the cutoff is decided by a hair: every ``every``-th
+    attainable content and the floats either side of it, the plausible
+    region's content, and ``drawn``; those beyond the admissible range are
+    left out."""
+    contents = attainable_gammas(t)[::every].tolist() + [plausible_region(t).posterior_content]
+    near = [float(np.nextafter(g, d)) for g in contents for d in (-math.inf, math.inf)]
+    top = float(fsums(t.posterior))
+    return [g for g in contents + near + drawn if 0.0 <= g <= max(1.0, top)]
+
+
+class TestQuantileCutoffMatchesBisection:
+    """The cutoff bisected over float prefix sums has the bits of the masked
+    exact-total bisection it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(zero_prior_tables(), st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_bitwise_on_ties_and_zero_posterior_cells(self, case, drawn):
+        t = case[3]
+        for g in quantile_gammas(t, drawn):
+            want = bisected_quantile_cutoff(t, g)
+            reg = credible_region(t, g, "quantile-gt")
+            assert reg.cutoff.hex() == want.hex()
+            assert reg.member_indices == frozenset(np.flatnonzero(t.rb > want).tolist())
+
+    @pytest.mark.parametrize("n, ties", [(5_000, False), (5_000, True), (40, True)])
+    def test_bitwise_and_few_exact_probes_on_large_tables(self, monkeypatch, n, ties):
+        rng = np.random.default_rng(n + ties)
+        prior = rng.dirichlet(np.ones(n))
+        lik = rng.integers(0, 5, size=n).astype(float) if ties else rng.random(n)
+        post = prior * lik
+        t = rb_table(prior, post / math.fsum(post.tolist()))
+        probes = []
+        exact = evidence_mod.fsums
+        monkeypatch.setattr(
+            evidence_mod, "fsums", lambda a, *args: probes.append(len(a)) or exact(a, *args)
+        )
+        for g in quantile_gammas(t, rng.uniform(0.0, 1.0, size=20).tolist(), every=max(n // 40, 1)):
+            probes.clear()
+            reg = credible_region(t, g, "quantile-gt")
+            assert reg.cutoff.hex() == bisected_quantile_cutoff(t, g).hex()
+            # the region's two contents and at most one exact probe
+            assert len(probes) <= 3

@@ -84,6 +84,15 @@ class TestDiscretize:
             with pytest.raises(ValidationError, match="not finite"):
                 discretize(lambda p, bad=bad: np.where(p < 0.5, bad, 1.0), g)
 
+    def test_non_integral_quadrature_points_rejected(self):
+        # 2.5 nodes would put a third node on each cell's right edge
+        grid = build_grid(0.0, 1.0, 4)
+        for bad in (2.5, 0, -1, 0.5, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="quadrature_points"):
+                discretize(lambda x: 2 * x, grid, quadrature_points=bad)
+        masses = discretize(lambda x: 2 * x, grid, quadrature_points=2.0).masses
+        assert masses.tolist() == [0.0625, 0.1875, 0.3125, 0.4375]
+
     def test_density_overflow_is_a_numerical_guard(self):
         # the beta(0.5, 2) pdf overflows at subnormal points; family() keeps scipy's error
         pdf = family("beta", alpha=0.5, beta=2.0).pdf
@@ -284,6 +293,32 @@ class TestFamiliesMatchScipyStats:
         d = stats.norm(loc=mu, scale=sd)
         lower, upper = np.diff(d.cdf(grid.edges)), -np.diff(d.sf(grid.edges))
         raw = np.where(grid.midpoints <= mu, lower, upper)
+        want = _normalize(grid, np.clip(raw, 0.0, None), warn_tail=None)
+        got = normal_masses(mu, sigma2, grid)
+        assert got.masses.tobytes() == want.masses.tobytes()
+        assert got.tail_mass == want.tail_mass
+
+    @pytest.mark.parametrize(
+        "n_cells, mu, sigma2",
+        [
+            (8, -9.0, 1.0),  # below lo: every cell on the survival side
+            (8, 9.0, 2.0),  # above hi: every cell on the cdf side
+            (8, -0.625, 0.5),  # exactly a midpoint (cell 3), which takes the cdf side
+            (8, 0.0, 1.0),  # exactly an edge, between two midpoints
+            (8, -4.375, 0.25),  # the first midpoint
+            (8, 4.375, 3.0),  # the last midpoint
+            # a midpoint whose cell edges round asymmetrically about it, so the
+            # two sides give that cell different bits
+            (7, -5.0 + 2.5 * 10.0 / 7, 1.0),
+        ],
+    )
+    def test_one_sided_normal_masses_match_two_sided_reference(self, n_cells, mu, sigma2):
+        from scipy.special import ndtr
+
+        grid = build_grid(-5.0, 5.0, n_cells)
+        assert mu in grid.midpoints or mu in grid.edges or not grid.lo <= mu <= grid.hi
+        z = (grid.edges - mu) / math.sqrt(sigma2)
+        raw = np.where(grid.midpoints <= mu, np.diff(ndtr(z)), -np.diff(ndtr(-z)))
         want = _normalize(grid, np.clip(raw, 0.0, None), warn_tail=None)
         got = normal_masses(mu, sigma2, grid)
         assert got.masses.tobytes() == want.masses.tobytes()

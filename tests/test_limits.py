@@ -134,6 +134,66 @@ class TestCellCap:
             region_limit(density, density, 0.9, grids, refine_factor=4)
 
 
+class TestOneDensityPassPerGrid:
+    """The prior density and the likelihood are evaluated once per grid."""
+
+    @staticmethod
+    def counted(fn, calls):
+        def wrapped(p):
+            calls.append(p.size)
+            return fn(p)
+
+        return wrapped
+
+    @pytest.mark.parametrize(
+        "prior, lik, lo, hi",
+        [
+            (NORMAL_PRIOR, gaussian_location_likelihood(1.5, 1.0), -6.0, 6.0),
+            (
+                family("beta", alpha=2.5, beta=3.0),
+                gaussian_location_likelihood(0.4, 0.02),
+                0.0,
+                1.0,
+            ),
+        ],
+    )
+    def test_gridded_pair_bits_and_calls(self, prior, lik, lo, hi):
+        from relbel.grids import discretize
+        from relbel.limits import _gridded_pair
+
+        grid = build_grid(lo, hi, 96)
+        prior_calls, lik_calls = [], []
+        got_prior, got_joint = _gridded_pair(
+            self.counted(prior.pdf, prior_calls), self.counted(lik, lik_calls), grid
+        )
+        assert prior_calls == lik_calls == [96 * 8]
+        # the two-pass construction: the prior evaluated again inside the joint
+        want_prior = discretize(prior.pdf, grid)
+        want_joint = discretize(lambda p: prior.pdf(p) * lik(p), grid, warn_tail=None)
+        for got, want in ((got_prior, want_prior), (got_joint, want_joint)):
+            assert got.masses.tobytes() == want.masses.tobytes()
+            assert got.tail_mass == want.tail_mass
+
+    def test_ladders_evaluate_each_grid_once(self):
+        lik = gaussian_location_likelihood(1.9, 1.0)
+        grids = grid_ladder(build_grid(-6, 6, 32), steps=3, factor=2)
+        cells = [g.n_cells * 8 for g in grids]
+        runs = [
+            (lambda pdf, lk: lambda_limit(pdf, lk, grids), cells),
+            (lambda pdf, lk: map_limit_contrast(pdf, lk, grids), cells),
+            (lambda pdf, lk: sandwich_double_limit(pdf, lk, 0.9, grids, eta_steps=3), cells),
+            # the reference grid first, then the ladder
+            (
+                lambda pdf, lk: region_limit(pdf, lk, 0.9, grids, refine_factor=4),
+                [128 * 4 * 8] + cells,
+            ),
+        ]
+        for run, want in runs:
+            prior_calls, lik_calls = [], []
+            run(self.counted(NORMAL_PRIOR.pdf, prior_calls), self.counted(lik, lik_calls))
+            assert prior_calls == lik_calls == want
+
+
 class TestLambdaLimit:
     def test_gaussian_ratio_argmax_match(self):
         # posterior N(0.75, 0.5); ratio-to-prior argmax sits at the data point

@@ -211,6 +211,17 @@ class TestKnownCases:
             assert total(np.empty((3, 0)), axis=0).shape == (0,)
             assert float(total(np.array([-0.0, -0.0]))).hex() == "0x0.0p+0"
 
+    def test_small_vectors_keep_shape_and_axis_errors(self):
+        # a 1-D array below the crossover skips moveaxis; results and errors stay
+        a = np.arange(40.0) / 7.0
+        for axis in (0, -1):
+            got = fsums(a, axis=axis)
+            assert got.shape == () and got.dtype == np.float64
+            assert float(got).hex() == math.fsum(a.tolist()).hex()
+        for bad_input, axis in ((a, 1), (np.float64(1.0), 0)):
+            with pytest.raises(np.exceptions.AxisError):
+                fsums(bad_input, axis=axis)
+
     def test_certified_slices_skip_fsum(self, monkeypatch):
         calls, fsum = [], math.fsum
         monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v))
