@@ -27,6 +27,7 @@ from ._sums import fsums
 from .errors import (
     BadEtaError,
     BadGammaError,
+    IndexOutOfRangeError,
     RiskCrossCheckError,
     RuleSpaceTooLargeError,
     ValidationError,
@@ -116,7 +117,7 @@ def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRul
     actions = np.argmax(ratios, axis=1)
     at_action = ratios[rows, actions]
     ties = np.count_nonzero(ratios == at_action[:, None], axis=1) > 1
-    off_action = ratios.copy()
+    off_action = ratios.copy(order="K")  # the layout of ratios: a psi column is contiguous
     off_action[rows, actions] = 0.0
     risks = fsums(off_action, axis=1)
     decomp = None
@@ -134,10 +135,20 @@ def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRul
     )
 
 
+def _rule_actions(model: FiniteModel, psi: PsiMap, rule: DecisionRule) -> np.ndarray:
+    """The rule's action indices, checked to cover every outcome with a psi index."""
+    acts = np.asarray(rule.action_per_x)
+    if acts.shape != (model.n_x,):
+        raise ValidationError(f"rule covers {acts.shape} outcomes, model has {model.n_x}")
+    if np.any(acts < 0) or np.any(acts >= psi.n_psi):
+        raise IndexOutOfRangeError(f"rule action not in [0, {psi.n_psi})")
+    return acts
+
+
 def conditional_error_probs(model: FiniteModel, psi: PsiMap, rule: DecisionRule) -> np.ndarray:
     """Per-value error probabilities ``M(rule != psi | psi)``."""
+    acts = _rule_actions(model, psi, rule)
     _, cond = marginalize(model, psi)
-    acts = np.asarray(rule.action_per_x)
     # zeros at the correct actions leave each exact row total unchanged
     wrong = acts[None, :] != np.arange(psi.n_psi)[:, None]
     return fsums(np.where(wrong, cond, 0.0), axis=1)
@@ -154,13 +165,14 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) 
     cross-checked to 1e-9, and a disagreement raises
     :class:`RiskCrossCheckError`.
     """
-    acts = np.asarray(rule.action_per_x)
-    if acts.shape != (model.n_x,):
-        raise ValidationError(f"rule covers {acts.shape} outcomes, model has {model.n_x}")
+    if loss.n != psi.n_psi:
+        raise ValidationError(f"loss size {loss.n} != {psi.n_psi} psi values")
+    acts = _rule_actions(model, psi, rule)
     psi_of_theta = np.asarray(psi.assignment)
-    correct = psi_of_theta[:, None] == acts[None, :]
-    losses = np.where(correct, 0.0, loss.values[psi_of_theta][:, None])
-    direct = float(fsums((model.joint * losses).ravel()))
+    # joint mass times the error weight of the true value, zero where the action is correct
+    products = model.joint * loss.values[psi_of_theta][:, None]
+    products[psi_of_theta[:, None] == acts] = 0.0
+    direct = float(fsums(products.ravel()))
     if loss.kind in ("rb", "map"):
         # conditional error probabilities, summed plain (rb) or prior-weighted (map)
         weights = 1.0 if loss.kind == "rb" else psi_marginal(model.prior, psi)
@@ -206,9 +218,7 @@ def unbiasedness_gap(model: FiniteModel, psi: PsiMap, h, rule: DecisionRule) -> 
         raise ValidationError("h weights must be finite")
     if np.any(h < 0):
         raise ValidationError("h weights must be nonnegative")
-    acts = np.asarray(rule.action_per_x)
-    if acts.shape != (model.n_x,):
-        raise ValidationError(f"rule covers {acts.shape} outcomes, model has {model.n_x}")
+    acts = _rule_actions(model, psi, rule)
     pi_psi = psi_marginal(model.prior, psi)
     table, m = posterior_table(model, psi)
     post_at_action = table[np.arange(model.n_x), acts]

@@ -6,12 +6,13 @@ and parameter sets plus a prior over ``theta``. A marginal quantity of
 interest is described by a surjection from theta-indices to psi-indices.
 All values are immutable after validation and safe to share across threads.
 
-A model computes its joint table, the table's exact column totals m(x) and
-one posterior table per :class:`PsiMap` once, on first use, and keeps them
-read-only, so every decision on the same model and psi map reads the same
-arrays. The caches assume the model's arrays do not change after first
-use; :func:`validate` makes them read-only. Two threads that fill a cache at
-once compute identical arrays, so sharing a model across threads stays safe.
+A model computes its joint table, the table's exact column totals m(x), and
+one posterior table and one conditional predictive table per
+:class:`PsiMap` once, on first use, and keeps them read-only, so every
+decision on the same model and psi map reads the same arrays. The caches
+assume the model's arrays do not change after first use; :func:`validate`
+makes them read-only. Two threads that fill a cache at once compute
+identical arrays, so sharing a model across threads stays safe.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ class FiniteModel:
 
     ``joint`` (the table ``prior * likelihood``), ``predictive`` (its exact
     column totals m(x)) and the per-psi tables of :func:`posterior_table`
-    are computed on first use and kept, read-only; they assume
-    ``likelihood`` and ``prior`` do not change after that. A psi map's
-    table is held weakly, by the map's identity, and freed with the map.
+    and :func:`marginalize` are computed on first use and kept, read-only;
+    they assume ``likelihood`` and ``prior`` do not change after that. A
+    psi map's tables are held weakly, by the map's identity, and freed with
+    the map.
     """
 
     theta_labels: tuple
@@ -252,12 +254,12 @@ def posterior_table(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.nda
         raise ImpossibleObservationError(
             f"outcome {model.x_labels[x]!r} has zero prior-predictive mass"
         )
-    table = model._psi_tables.get(psi)
-    if table is None:
+    tables = model._psi_tables.setdefault(psi, {})
+    if "posterior" not in tables:
         table = psi_marginal(model.joint / m, psi).T
         table.setflags(write=False)
-        model._psi_tables[psi] = table
-    return table, m
+        tables["posterior"] = table
+    return tables["posterior"], m
 
 
 def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray]:
@@ -265,20 +267,27 @@ def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray
 
     Returns ``(pi_psi, cond_pred)`` where ``pi_psi[j]`` is the prior mass of
     psi value j and ``cond_pred[j, x]`` is the predictive probability of
-    outcome x after integrating theta over the fiber of j.
+    outcome x after integrating theta over the fiber of j. Both are
+    read-only and built once per model and psi map.
 
     Raises:
+        ValidationError: the psi assignment does not fit the model.
         EmptyFiberError: some psi value has zero prior mass.
     """
-    pi_psi = psi_marginal(model.prior, psi)
-    if np.any(pi_psi <= 0.0):
-        j = int(np.argmin(pi_psi))
-        raise EmptyFiberError(
-            f"psi value {psi.psi_labels[j]!r} has zero prior mass"
-        )
-    cond = psi_marginal(model.joint, psi)
-    cond /= pi_psi[:, None]
-    return pi_psi, cond
+    tables = model._psi_tables.setdefault(psi, {})
+    if "conditional" not in tables:
+        pi_psi = psi_marginal(model.prior, psi)
+        if np.any(pi_psi <= 0.0):
+            j = int(np.argmin(pi_psi))
+            raise EmptyFiberError(
+                f"psi value {psi.psi_labels[j]!r} has zero prior mass"
+            )
+        cond = psi_marginal(model.joint, psi)
+        cond /= pi_psi[:, None]
+        for v in (pi_psi, cond):
+            v.setflags(write=False)
+        tables["conditional"] = pi_psi, cond
+    return tables["conditional"]
 
 
 # --- JSON ingestion ----------------------------------------------------------

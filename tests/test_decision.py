@@ -23,12 +23,19 @@ from relbel.decision import (
     unbiasedness_gap,
     DecisionRule,
 )
-from relbel.errors import BadEtaError, RuleSpaceTooLargeError, ValidationError, ZeroPriorMassError
+from relbel.errors import (
+    BadEtaError,
+    IndexOutOfRangeError,
+    RuleSpaceTooLargeError,
+    ValidationError,
+    ZeroPriorMassError,
+)
 from relbel.evidence import attainable_gammas, credible_region, rb_estimate, rb_table
 from relbel.model import (
     FiniteModel,
     PsiMap,
     identity_psi,
+    marginalize,
     posterior,
     posterior_table,
     prior_predictive,
@@ -277,6 +284,57 @@ class TestPriorRisk:
                     report.prior_risk, abs=1e-9
                 )
 
+    @settings(max_examples=100, deadline=None)
+    @given(finite_models(max_theta=10, max_x=8, max_psi=4))
+    def test_bitwise_the_dense_loss_table_total(self, case):
+        # the reference builds the dense theta x outcome loss table and sums its products
+        model, psi = case
+        pi = psi_marginal(model.prior, psi)
+        psi_of_theta = np.asarray(psi.assignment)
+        for kind in LOSS_KINDS:
+            loss = make_loss(kind, pi, eta=0.5 * float(pi.max()) if kind == "rb-eta" else None)
+            rule, _ = bayes_rule(model, psi, loss)
+            correct = psi_of_theta[:, None] == np.asarray(rule.action_per_x)[None, :]
+            losses = np.where(correct, 0.0, loss.values[psi_of_theta][:, None])
+            want = math.fsum((model.joint * losses).ravel().tolist())
+            assert prior_risk(model, psi, loss, rule).hex() == want.hex()
+
+
+def three_theta_two_outcomes():
+    return validate(
+        FiniteModel(
+            ("a", "b", "c"),
+            ("x0", "x1"),
+            np.array([[0.5, 0.5], [0.4, 0.6], [0.1, 0.9]]),
+            np.array([0.2, 0.3, 0.5]),
+        )
+    )
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_prior_risk_rejects_a_loss_of_another_size(self, size):
+        model = three_theta_two_outcomes()
+        psi = identity_psi(model)
+        rule, _ = bayes_rule(model, psi, make_loss("rb", model.prior))
+        for kind in LOSS_KINDS:
+            loss = make_loss(kind, np.full(size, 1.0 / size), eta=0.5)
+            with pytest.raises(ValidationError, match="loss size"):
+                prior_risk(model, psi, loss, rule)
+
+    @pytest.mark.parametrize("actions", [(0, 7), (0, 3), (-1, 0)])
+    def test_actions_outside_the_psi_values_rejected(self, actions):
+        model = three_theta_two_outcomes()
+        psi = identity_psi(model)
+        loss = make_loss("rb", model.prior)
+        rule = DecisionRule(actions, (False, False))
+        with pytest.raises(IndexOutOfRangeError):
+            prior_risk(model, psi, loss, rule)
+        with pytest.raises(IndexOutOfRangeError):
+            conditional_error_probs(model, psi, rule)
+        with pytest.raises(IndexOutOfRangeError):
+            unbiasedness_gap(model, psi, loss.values, rule)
+
 
 class TestLplRegion:
     def test_rb_loss_matches_credible_region(self, rng):
@@ -425,7 +483,7 @@ class TestCachedTables:
     def test_m_totalled_once_and_table_built_once(self, monkeypatch):
         raw, psi = raw_model()
         model = validate(raw)
-        joint_totals, tables = [], []
+        joint_totals, tables, conditionals = [], [], []
         counted_fsums, counted_marginal = fsums, model_mod.psi_marginal
 
         def counting_fsums(a, axis=0):
@@ -435,6 +493,7 @@ class TestCachedTables:
         def counting_marginal(masses, p):
             # marginalize pushes the joint itself forward; posterior_table divides it first
             tables.append(np.ndim(masses) == 2 and masses is not model.joint)
+            conditionals.append(masses is model.joint)
             return counted_marginal(masses, p)
 
         # fsums and psi_marginal are looked up in the modules that call them
@@ -445,7 +504,10 @@ class TestCachedTables:
         prior_predictive(model)
         assert sum(joint_totals) == 1
         assert sum(tables) == 1
+        # prior_risk's cross-checks under rb and map share one conditional table
+        assert sum(conditionals) == 1
         assert posterior_table(model, psi)[0] is posterior_table(model, psi)[0]
+        assert marginalize(model, psi)[1] is marginalize(model, psi)[1]
 
     def test_cached_arrays_read_only_and_bitwise_fresh(self):
         raw, psi = raw_model()
@@ -461,6 +523,12 @@ class TestCachedTables:
         assert model.joint.tobytes() == joint.tobytes()
         assert m.tobytes() == fresh_m.tobytes()
         assert table.tobytes() == psi_marginal(joint / fresh_m, psi).T.tobytes()
+        pi_psi, cond = marginalize(model, psi)
+        for cached in (pi_psi, cond):
+            assert not cached.flags.writeable
+        fresh_pi = psi_marginal(fresh.prior, psi)
+        assert pi_psi.tobytes() == fresh_pi.tobytes()
+        assert cond.tobytes() == (psi_marginal(joint, psi) / fresh_pi[:, None]).tobytes()
 
     def test_dropped_psi_map_releases_its_table(self):
         raw, psi = raw_model()

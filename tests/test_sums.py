@@ -1,13 +1,15 @@
 """The summation kernel gives math.fsum's bits on every slice, or fsum's exception.
 
-Arrays below the crossover never reach the TwoSum tree through ``fsums``, so
-the property tests check the tree directly as well as through ``fsums``.
+Arrays below the crossover never reach the extraction kernel through
+``fsums``, so the property tests check the kernel directly, on slices laid
+out as columns and as rows, as well as through ``fsums``.
 """
 
 import ast
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,22 +18,29 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import relbel._sums as sums_mod
-from relbel._sums import _CROSSOVER, _tree_sums, fsums
+from relbel._sums import _CROSSOVER, _extracted_sums, fsums
 
 TINY_NORMAL = 2.2250738585072014e-308
 
 
-def tree_sums(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """The TwoSum tree on every slice of ``a`` along ``axis``, whatever its size."""
+def column_sums(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The kernel on every slice of ``a`` along ``axis``, laid out as columns, whatever its size."""
     x = np.moveaxis(a, axis, 0)
-    return _tree_sums(x.reshape(x.shape[0], math.prod(x.shape[1:]))).reshape(x.shape[1:])
+    return _extracted_sums(x.reshape(x.shape[0], math.prod(x.shape[1:])), 0).reshape(x.shape[1:])
 
 
-SUMMERS = (fsums, tree_sums)
+def row_sums(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The kernel on every slice of ``a`` along ``axis``, laid out as contiguous rows."""
+    x = np.moveaxis(a, axis, -1)
+    rows = np.ascontiguousarray(x.reshape(math.prod(x.shape[:-1]), x.shape[-1]))
+    return _extracted_sums(rows, 1).reshape(x.shape[:-1])
+
+
+SUMMERS = (fsums, column_sums, row_sums)
 
 
 def assert_matches_fsum(a: np.ndarray, axis: int = 0) -> None:
-    """``fsums`` and the tree equal per-slice ``math.fsum`` bitwise, or raise as it does."""
+    """``fsums`` and the kernel equal per-slice ``math.fsum`` bitwise, or raise as it does."""
     slices = np.moveaxis(a, axis, -1)
     rows = slices.reshape(math.prod(slices.shape[:-1]), slices.shape[-1]).tolist()
     expected = []
@@ -173,7 +182,7 @@ class TestKnownCases:
     def test_totals_of_one_certified_on_the_side_of_t(self, monkeypatch, a):
         calls, fsum = [], math.fsum
         monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v))
-        assert float(tree_sums(np.array(a))) == fsum(a) == math.copysign(1.0, a[0])
+        assert float(column_sums(np.array(a))) == fsum(a) == math.copysign(1.0, a[0])
         assert calls == []
 
     def test_normalized_rows_totalling_one_skip_fsum(self, monkeypatch):
@@ -189,7 +198,28 @@ class TestKnownCases:
         monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v))
         got = fsums(rows, axis=1)
         assert got.tobytes() == np.array(expected).tobytes()
-        assert not [total for total in map(fsum, calls) if total == 1.0]
+        # the exact ties among them settle at the second extraction
+        assert calls == []
+
+    @pytest.mark.parametrize("layout", [column_sums, row_sums])
+    def test_rounding_of_the_remainder_total_is_bounded(self, layout):
+        # 1.0 is extracted whole; the float total of the remainders, summed in
+        # order, drops 3 * 2**-105 and lands 2**-104 under the midpoint
+        # 1 + 2**-53, while the exact total lies just above it and rounds up
+        a = np.array([1.0, 2.0**-50, 3 * 2.0**-105, -(2.0**-50), 2.0**-53 - 2.0**-104])
+        assert float(layout(a)) == math.fsum(a.tolist()) == 1.0 + 2.0**-52
+
+    @pytest.mark.parametrize("layout", [column_sums, row_sums])
+    def test_exact_ties_settle_without_fsum(self, monkeypatch, layout):
+        # each total lies exactly halfway between two floats and rounds to the even one
+        cases = [[1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [-1.0, -(2.0**-53)]]
+        expected = [math.fsum(c) for c in cases]
+        assert expected == [1.0, 1.0 + 2.0**-51, -1.0]
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v))
+        got = layout(np.array(cases).T)
+        assert got.tobytes() == np.array(expected).tobytes()
+        assert calls == []
 
     def test_intermediate_overflow_raises(self):
         for total in SUMMERS:
@@ -231,18 +261,50 @@ class TestKnownCases:
         fsums(rng.random(100_000))
         assert calls == []
 
-
     @pytest.mark.parametrize("shape", [(2**20, 1), (256, 4096)])
-    def test_tree_work_below_twice_the_input(self, shape):
-        # level buffers sized to their level and |a| summed in the free work
+    def test_kernel_work_below_a_quarter_of_the_input(self, shape):
+        # two reused block buffers and a few per-slice vectors, whatever the length
         x = np.random.default_rng(5).random(shape)
-        tracemalloc.start()
-        try:
-            tree_sums(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * x.nbytes
+        for total in (fsums, column_sums):
+            tracemalloc.start()
+            try:
+                total(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < x.nbytes / 4, total
+
+
+class TestBlocksAndLimits:
+    """Tiny blocks cross block boundaries inside short slices; a low limit sends slices to fsum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 7]),
+        float_arrays(st.floats(width=64)) | float_arrays(dyadic) | power_of_two_from_below(),
+    )
+    def test_any_block_size(self, block, a):
+        with mock.patch.object(sums_mod, "_BLOCK", block):
+            check_all_axes(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1, 2, 7]), cancelling())
+    def test_any_block_size_with_cancellation(self, block, a):
+        with mock.patch.object(sums_mod, "_BLOCK", block):
+            assert_matches_fsum(a)
+            assert_matches_fsum(a.reshape(-1, 1))
+
+    @pytest.mark.parametrize("limit", [1, 5, 6])
+    def test_slices_over_the_length_limit_go_to_fsum(self, monkeypatch, limit):
+        a = np.random.default_rng(limit).random((6, 4)) * 10.0 ** np.arange(-3, 3)[:, None]
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v))
+        monkeypatch.setattr(sums_mod, "_MAX_N", limit)
+        for layout in (column_sums, row_sums):
+            got = layout(a)
+            assert got.tobytes() == np.array([fsum(c) for c in a.T.tolist()]).tobytes()
+        # four slices of six values, under each of the two layouts
+        assert len(calls) == (0 if limit >= 6 else 8)
 
 
 class TestCrossover:
@@ -251,14 +313,24 @@ class TestCrossover:
         rng = np.random.default_rng(size)
         values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
         unit = rng.dirichlet(np.ones(size))
-        tree_calls, tree = [], sums_mod._tree_sums
+        kernel_calls, kernel = [], sums_mod._extracted_sums
         monkeypatch.setattr(
-            sums_mod, "_tree_sums", lambda *args: tree_calls.append(args) or tree(*args)
+            sums_mod, "_extracted_sums", lambda *args: kernel_calls.append(args) or kernel(*args)
         )
         # the crossover counts all values: one long slice or many of length 1
         for a in (values, unit, values.reshape(-1, 1)):
             check_all_axes(a)
-        assert len(tree_calls) == (4 if size >= _CROSSOVER else 0)
+        assert len(kernel_calls) == (4 if size >= _CROSSOVER else 0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_memory_orders_views_and_three_axes(self, order):
+        # fsums sums along the caller's axis in whatever order the memory has
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((300, 40)) * 10.0 ** rng.integers(-8, 9, (300, 40))
+        a = np.array(values, order=order)
+        for x in (a, a[::2], a[:, ::3], a.T, a.reshape(30, 10, 40)):
+            assert x.size >= _CROSSOVER
+            check_all_axes(x)
 
 
 def test_math_fsum_called_only_in_the_kernel():
