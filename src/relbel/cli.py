@@ -114,7 +114,7 @@ def _csv_text(header: list[str], rows: list[list], precision: str) -> str:
 
 def _region_doc(report: evidence_mod.RegionReport) -> dict:
     return {
-        "members": sorted(report.member_indices),
+        "members": report.members.tolist(),
         "cutoff": None if report.cutoff == -math.inf else report.cutoff,
         "posterior_content": report.posterior_content,
         "prior_content": report.prior_content,
@@ -439,7 +439,7 @@ def _trace_rows(trace: limits_mod.LimitTrace) -> tuple[list[str], list[list]]:
     header = ["parameter", "discrepancy", "summary"]
     rows = []
     for p, a, d in zip(trace.parameter_values, trace.actions_or_regions, trace.discrepancies):
-        summary = f"{len(a)} cells" if isinstance(a, frozenset) else a
+        summary = f"{len(a)} cells" if isinstance(a, np.ndarray) else a
         rows.append([p, d, summary])
     return header, rows
 

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     ZeroPriorMassError,
 )
-from .evidence import RegionReport, _superlevel_region
+from .evidence import RegionReport, _descending_levels, _superlevel_region
 from .model import (
     FiniteModel,
     PsiMap,
@@ -124,9 +124,7 @@ def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRul
     if loss.kind != "map":
         decomp = tuple(zip(fsums(ratios, axis=1).tolist(), at_action.tolist()))
     return (
-        DecisionRule(
-            action_per_x=tuple(int(a) for a in actions), ties=tuple(bool(t) for t in ties)
-        ),
+        DecisionRule(action_per_x=tuple(actions.tolist()), ties=tuple(ties.tolist())),
         RiskReport(
             prior_risk=float(fsums(m * risks)),
             posterior_risk_per_x=risks,
@@ -201,7 +199,8 @@ def lpl_region(loss: Loss, posterior_masses, gamma: float, prior=None) -> Region
         raise ValidationError(f"posterior length {post.shape} != loss size {loss.n}")
     if not np.all(np.isfinite(post)):
         raise ValidationError("posterior masses must be finite")
-    return _superlevel_region(post * loss.values, post, gamma, prior)
+    ratios = post * loss.values
+    return _superlevel_region(ratios, _descending_levels(ratios, post), post, gamma, prior)
 
 
 def unbiasedness_gap(model: FiniteModel, psi: PsiMap, h, rule: DecisionRule) -> float:

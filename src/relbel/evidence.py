@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,8 +39,14 @@ class EvidenceTable:
 
     Values whose prior and posterior mass are both zero (truncation
     artifacts) are excluded; ``dropped_zero_prior`` counts them and
-    ``kept_indices``, a read-only int array, maps table rows to input
-    positions. ``labels`` are the input labels of the kept rows.
+    ``kept_indices`` maps table rows to input positions, so a region's
+    input positions are ``kept_indices[region.members]``. ``labels`` are
+    the input labels of the kept rows.
+
+    ``prior``, ``posterior``, ``rb`` and ``kept_indices`` are read-only
+    arrays. ``descending``, the table's ratio-descending order, is sorted
+    on first use and kept, read-only; it assumes those arrays do not change
+    after that.
     """
 
     labels: Sequence
@@ -52,9 +59,11 @@ class EvidenceTable:
     def __len__(self) -> int:
         return len(self.rb)
 
-    def original_indices(self, positions: Iterable[int]) -> frozenset:
-        """Map table positions to indices of the pre-drop input."""
-        return frozenset(self.kept_indices[np.fromiter(positions, dtype=np.intp)].tolist())
+    # cached_property writes the instance __dict__, which the frozen dataclass leaves open
+    @cached_property
+    def descending(self) -> tuple[np.ndarray, ...]:
+        """:func:`_descending_levels` of ``rb`` and ``posterior``: every rb cutoff reads it."""
+        return _descending_levels(self.rb, self.posterior)
 
 
 class Estimate(NamedTuple):
@@ -64,12 +73,20 @@ class Estimate(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class RegionReport:
-    """A set of table positions with its cutoff and probability contents."""
+    """A region of table positions with its cutoff and probability contents.
 
-    member_indices: frozenset
+    ``members`` is a sorted, read-only int array of table positions.
+    """
+
+    members: np.ndarray
     cutoff: float
     posterior_content: float
     prior_content: float | None = None
+
+    @property
+    def member_indices(self) -> frozenset:
+        """The members as a frozenset, built on each access."""
+        return frozenset(self.members.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +137,8 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
     prior = _unit(prior[keep], "prior")
     posterior = _unit(posterior[keep], "posterior")
     rb = posterior / prior
-    rb.setflags(write=False)
+    for a in (prior, posterior, rb):
+        a.setflags(write=False)
     return EvidenceTable(
         labels=kept_idx if labels is None else labels,
         prior=prior,
@@ -166,9 +184,10 @@ def rb_estimate(t: EvidenceTable) -> Estimate:
 
 
 def _region(members: np.ndarray, cutoff: float, posterior: np.ndarray, prior=None) -> RegionReport:
-    """The region of the given positions with its exact contents (prior's when given)."""
+    """The region of the given sorted positions with its exact contents (prior's when given)."""
+    members.setflags(write=False)
     return RegionReport(
-        member_indices=frozenset(members.tolist()),
+        members=members,
         cutoff=cutoff,
         posterior_content=float(fsums(posterior[members])),
         prior_content=None if prior is None else float(fsums(np.asarray(prior)[members])),
@@ -187,25 +206,32 @@ def _descending_levels(ratios: np.ndarray, posterior: np.ndarray) -> tuple[np.nd
     ratio-descending element order, the elements with ratio at least
     ``levels[i]`` are ``order[: ends[i] + 1]``, and ``content[i]`` is their
     float prefix sum (a recursive sum), so ratios that order the elements
-    alike give bitwise equal contents.
+    alike give bitwise equal contents. The content of nonnegative masses
+    is ascending. All four arrays are read-only.
     """
     order = np.argsort(-ratios, kind="stable")
     sorted_r = ratios[order]
     cum = np.cumsum(posterior[order])
     # != rather than np.diff, whose inf - inf would split a run of infinite ratios
     ends = np.append(np.flatnonzero(sorted_r[1:] != sorted_r[:-1]), len(sorted_r) - 1)
-    return sorted_r[ends], cum[ends], order, ends
+    out = sorted_r[ends], cum[ends], order, ends
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _superlevel_region(
-    ratios: np.ndarray, posterior: np.ndarray, gamma: float, prior=None
+    ratios: np.ndarray, descending: tuple, posterior: np.ndarray, gamma: float, prior=None
 ) -> RegionReport:
     """Members with ``ratio >= cutoff``, the largest level whose content reaches gamma.
 
-    ``sup-geq`` credible regions pass rb, lowest-posterior-loss regions
-    posterior times error weight: one computation under the ``rb`` loss.
+    ``descending`` is :func:`_descending_levels` of ``ratios`` and
+    ``posterior``, sorted by the caller: once per table for ``sup-geq``
+    credible regions, which pass rb, and once per call for lowest-posterior-
+    loss regions, which pass posterior times error weight. The two are one
+    computation under the ``rb`` loss. The members are a sorted index array.
     """
-    levels, content = _descending_levels(ratios, posterior)[:2]
+    levels, content = descending[:2]
     hit = np.flatnonzero(content >= gamma)
     # float shortfall at gamma=1 falls back to full support
     cutoff = float(levels[hit[0]] if len(hit) else levels[-1])
@@ -213,9 +239,8 @@ def _superlevel_region(
 
 
 def attainable_gammas(t: EvidenceTable) -> np.ndarray:
-    """Posterior contents exactly attainable by rb-cutoff regions, ascending."""
-    content = _descending_levels(t.rb, t.posterior)[1]
-    return np.sort(content)
+    """Posterior contents exactly attainable by rb-cutoff regions, ascending (read-only)."""
+    return t.descending[1]
 
 
 def _quantile_cutoff(t: EvidenceTable, gamma: float) -> float:
@@ -240,7 +265,7 @@ def _quantile_cutoff(t: EvidenceTable, gamma: float) -> float:
     prefix, which has the bits of the masked total because ``fsums`` does
     not depend on order.
     """
-    levels, content, order, ends = _descending_levels(t.rb, t.posterior)
+    levels, content, order, ends = t.descending
 
     def too_much(i: int) -> bool:
         k = int(ends[i - 1]) + 1
@@ -274,7 +299,7 @@ def credible_region(t: EvidenceTable, gamma: float, convention: str = "sup-geq")
     if not (0.0 <= gamma <= 1.0 or 1.0 < gamma <= float(fsums(t.posterior))):
         raise BadGammaError(f"gamma must be in [0, 1], got {gamma}")
     if convention == "sup-geq":
-        return _superlevel_region(t.rb, t.posterior, gamma, t.prior)
+        return _superlevel_region(t.rb, t.descending, t.posterior, gamma, t.prior)
     if convention == "quantile-gt":
         if gamma >= 1.0:
             # cells without posterior mass (rb = 0) stay out, as from the plausible region

@@ -213,9 +213,8 @@ def map_limit_contrast(
 
 def _region_mask(t: EvidenceTable, gamma: float, n_cells: int) -> np.ndarray:
     """Mask over all grid cells of the sup-geq credible region of ``t``."""
-    members = np.fromiter(credible_region(t, gamma, "sup-geq").member_indices, dtype=np.intp)
     mask = np.zeros(n_cells, dtype=bool)
-    mask[t.kept_indices[members]] = True
+    mask[t.kept_indices[credible_region(t, gamma, "sup-geq").members]] = True
     return mask
 
 
@@ -231,6 +230,7 @@ def region_limit(
     The reference region lives on a ``refine_factor`` times finer grid than
     the finest ladder step; discrepancy is the reference-posterior mass of
     the symmetric difference after expanding ladder cells to reference
+    cells. Each region, the target's included, is a sorted array of grid
     cells. A reference grid of more than ``CELL_CAP`` cells raises
     :class:`TooManyCellsError` before any discretization.
     """
@@ -248,25 +248,28 @@ def region_limit(
         cells = _region_mask(_grid_table(prior_density, likelihood_at_x, grid), gamma, grid.n_cells)
         mask = np.repeat(cells, ref_grid.n_cells // grid.n_cells)
         discrepancies.append(float(fsums(ref_post[mask ^ ref_mask])))
-        regions.append(frozenset(np.flatnonzero(cells).tolist()))
+        regions.append(np.flatnonzero(cells))
     return LimitTrace(
         parameter_values=tuple(grid.cell_width for grid in grids),
         actions_or_regions=tuple(regions),
-        target=frozenset(np.flatnonzero(ref_mask).tolist()),
+        target=np.flatnonzero(ref_mask),
         discrepancies=tuple(discrepancies),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class SandwichReport:
-    """Lowest-posterior-loss regions squeezed between credible regions."""
+    """Lowest-posterior-loss regions squeezed between credible regions.
+
+    Each region is a sorted array of table positions.
+    """
 
     gamma_requested: float
     gamma_used: float
     gamma_next: float | None
     eta_values: tuple
-    lower_region: frozenset
-    upper_region: frozenset
+    lower_region: np.ndarray
+    upper_region: np.ndarray
     d_regions: tuple
     lower_holds: tuple
     upper_holds: tuple
@@ -301,11 +304,11 @@ def lpl_sandwich(prior, posterior_masses, gamma: float, eta_ladder=None) -> Sand
     above = levels[levels > gamma_used]
     gamma_next = float(above[0]) if len(above) else None
 
-    lower = credible_region(t, gamma_used, "sup-geq").member_indices
+    lower = credible_region(t, gamma_used, "sup-geq").members
     if gamma_next is None:
-        upper = frozenset(range(len(t)))
+        upper = np.arange(len(t))
     else:
-        upper = credible_region(t, gamma_next, "sup-geq").member_indices
+        upper = credible_region(t, gamma_next, "sup-geq").members
 
     if eta_ladder is None:
         eta_ladder = default_eta_ladder(t.prior)
@@ -313,10 +316,10 @@ def lpl_sandwich(prior, posterior_masses, gamma: float, eta_ladder=None) -> Sand
     d_regions, lower_holds, upper_holds = [], [], []
     for eta in eta_ladder:
         loss = make_loss("rb-eta", t.prior, eta=eta)
-        d = lpl_region(loss, t.posterior, gamma_used, prior=t.prior).member_indices
+        d = lpl_region(loss, t.posterior, gamma_used, prior=t.prior).members
         d_regions.append(d)
-        lower_holds.append(lower <= d)
-        upper_holds.append(d <= upper)
+        lower_holds.append(bool(np.isin(lower, d, assume_unique=True).all()))
+        upper_holds.append(bool(np.isin(d, upper, assume_unique=True).all()))
     return SandwichReport(
         gamma_requested=gamma,
         gamma_used=gamma_used,

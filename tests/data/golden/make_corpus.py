@@ -1,0 +1,169 @@
+"""Write the golden-output corpus: input files, ``cases.json`` and one expected stdout per case.
+
+Run from the repository root with the library on the path::
+
+    PYTHONPATH=src python tests/data/golden/make_corpus.py
+
+Every case is one CLI invocation whose file arguments are relative to this
+directory. Its stdout is written to ``out/<name>.txt``; its exit code and
+stderr go into ``cases.json``. ``tests/test_golden.py`` replays the cases
+and compares bytes, so run this script only together with a deliberate
+output change (the rule is stated in that test's docstring).
+
+The inputs are built from integer weights over a power of ten, so each
+mass is a short decimal and every row sums to 1 within a few ulps. The
+``evidence`` gammas are each table's plausible-region content and its two
+float neighbours, where the two credible-region conventions part.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+from pathlib import Path
+
+import numpy as np
+from click.testing import CliRunner
+
+from relbel.cli import main as relbel_main
+from relbel.evidence import plausible_region, table_from_model
+from relbel.model import model_from_json
+
+HERE = Path(__file__).resolve().parent
+
+
+def _unit_decimals(weights, digits: int = 6) -> list[float]:
+    """Weights as multiples of 10**-digits summing to exactly 10**digits of them."""
+    w = np.asarray(weights, dtype=float)
+    scale = 10**digits
+    k = np.floor(w / w.sum() * scale).astype(np.int64)
+    k[np.argsort(-(w / w.sum() * scale - k), kind="stable")[: scale - int(k.sum())]] += 1
+    return [int(v) / scale for v in k]
+
+
+def _models() -> dict[str, tuple[dict, int, int]]:
+    """Model documents with the outcome index and psi0 each is run at."""
+    rng = np.random.default_rng(12)
+    large = {
+        "theta": [f"t{i}" for i in range(40)],
+        "x": [f"x{j}" for j in range(300)],
+        "likelihood": [_unit_decimals(rng.integers(1, 1000, size=300)) for _ in range(40)],
+        "prior": _unit_decimals(rng.integers(1, 1000, size=40)),
+    }
+    return {
+        # theta t1 has no prior mass and drops out of the table
+        "zero_prior": (
+            {
+                "theta": ["t0", "t1", "t2", "t3", "t4"],
+                "x": ["x0", "x1", "x2"],
+                "likelihood": [
+                    [0.2, 0.5, 0.3],
+                    [0.6, 0.2, 0.2],
+                    [0.1, 0.1, 0.8],
+                    [0.45, 0.35, 0.2],
+                    [0.3, 0.3, 0.4],
+                ],
+                "prior": [0.3, 0.0, 0.25, 0.25, 0.2],
+            },
+            2,
+            3,
+        ),
+        "psi_map": (
+            {
+                "theta": ["a0", "a1", "b0", "b1", "c0", "c1"],
+                "x": ["lo", "mid", "hi"],
+                "likelihood": [
+                    [0.7, 0.2, 0.1],
+                    [0.5, 0.3, 0.2],
+                    [0.2, 0.6, 0.2],
+                    [0.3, 0.4, 0.3],
+                    [0.1, 0.3, 0.6],
+                    [0.05, 0.15, 0.8],
+                ],
+                "prior": [0.1, 0.2, 0.25, 0.15, 0.2, 0.1],
+                "psi": {"labels": ["a", "b", "c"], "assignment": [0, 0, 1, 1, 2, 2]},
+            },
+            1,
+            0,
+        ),
+        # two pairs of equal likelihood rows under a uniform prior tie their ratios
+        "tied": (
+            {
+                "theta": ["t0", "t1", "t2", "t3", "t4"],
+                "x": ["x0", "x1"],
+                "likelihood": [[0.6, 0.4], [0.6, 0.4], [0.3, 0.7], [0.3, 0.7], [0.1, 0.9]],
+                "prior": [0.2, 0.2, 0.2, 0.2, 0.2],
+            },
+            0,
+            2,
+        ),
+        "large": (large, 137, 5),
+    }
+
+
+def _cases() -> list[dict]:
+    cases = []
+    for name, (doc, x, psi0) in _models().items():
+        path = f"{name}.json"
+        (HERE / path).write_text(json.dumps(doc) + "\n")
+        model, psi = model_from_json(doc)
+        content = plausible_region(table_from_model(model, x, psi)).posterior_content
+        gammas = {
+            "below": math.nextafter(content, -math.inf),
+            "at": content,
+            "above": math.nextafter(content, math.inf),
+        }
+        for where, gamma in gammas.items():
+            for convention in ("sup-geq", "quantile-gt"):
+                cases.append({
+                    "name": f"evidence-{name}-{convention}-{where}",
+                    "args": ["evidence", "--model", path, "--x", str(x), "--gamma", repr(gamma),
+                             "--convention", convention, "--psi0", str(psi0)],
+                })
+    cases.append({
+        "name": "evidence-tied-gamma-above-one",
+        "args": ["evidence", "--model", "tied.json", "--x", "0", "--gamma", "1.5"],
+    })
+
+    # two cells without mass drop out; both inclusions fail at the largest caps
+    prior = _unit_decimals([27, 32, 1, 0, 19, 21, 25, 12, 0, 3, 11, 15], 4)
+    post = _unit_decimals([23, 16, 6, 0, 1, 2, 6, 39, 0, 26, 30, 10], 4)
+    table = {"table": {"prior": prior, "posterior": post}, "gamma": 0.7}
+    (HERE / "sandwich_table.json").write_text(json.dumps(table, indent=2) + "\n")
+    cases.append({
+        "name": "limits-sandwich-table",
+        "args": ["limits", "sandwich", "--config", "sandwich_table.json", "--precision", "full"],
+    })
+
+    region = {
+        "prior": {"family": "lognormal", "mu": 0.1, "sigma2": 0.3},
+        "likelihood": {"kind": "normal-location-log", "x": 0.6, "sigma2": 0.5},
+        "grid": {"lo": 0.0, "hi": 5.0, "n_cells": 64},
+        "steps": 3,
+        "gamma": 0.9,
+        "refine_factor": 16,
+    }
+    (HERE / "region_lognormal.json").write_text(json.dumps(region, indent=2) + "\n")
+    cases.append({
+        "name": "limits-region-lognormal",
+        "args": ["limits", "region", "--config", "region_lognormal.json", "--precision", "full"],
+    })
+    return cases
+
+
+def main() -> None:
+    os.chdir(HERE)
+    (HERE / "out").mkdir(exist_ok=True)
+    cases = _cases()
+    runner = CliRunner()
+    for case in cases:
+        res = runner.invoke(relbel_main, case["args"])
+        case["exit"] = res.exit_code
+        case["stderr"] = res.stderr
+        (HERE / "out" / f"{case['name']}.txt").write_bytes(res.stdout_bytes)
+    (HERE / "cases.json").write_text(json.dumps(cases, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -197,6 +197,16 @@ class TestBayesRule:
         with pytest.raises(RuleSpaceTooLargeError):
             all_rules(10, 7)
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_rule_holds_python_ints_and_bools(self, kind):
+        # theta 0 and 1 tie at outcome 0 only
+        lik = np.array([[0.3, 0.5, 0.2], [0.3, 0.2, 0.5]])
+        model = validate(FiniteModel(("t0", "t1"), ("x0", "x1", "x2"), lik, np.array([0.5, 0.5])))
+        rule, _ = bayes_rule(model, identity_psi(model), make_loss(kind, model.prior, eta=0.25))
+        assert rule.action_per_x == (0, 0, 1) and rule.ties == (True, False, False)
+        assert {type(a) for a in rule.action_per_x} == {int}
+        assert {type(t) for t in rule.ties} == {bool}
+
 
 def dense_loss(loss):
     """The ``[true, action]`` loss matrix: weight of the true value off the diagonal."""

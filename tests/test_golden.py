@@ -1,0 +1,29 @@
+"""Golden-output corpus: each pinned CLI invocation prints exactly its committed bytes.
+
+The cases, their inputs and their expected outputs live in
+``tests/data/golden/`` and come from ``tests/data/golden/make_corpus.py``.
+
+Rule: the expected files are regenerated only by a change that declares a
+deliberate output change, and its ``CHANGES.md`` entry names the files
+that moved. A refactor or speed-up leaves every file as it is.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from relbel.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_output_matches_golden_bytes(case, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    res = CliRunner().invoke(main, case["args"])
+    assert res.exit_code == case["exit"], res.output
+    assert res.stderr == case["stderr"]
+    assert res.stdout_bytes == (GOLDEN / "out" / f"{case['name']}.txt").read_bytes()

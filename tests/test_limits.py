@@ -310,7 +310,7 @@ class TestSandwich:
 
     def test_gamma_one_both_sides_full(self):
         rep = lpl_sandwich([0.5, 0.5], [0.2, 0.8], 1.0)
-        assert rep.lower_region == rep.upper_region == {0, 1}
+        assert rep.lower_region.tolist() == rep.upper_region.tolist() == [0, 1]
         assert all(rep.lower_holds) and all(rep.upper_holds)
 
     def test_invalid_gamma_rejected(self):
@@ -332,7 +332,7 @@ class TestSandwich:
             # once the cap is below every cell's prior mass the capped loss
             # reduces to the plain reciprocal-prior loss, so the lowest-loss
             # region equals the lower credible region exactly
-            assert rep.d_regions[-1] == rep.lower_region
+            assert np.array_equal(rep.d_regions[-1], rep.lower_region)
         gaps = [rep.gamma_used - 0.9 for _, rep in reports]
         assert gaps[-1] <= gaps[0]
 
