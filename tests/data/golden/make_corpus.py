@@ -13,7 +13,9 @@ output change (the rule is stated in that test's docstring).
 The inputs are built from integer weights over a power of ten, so each
 mass is a short decimal and every row sums to 1 within a few ulps. The
 ``evidence`` gammas are each table's plausible-region content and its two
-float neighbours, where the two credible-region conventions part.
+float neighbours, where the two credible-region conventions part. Each
+model also runs ``model`` (with and without ``--x``) and ``decide`` under
+all three losses; ``classify known|predict`` run at the README settings.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ def _unit_decimals(weights, digits: int = 6) -> list[float]:
     return [int(v) / scale for v in k]
 
 
-def _models() -> dict[str, tuple[dict, int, int]]:
-    """Model documents with the outcome index and psi0 each is run at."""
+def _models() -> dict[str, tuple[dict, int, int, float]]:
+    """Model documents with the outcome index, psi0 and rb-eta cap each is run at."""
     rng = np.random.default_rng(12)
     large = {
         "theta": [f"t{i}" for i in range(40)],
@@ -68,6 +70,7 @@ def _models() -> dict[str, tuple[dict, int, int]]:
             },
             2,
             3,
+            0.26,
         ),
         "psi_map": (
             {
@@ -86,6 +89,7 @@ def _models() -> dict[str, tuple[dict, int, int]]:
             },
             1,
             0,
+            0.35,
         ),
         # two pairs of equal likelihood rows under a uniform prior tie their ratios
         "tied": (
@@ -97,16 +101,24 @@ def _models() -> dict[str, tuple[dict, int, int]]:
             },
             0,
             2,
+            0.3,
         ),
-        "large": (large, 137, 5),
+        "large": (large, 137, 5, 0.025),
     }
 
 
 def _cases() -> list[dict]:
     cases = []
-    for name, (doc, x, psi0) in _models().items():
+    for name, (doc, x, psi0, eta) in _models().items():
         path = f"{name}.json"
         (HERE / path).write_text(json.dumps(doc) + "\n")
+        cases.append({"name": f"model-{name}", "args": ["model", "--model", path]})
+        cases.append({"name": f"model-{name}-x", "args": ["model", "--model", path, "--x", str(x)]})
+        for loss in ("rb", "map"):
+            cases.append({"name": f"decide-{name}-{loss}",
+                          "args": ["decide", "--model", path, "--loss", loss]})
+        cases.append({"name": f"decide-{name}-rb-eta",
+                      "args": ["decide", "--model", path, "--loss", "rb-eta", "--eta", repr(eta)]})
         model, psi = model_from_json(doc)
         content = plausible_region(table_from_model(model, x, psi)).posterior_content
         gammas = {
@@ -126,6 +138,22 @@ def _cases() -> list[dict]:
         "args": ["evidence", "--model", "tied.json", "--x", "0", "--gamma", "1.5"],
     })
 
+    cases.append({
+        "name": "classify-known",
+        "args": ["classify", "known", "--psi0", "0.05", "--psi1", "0.8", "--epsilon", "0.01"],
+    })
+    cases.append({
+        "name": "classify-predict",
+        "args": ["classify", "predict", "--alpha", "1", "--beta", "100", "--n", "10",
+                 "--c-bar", "0.0", "--f0", "0.1", "--f1", "0.3"],
+    })
+    eta = {"model": _models()["psi_map"][0], "x": 1, "eta_steps": 8}
+    (HERE / "eta_psi_map.json").write_text(json.dumps(eta, indent=2) + "\n")
+    cases.append({
+        "name": "limits-eta-psi_map",
+        "args": ["limits", "eta", "--config", "eta_psi_map.json", "--precision", "full"],
+    })
+
     # two cells without mass drop out; both inclusions fail at the largest caps
     prior = _unit_decimals([27, 32, 1, 0, 19, 21, 25, 12, 0, 3, 11, 15], 4)
     post = _unit_decimals([23, 16, 6, 0, 1, 2, 6, 39, 0, 26, 30, 10], 4)
@@ -134,6 +162,10 @@ def _cases() -> list[dict]:
     cases.append({
         "name": "limits-sandwich-table",
         "args": ["limits", "sandwich", "--config", "sandwich_table.json", "--precision", "full"],
+    })
+    cases.append({
+        "name": "limits-eta-table",
+        "args": ["limits", "eta", "--config", "sandwich_table.json", "--precision", "full"],
     })
 
     region = {
