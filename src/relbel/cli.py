@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 invalid input, 3 numerical guard tripped. All
 randomness flows from an explicit ``--seed``; identical inputs and seed
 give byte-identical output.
+
+Each command imports the library layers it runs inside its own body, so a
+process loads only those: ``classify known`` never imports ``evidence``,
+and ``--version`` imports no layer at all.
 """
 
 from __future__ import annotations
@@ -18,21 +22,7 @@ import click
 import numpy as np
 
 from . import __version__
-from . import classify as classify_mod
-from . import decision as decision_mod
-from . import evidence as evidence_mod
-from . import grids as grids_mod
-from . import limits as limits_mod
-from . import regress as regress_mod
 from .errors import NumericalGuardError, ValidationError
-from .model import (
-    identity_psi,
-    marginalize,
-    model_from_json,
-    posterior,
-    prior_predictive,
-    psi_marginal,
-)
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -112,7 +102,7 @@ def _csv_text(header: list[str], rows: list[list], precision: str) -> str:
     return buf.getvalue()
 
 
-def _region_doc(report: evidence_mod.RegionReport) -> dict:
+def _region_doc(report) -> dict:
     return {
         "members": report.members.tolist(),
         "cutoff": None if report.cutoff == -math.inf else report.cutoff,
@@ -135,6 +125,8 @@ def model_cmd(model_path, x_index, output):
     """Validate a model file; report predictives and posteriors."""
 
     def body():
+        from .model import marginalize, model_from_json, posterior, prior_predictive
+
         model, psi = model_from_json(Path(model_path))
         doc = {
             "valid": True,
@@ -174,9 +166,12 @@ def evidence_cmd(model_path, x_index, gamma, convention, psi0, output):
     """Evidence table and inferences for one observed outcome."""
 
     def body():
+        from . import evidence
+        from .model import model_from_json
+
         model, psi = model_from_json(Path(model_path))
-        t = evidence_mod.table_from_model(model, x_index, psi)
-        est = evidence_mod.rb_estimate(t)
+        t = evidence.table_from_model(model, x_index, psi)
+        est = evidence.rb_estimate(t)
         doc = {
             "labels": list(t.labels),
             "rb": t.rb.tolist(),
@@ -185,15 +180,15 @@ def evidence_cmd(model_path, x_index, gamma, convention, psi0, output):
             "estimate": est.index,
             "tie": est.tie,
             "dropped_zero_prior": t.dropped_zero_prior,
-            "plausible": _region_doc(evidence_mod.plausible_region(t)),
+            "plausible": _region_doc(evidence.plausible_region(t)),
             "credible": {
                 "gamma": gamma,
                 "convention": convention,
-                **_region_doc(evidence_mod.credible_region(t, gamma, convention)),
+                **_region_doc(evidence.credible_region(t, gamma, convention)),
             },
         }
         if psi0 is not None:
-            rep = evidence_mod.assess_hypothesis(t, psi0)
+            rep = evidence.assess_hypothesis(t, psi0)
             doc["strength"] = rep.strength
             doc["hypothesis"] = {
                 "psi0": psi0,
@@ -221,13 +216,16 @@ def decide_cmd(model_path, loss, eta, output):
     """Bayes rule, risks and evidence decomposition for a model."""
 
     def body():
+        from . import decision
+        from .model import identity_psi, model_from_json, psi_marginal
+
         model, psi = model_from_json(Path(model_path))
         if psi is None:
             psi = identity_psi(model)
         prior = psi_marginal(model.prior, psi)
-        loss_spec = decision_mod.make_loss(loss, prior, eta=eta)
-        rule, report = decision_mod.bayes_rule(model, psi, loss_spec)
-        direct = decision_mod.prior_risk(model, psi, loss_spec, rule)
+        loss_spec = decision.make_loss(loss, prior, eta=eta)
+        rule, report = decision.bayes_rule(model, psi, loss_spec)
+        direct = decision.prior_risk(model, psi, loss_spec, rule)
         doc = {
             "loss": loss,
             "eta": eta,
@@ -263,14 +261,16 @@ def classify_table1(alpha, betas, mu, n, reps, seed, precision, output):
     """Monte Carlo misclassification table for both predictive classifiers."""
 
     def body():
+        from . import classify
+
         try:
             beta_values = [float(b) for b in betas.split(",") if b.strip()]
         except ValueError as exc:
             raise ValidationError(f"cannot parse --betas {betas!r}: {exc}") from exc
         if not beta_values:
             raise ValidationError("--betas must list at least one value")
-        rows = classify_mod.risk_table(alpha, beta_values, mu, n, reps, seed)
-        header = classify_mod.RiskTableRow.csv_header().split(",")
+        rows = classify.risk_table(alpha, beta_values, mu, n, reps, seed)
+        header = classify.RiskTableRow.csv_header().split(",")
         table = [
             [r.beta, r.map_err0, r.map_err1, r.map_sum, r.rb_err0, r.rb_err1, r.rb_sum, r.reps, r.seed]
             for r in rows
@@ -292,10 +292,12 @@ def classify_predict(alpha, beta, n, c_bar, f0, f1, output):
     """Posterior-predictive and relative-belief labels for one new item."""
 
     def body():
-        spec = classify_mod.PredictiveSpec(
+        from . import classify
+
+        spec = classify.PredictiveSpec(
             alpha=alpha, beta=beta, n=n, c_bar=c_bar, f0_at_x=f0, f1_at_x=f1
         )
-        res = classify_mod.predictive_classify(spec)
+        res = classify.predictive_classify(spec)
         _emit(
             _json_text(
                 {
@@ -320,15 +322,17 @@ def classify_known(psi0, psi1, epsilon, output):
     """Threshold labels and exact error sums under a known proportion."""
 
     def body():
-        spec = classify_mod.TwoClassSpec(psi0=psi0, psi1=psi1, epsilon=epsilon)
-        map_r = classify_mod.map_rule(spec)
-        rb_r = classify_mod.rb_rule(spec)
+        from . import classify
+
+        spec = classify.TwoClassSpec(psi0=psi0, psi1=psi1, epsilon=epsilon)
+        map_r = classify.map_rule(spec)
+        rb_r = classify.rb_rule(spec)
         doc = {
             "map_rule": {"x0": map_r[0], "x1": map_r[1]},
             "rb_rule": {"x0": rb_r[0], "x1": rb_r[1]},
         }
         for name, rule in (("map", map_r), ("rb", rb_r)):
-            e0, e1, tot = classify_mod.error_sum(spec, rule)
+            e0, e1, tot = classify.error_sum(spec, rule)
             doc[f"{name}_errors"] = {"err0": e0, "err1": e1, "sum": tot}
         _emit(_json_text(doc), output)
 
@@ -358,16 +362,18 @@ def regress_cmd(design, response, sigma2, tau2, w_path, grid_check, output):
     """Closed-form functional inference for conjugate Gaussian regression."""
 
     def body():
+        from . import grids, regress
+
         X = _load_csv_matrix(design)
         y = _load_csv_matrix(response).ravel()
         w = _load_csv_matrix(w_path).ravel()
-        spec = regress_mod.RegressionSpec(design=X, response=y, sigma2=sigma2, tau2=tau2)
-        rep = regress_mod.functional_inference(spec, w)
-        doc = regress_mod.functional_report_to_dict(rep)
+        spec = regress.RegressionSpec(design=X, response=y, sigma2=sigma2, tau2=tau2)
+        rep = regress.functional_inference(spec, w)
+        doc = regress.functional_report_to_dict(rep)
         if grid_check is not None:
             sd = math.sqrt(rep.sigma2_psi)
-            grid = grids_mod.build_grid(-8.0 * sd, 8.0 * sd, grid_check)
-            check = regress_mod.rb_grid_check(spec, w, grid)
+            grid = grids.build_grid(-8.0 * sd, 8.0 * sd, grid_check)
+            check = regress.rb_grid_check(spec, w, grid)
             doc["grid_check"] = {
                 "closed_form": check.closed_form,
                 "grid_argmax": check.grid_argmax,
@@ -379,28 +385,34 @@ def regress_cmd(design, response, sigma2, tau2, w_path, grid_check, output):
     _run(body)
 
 
-def _density_from_config(doc) -> grids_mod.DensityFamily:
+def _density_from_config(doc):
+    from . import grids
+
     doc = _object(doc, "density config")
     name = _require(doc, "family", "density config")
     params = {k: _number(v, f"density field {k!r}") for k, v in doc.items() if k != "family"}
-    return grids_mod.family(name, **params)
+    return grids.family(name, **params)
 
 
 def _likelihood_from_config(doc):
+    from . import limits
+
     doc = _object(doc, "likelihood config")
     kind = doc.get("kind", "normal-location")
     x = _number(_require(doc, "x", "likelihood config"), "likelihood config field 'x'")
     sigma2 = _number(doc.get("sigma2", 1.0), "likelihood config field 'sigma2'")
     if kind == "normal-location":
-        return limits_mod.gaussian_location_likelihood(x, sigma2)
+        return limits.gaussian_location_likelihood(x, sigma2)
     if kind == "normal-location-log":
-        return limits_mod.gaussian_log_location_likelihood(x, sigma2)
+        return limits.gaussian_log_location_likelihood(x, sigma2)
     raise ValidationError(f"unknown likelihood kind {kind!r:.40}")
 
 
-def _grid_from_config(doc) -> grids_mod.Grid1D:
+def _grid_from_config(doc):
+    from . import grids
+
     doc = _object(doc, "grid config")
-    return grids_mod.build_grid(
+    return grids.build_grid(
         _number(_require(doc, "lo", "grid config"), "grid config field 'lo'"),
         _number(_require(doc, "hi", "grid config"), "grid config field 'hi'"),
         _count(_require(doc, "n_cells", "grid config"), "grid config field 'n_cells'"),
@@ -409,9 +421,11 @@ def _grid_from_config(doc) -> grids_mod.Grid1D:
 
 def _ladder_from_config(doc: dict):
     """Prior density, likelihood and grid ladder of a gridded experiment."""
+    from . import limits
+
     fam = _density_from_config(_require(doc, "prior", "config"))
     lik = _likelihood_from_config(_require(doc, "likelihood", "config"))
-    grids_list = limits_mod.grid_ladder(
+    grids_list = limits.grid_ladder(
         _grid_from_config(_require(doc, "grid", "config")),
         _count(doc.get("steps", 4), "config field 'steps'"),
         _count(doc.get("factor", 2), "config field 'factor'"),
@@ -435,7 +449,7 @@ def _table_from_config(doc: dict) -> tuple[list, list]:
     return masses[0], masses[1]
 
 
-def _trace_rows(trace: limits_mod.LimitTrace) -> tuple[list[str], list[list]]:
+def _trace_rows(trace) -> tuple[list[str], list[list]]:
     header = ["parameter", "discrepancy", "summary"]
     rows = []
     for p, a, d in zip(trace.parameter_values, trace.actions_or_regions, trace.discrepancies):
@@ -453,19 +467,22 @@ def limits_cmd(experiment, config, precision, output):
     """Run one limit experiment described by a JSON config; emit a CSV trace."""
 
     def body():
+        from . import evidence, limits
+        from .model import model_from_json
+
         doc = _object(json.loads(Path(config).read_text()), "limits config")
         if experiment in ("region", "sandwich"):
             gamma = _number(_require(doc, "gamma", f"{experiment} config"), "config field 'gamma'")
         if experiment == "eta":
             if "table" in doc:
-                t = evidence_mod.rb_table(*_table_from_config(doc))
+                t = evidence.rb_table(*_table_from_config(doc))
             else:
                 block = _require(doc, "model", "eta config")
                 model, psi = model_from_json(_object(block, "eta config field 'model'"))
                 x = _count(_require(doc, "x", "eta config"), "eta config field 'x'")
-                t = evidence_mod.table_from_model(model, x, psi)
-            ladder = limits_mod.default_eta_ladder(t.prior, _eta_steps(doc))
-            trace = limits_mod.eta_limit(t, eta_ladder=ladder)
+                t = evidence.table_from_model(model, x, psi)
+            ladder = limits.default_eta_ladder(t.prior, _eta_steps(doc))
+            trace = limits.eta_limit(t, eta_ladder=ladder)
             header, rows = _trace_rows(trace)
         elif experiment in ("lambda", "map", "region"):
             pdf, lik, grids_list = _ladder_from_config(doc)
@@ -473,11 +490,11 @@ def limits_cmd(experiment, config, precision, output):
             if target is not None:
                 target = _number(target, "config field 'target'")
             if experiment == "lambda":
-                trace = limits_mod.lambda_limit(pdf, lik, grids_list, target=target)
+                trace = limits.lambda_limit(pdf, lik, grids_list, target=target)
             elif experiment == "map":
-                trace = limits_mod.map_limit_contrast(pdf, lik, grids_list, target=target)
+                trace = limits.map_limit_contrast(pdf, lik, grids_list, target=target)
             else:
-                trace = limits_mod.region_limit(
+                trace = limits.region_limit(
                     pdf, lik, gamma, grids_list,
                     _count(doc.get("refine_factor", 16), "config field 'refine_factor'"),
                 )
@@ -486,10 +503,10 @@ def limits_cmd(experiment, config, precision, output):
             header = ["parameter", "eta", "gamma_used", "gamma_next", "lower_holds", "upper_holds"]
             rows = []
             if "table" in doc:
-                reports = [(0.0, limits_mod.lpl_sandwich(*_table_from_config(doc), gamma))]
+                reports = [(0.0, limits.lpl_sandwich(*_table_from_config(doc), gamma))]
             else:
                 pdf, lik, grids_list = _ladder_from_config(doc)
-                reports = limits_mod.sandwich_double_limit(
+                reports = limits.sandwich_double_limit(
                     pdf, lik, gamma, grids_list, _eta_steps(doc)
                 )
             for width, rep in reports:

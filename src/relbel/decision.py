@@ -28,6 +28,7 @@ from .errors import (
     BadEtaError,
     BadGammaError,
     IndexOutOfRangeError,
+    LossWeightOverflowError,
     RiskCrossCheckError,
     RuleSpaceTooLargeError,
     ValidationError,
@@ -76,7 +77,12 @@ class RiskReport:
 
 
 def make_loss(kind: str, prior, eta: float | None = None) -> Loss:
-    """Build a loss's error weights from the prior masses over the quantity of interest."""
+    """Build a loss's error weights from the prior masses over the quantity of interest.
+
+    Raises:
+        LossWeightOverflowError: a reciprocal weight is past the float range,
+            as for a prior mass (or ``eta``) under about 5.6e-309, 1 / DBL_MAX.
+    """
     if kind not in LOSS_KINDS:
         raise ValidationError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
     prior = np.asarray(prior, dtype=float)
@@ -86,14 +92,25 @@ def make_loss(kind: str, prior, eta: float | None = None) -> Loss:
         raise ValidationError("prior masses must be finite")
     if kind == "map":
         weights = np.ones(len(prior))
-    elif kind == "rb":
-        if np.any(prior <= 0.0):
-            raise ZeroPriorMassError("reciprocal-prior loss needs all prior masses > 0")
-        weights = 1.0 / prior
     else:
-        if eta is None or not (math.isfinite(eta) and eta > 0.0):
-            raise BadEtaError(f"eta must be finite and > 0, got {eta}")
-        weights = 1.0 / np.maximum(eta, prior)
+        if kind == "rb":
+            if np.any(prior <= 0.0):
+                raise ZeroPriorMassError("reciprocal-prior loss needs all prior masses > 0")
+            denom = prior
+        else:
+            if eta is None or not (math.isfinite(eta) and eta > 0.0):
+                raise BadEtaError(f"eta must be finite and > 0, got {eta}")
+            denom = np.maximum(eta, prior)
+        # a denominator under about 1 / DBL_MAX gives inf, and bayes_rule
+        # would then take a 0 * inf = NaN product for the action
+        with np.errstate(over="ignore"):
+            weights = 1.0 / denom
+        overflow = np.flatnonzero(~np.isfinite(weights))
+        if overflow.size:
+            i = int(overflow[0])
+            raise LossWeightOverflowError(
+                f"{kind} loss weight 1/{float(denom[i])!r} at psi index {i} overflows the float range"
+            )
     weights.setflags(write=False)
     return Loss(kind=kind, values=weights, eta=eta)
 

@@ -136,3 +136,7 @@ class RiskCrossCheckError(NumericalGuardError):
 
 class DensityOverflowError(NumericalGuardError):
     """A density evaluation overflowed the float range on the grid."""
+
+
+class LossWeightOverflowError(NumericalGuardError):
+    """A loss's error weight, the reciprocal of a prior mass, exceeds the float range."""

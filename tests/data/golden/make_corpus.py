@@ -138,6 +138,22 @@ def _cases() -> list[dict]:
         "args": ["evidence", "--model", "tied.json", "--x", "0", "--gamma", "1.5"],
     })
 
+    # a subnormal prior mass, or eta, whose reciprocal error weight overflows: exit 3
+    subnormal = {
+        "theta": ["t0", "t1", "t2"],
+        "x": ["x0", "x1"],
+        "likelihood": [[0.5, 0.5], [0.2, 0.8], [0.0, 1.0]],
+        "prior": [0.5, 0.5, 5e-324],
+    }
+    (HERE / "subnormal_prior.json").write_text(json.dumps(subnormal) + "\n")
+    cases.append({
+        "name": "decide-subnormal_prior-rb",
+        "args": ["decide", "--model", "subnormal_prior.json", "--loss", "rb"],
+    })
+    cases.append({
+        "name": "decide-zero_prior-rb-eta-subnormal",
+        "args": ["decide", "--model", "zero_prior.json", "--loss", "rb-eta", "--eta", "5e-324"],
+    })
     cases.append({
         "name": "classify-known",
         "args": ["classify", "known", "--psi0", "0.05", "--psi1", "0.8", "--epsilon", "0.01"],

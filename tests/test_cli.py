@@ -153,6 +153,17 @@ class TestDecideCommand:
             assert res.exit_code == 3, res.output
             assert res.output.startswith("error: risk cross-check failed")
 
+    def test_overflowing_loss_weight_exits_3_with_one_line(self, tmp_path):
+        # a fresh process, since numpy's RuntimeWarnings are once per location
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({**MODEL_DOC, "prior": [1.0, 5e-324]}))
+        for extra in (["rb"], ["rb-eta", "--eta", "5e-324"]):
+            out = fresh_python("-m", "relbel.cli", "decide", "--model", str(path), "--loss", *extra)
+            assert out.returncode == 3 and out.stdout == "", out
+            assert out.stderr == (
+                f"error: {extra[0]} loss weight 1/5e-324 at psi index 1 overflows the float range\n"
+            )
+
 
 class TestClassifyCommands:
     def test_table1_deterministic(self, runner):
@@ -793,27 +804,97 @@ def test_cli_imports_no_scipy():
     assert out.stdout.strip() == "[]", out.stdout
 
 
+# the relbel modules each command loads: the package, its errors and the CLI,
+# plus the layers the command runs and what those import
+CLI_BASE = {"relbel", "relbel.errors", "relbel.cli"}
+FINITE = CLI_BASE | {"relbel._sums", "relbel.model"}
+EVIDENCE = FINITE | {"relbel.grids", "relbel.evidence"}
+DECISION = EVIDENCE | {"relbel.decision"}
+LIMITS = DECISION | {"relbel.limits"}
+
+
 def test_finite_commands_load_no_scipy(tmp_path, model_file):
+    """One fresh interpreter per command: exactly its layers load, and scipy only where it evaluates a density."""
     cfg = tmp_path / "eta.json"
     cfg.write_text(json.dumps({"model": MODEL_DOC, "x": 1, "eta_steps": 4}))
-    commands = [
-        ["model", "--model", model_file, "--x", "1"],
-        ["evidence", "--model", model_file, "--x", "1", "--psi0", "0"],
-        *(["decide", "--model", model_file, "--loss", loss] for loss in ("rb", "map")),
-        ["decide", "--model", model_file, "--loss", "rb-eta", "--eta", "0.3"],
-        ["limits", "eta", "--config", str(cfg)],
-        ["classify", "known", "--psi0", "0.05", "--psi1", "0.8", "--epsilon", "0.01"],
-        ["classify", "predict", "--alpha", "1", "--beta", "100", "--n", "10", "--c-bar", "0",
-         "--f0", "0.1", "--f1", "0.3"],
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps({
+        "prior": {"family": "normal", "mu": 0.0, "sigma2": 1.0},
+        "likelihood": {"kind": "normal-location", "x": 1.9, "sigma2": 1.0},
+        "grid": {"lo": -6.0, "hi": 6.0, "n_cells": 32},
+        "steps": 2,
+        "gamma": 0.9,
+        "refine_factor": 4,
+    }))
+    for name, text in (("X", "1.0\n2.0\n"), ("y", "1.0\n3.0\n"), ("w", "1.0\n")):
+        (tmp_path / f"{name}.csv").write_text(text)
+    finite = [
+        (["--version"], CLI_BASE),
+        (["model", "--model", model_file, "--x", "1"], FINITE),
+        (["evidence", "--model", model_file, "--x", "1", "--psi0", "0"], EVIDENCE),
+        *((["decide", "--model", model_file, "--loss", loss], DECISION) for loss in ("rb", "map")),
+        (["decide", "--model", model_file, "--loss", "rb-eta", "--eta", "0.3"], DECISION),
+        (["limits", "eta", "--config", str(cfg)], LIMITS),
+        (["classify", "known", "--psi0", "0.05", "--psi1", "0.8", "--epsilon", "0.01"],
+         CLI_BASE | {"relbel._sums", "relbel.classify"}),
+        (["classify", "predict", "--alpha", "1", "--beta", "100", "--n", "10", "--c-bar", "0",
+          "--f0", "0.1", "--f1", "0.3"], CLI_BASE | {"relbel._sums", "relbel.classify"}),
+    ]
+    gridded = [
+        (["regress", "--design", str(tmp_path / "X.csv"), "--response", str(tmp_path / "y.csv"),
+          "--sigma2", "1", "--tau2", "1", "--w", str(tmp_path / "w.csv"), "--grid-check", "64"],
+         EVIDENCE | {"relbel.regress"}),
+        (["limits", "region", "--config", str(region)], LIMITS),
     ]
     code = (
+        "import sys\n"
         "from relbel.cli import main\n"
-        f"for argv in {commands!r}:\n"
-        "    main(argv, standalone_mode=False)\n" + SCIPY_MODULES
+        "assert main(sys.argv[1:], standalone_mode=False) in (None, 0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'relbel'))\n" + SCIPY_MODULES
+    )
+    for argv, modules in finite + gridded:
+        out = fresh_python("-c", code, *argv)
+        assert out.returncode == 0, (argv, out.stderr)
+        *_, loaded, scipy = out.stdout.splitlines()
+        assert loaded == repr(sorted(modules)), argv
+        assert (scipy == "[]") == ((argv, modules) in finite), (argv, scipy)
+
+
+def test_import_relbel_loads_no_layer():
+    out = fresh_python("-c", "import sys, relbel; print(sorted(m for m in sys.modules if 'relbel' in m))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "['relbel', 'relbel.errors']\n"
+
+
+def test_layers_load_on_attribute_access():
+    code = (
+        "import relbel\n"
+        "print(relbel.grids.family('normal', mu=0.0, sigma2=1.0).pdf(0.0) > 0)\n"
+        "print(all(name in dir(relbel) for name in relbel.__all__))\n"
+        "try:\n"
+        "    relbel.no_such_layer\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
     )
     out = fresh_python("-c", code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]", out.stdout
+    assert out.stdout.splitlines() == [
+        "True", "True", "module 'relbel' has no attribute 'no_such_layer'"
+    ]
+
+
+def test_star_import_binds_every_layer():
+    code = (
+        "from relbel import *\n"
+        "import relbel, types\n"
+        "names = ('classify', 'decision', 'evidence', 'grids', 'limits', 'model', 'regress')\n"
+        "print([n for n in names if not isinstance(globals().get(n), types.ModuleType)])\n"
+        "print(sorted(set(relbel.__all__) - set(globals())))\n"
+        "print(model is relbel.model and limits.CELL_CAP == grids.CELL_CAP)\n"
+    )
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[]", "True"]
 
 
 def test_version_from_a_source_checkout():

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -26,6 +27,8 @@ from relbel.decision import (
 from relbel.errors import (
     BadEtaError,
     IndexOutOfRangeError,
+    LossWeightOverflowError,
+    NumericalGuardError,
     RuleSpaceTooLargeError,
     ValidationError,
     ZeroPriorMassError,
@@ -77,6 +80,28 @@ class TestMakeLoss:
         for eta in (0.0, math.nan, math.inf):
             with pytest.raises(BadEtaError):
                 make_loss("rb-eta", [0.5, 0.5], eta=eta)
+
+    @pytest.mark.parametrize(
+        "kind, prior, eta",
+        [
+            ("rb", [0.5, 5e-324, 0.5], None),
+            ("rb", [0.5, 5e-309, 0.5], None),
+            ("rb-eta", [0.5, 0.0, 0.5], 5e-324),
+            ("rb-eta", [0.5, 1e-320, 0.5], 1e-321),
+        ],
+    )
+    def test_overflowing_weight_is_a_guard(self, kind, prior, eta):
+        # 1/5e-324 is inf, and bayes_rule took the 0 * inf = NaN product as its action
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LossWeightOverflowError, match="at psi index 1 overflows") as exc:
+                make_loss(kind, prior, eta=eta)
+        assert isinstance(exc.value, NumericalGuardError)
+
+    def test_largest_finite_weight_accepted(self):
+        loss = make_loss("rb", [0.5, 1e-308])
+        assert loss.values[1] == 1e308
+        assert make_loss("rb-eta", [0.5, 0.0], eta=1e-308).values[1] == 1e308
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
