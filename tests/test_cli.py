@@ -807,14 +807,15 @@ def test_cli_imports_no_scipy():
 # the relbel modules each command loads: the package, its errors and the CLI,
 # plus the layers the command runs and what those import
 CLI_BASE = {"relbel", "relbel.errors", "relbel.cli"}
-FINITE = CLI_BASE | {"relbel._sums", "relbel.model"}
-EVIDENCE = FINITE | {"relbel.grids", "relbel.evidence"}
-DECISION = EVIDENCE | {"relbel.decision"}
-LIMITS = DECISION | {"relbel.limits"}
+WITH_MODEL = CLI_BASE | {"relbel._sums", "relbel.model"}
+WITH_EVIDENCE = WITH_MODEL | {"relbel.grids", "relbel.evidence"}
+WITH_DECISION = WITH_EVIDENCE | {"relbel.decision"}
+WITH_LIMITS = WITH_DECISION | {"relbel.limits"}
+WITH_CLASSIFY = CLI_BASE | {"relbel._sums", "relbel.classify"}
 
 
 def test_finite_commands_load_no_scipy(tmp_path, model_file):
-    """One fresh interpreter per command: exactly its layers load, and scipy only where it evaluates a density."""
+    """One fresh interpreter per command: exactly its layers load, and scipy only on a grid."""
     cfg = tmp_path / "eta.json"
     cfg.write_text(json.dumps({"model": MODEL_DOC, "x": 1, "eta_steps": 4}))
     region = tmp_path / "region.json"
@@ -828,23 +829,23 @@ def test_finite_commands_load_no_scipy(tmp_path, model_file):
     }))
     for name, text in (("X", "1.0\n2.0\n"), ("y", "1.0\n3.0\n"), ("w", "1.0\n")):
         (tmp_path / f"{name}.csv").write_text(text)
-    finite = [
-        (["--version"], CLI_BASE),
-        (["model", "--model", model_file, "--x", "1"], FINITE),
-        (["evidence", "--model", model_file, "--x", "1", "--psi0", "0"], EVIDENCE),
-        *((["decide", "--model", model_file, "--loss", loss], DECISION) for loss in ("rb", "map")),
-        (["decide", "--model", model_file, "--loss", "rb-eta", "--eta", "0.3"], DECISION),
-        (["limits", "eta", "--config", str(cfg)], LIMITS),
+    # argv, the relbel modules it loads, and whether it loads scipy
+    commands = [
+        (["--version"], CLI_BASE, False),
+        (["model", "--model", model_file, "--x", "1"], WITH_MODEL, False),
+        (["evidence", "--model", model_file, "--x", "1", "--psi0", "0"], WITH_EVIDENCE, False),
+        *((["decide", "--model", model_file, "--loss", loss], WITH_DECISION, False)
+          for loss in ("rb", "map")),
+        (["decide", "--model", model_file, "--loss", "rb-eta", "--eta", "0.3"], WITH_DECISION, False),
+        (["limits", "eta", "--config", str(cfg)], WITH_LIMITS, False),
         (["classify", "known", "--psi0", "0.05", "--psi1", "0.8", "--epsilon", "0.01"],
-         CLI_BASE | {"relbel._sums", "relbel.classify"}),
+         WITH_CLASSIFY, False),
         (["classify", "predict", "--alpha", "1", "--beta", "100", "--n", "10", "--c-bar", "0",
-          "--f0", "0.1", "--f1", "0.3"], CLI_BASE | {"relbel._sums", "relbel.classify"}),
-    ]
-    gridded = [
+          "--f0", "0.1", "--f1", "0.3"], WITH_CLASSIFY, False),
         (["regress", "--design", str(tmp_path / "X.csv"), "--response", str(tmp_path / "y.csv"),
           "--sigma2", "1", "--tau2", "1", "--w", str(tmp_path / "w.csv"), "--grid-check", "64"],
-         EVIDENCE | {"relbel.regress"}),
-        (["limits", "region", "--config", str(region)], LIMITS),
+         WITH_EVIDENCE | {"relbel.regress"}, True),
+        (["limits", "region", "--config", str(region)], WITH_LIMITS, True),
     ]
     code = (
         "import sys\n"
@@ -852,12 +853,12 @@ def test_finite_commands_load_no_scipy(tmp_path, model_file):
         "assert main(sys.argv[1:], standalone_mode=False) in (None, 0)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'relbel'))\n" + SCIPY_MODULES
     )
-    for argv, modules in finite + gridded:
+    for argv, modules, loads_scipy in commands:
         out = fresh_python("-c", code, *argv)
         assert out.returncode == 0, (argv, out.stderr)
         *_, loaded, scipy = out.stdout.splitlines()
         assert loaded == repr(sorted(modules)), argv
-        assert (scipy == "[]") == ((argv, modules) in finite), (argv, scipy)
+        assert (scipy != "[]") == loads_scipy, (argv, scipy)
 
 
 def test_import_relbel_loads_no_layer():
