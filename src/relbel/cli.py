@@ -1,8 +1,10 @@
 """Command-line surface: one binary, JSON/CSV in, JSON/CSV reports out.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical guard tripped. All
-randomness flows from an explicit ``--seed``; identical inputs and seed
-give byte-identical output.
+Exit codes: 0 success, 2 invalid input, 3 numerical guard tripped. The
+command group's ``invoke`` is the one place a library error becomes an exit
+code, and ``_read_json`` the one reader of JSON input files. All randomness
+flows from an explicit ``--seed``; identical inputs and seed give
+byte-identical output.
 
 Each command imports the library layers it runs inside its own body, so a
 process loads only those: ``classify known`` never imports ``evidence``,
@@ -26,22 +28,6 @@ from .errors import NumericalGuardError, ValidationError
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
-
-
-def _fail(exc: Exception, code: int):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
-
-
-def _run(fn):
-    try:
-        fn()
-    except ValidationError as exc:
-        _fail(exc, EXIT_VALIDATION)
-    except NumericalGuardError as exc:
-        _fail(exc, EXIT_GUARD)
-    except json.JSONDecodeError as exc:
-        _fail(f"invalid JSON: {exc}", EXIT_VALIDATION)
 
 
 def _require(doc: dict, key: str, where: str):
@@ -71,6 +57,15 @@ def _count(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an integer, got {value!r:.40}")
     return value
+
+
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in a UTF-8 file; a decode error is a ``ValidationError``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"invalid JSON: {exc}") from exc
+    return _object(doc, what)
 
 
 def _emit(text: str, output: str | None):
@@ -111,47 +106,58 @@ def _region_doc(report) -> dict:
     }
 
 
-@click.group()
+class _Relbel(click.Group):
+    """The ``relbel`` group: a library error ends any command with one ``error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValidationError, NumericalGuardError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_GUARD if isinstance(exc, NumericalGuardError) else EXIT_VALIDATION)
+
+
+# an existing regular file; a missing one or a directory exits 2 through click
+_INPUT = click.Path(exists=True, dir_okay=False)
+
+
+@click.group(cls=_Relbel)
 @click.version_option(version=__version__, prog_name="relbel")
 def main():
     """Relative belief inference toolkit."""
 
 
 @main.command("model")
-@click.option("--model", "model_path", type=click.Path(exists=True), required=True)
+@click.option("--model", "model_path", type=_INPUT, required=True)
 @click.option("--x", "x_index", type=int, default=None, help="Outcome index for a posterior report.")
 @click.option("--output", "-o", type=click.Path(), default=None)
 def model_cmd(model_path, x_index, output):
     """Validate a model file; report predictives and posteriors."""
+    from .model import marginalize, model_from_json, posterior, prior_predictive
 
-    def body():
-        from .model import marginalize, model_from_json, posterior, prior_predictive
-
-        model, psi = model_from_json(Path(model_path))
-        doc = {
-            "valid": True,
-            "renormalized": model.renormalized,
-            "prior_predictive": prior_predictive(model).tolist(),
+    model, psi = model_from_json(_read_json(model_path, "model document"))
+    doc = {
+        "valid": True,
+        "renormalized": model.renormalized,
+        "prior_predictive": prior_predictive(model).tolist(),
+    }
+    if x_index is not None:
+        rep = posterior(model, x_index)
+        doc["posterior"] = {
+            "masses": rep.posterior.tolist(),
+            "evidence_norm": rep.evidence_norm,
         }
-        if x_index is not None:
-            rep = posterior(model, x_index)
-            doc["posterior"] = {
-                "masses": rep.posterior.tolist(),
-                "evidence_norm": rep.evidence_norm,
-            }
-        if psi is not None:
-            pi_psi, cond = marginalize(model, psi)
-            doc["marginal"] = {
-                "pi_psi": pi_psi.tolist(),
-                "conditional_predictive": cond.tolist(),
-            }
-        _emit(_json_text(doc), output)
-
-    _run(body)
+    if psi is not None:
+        pi_psi, cond = marginalize(model, psi)
+        doc["marginal"] = {
+            "pi_psi": pi_psi.tolist(),
+            "conditional_predictive": cond.tolist(),
+        }
+    _emit(_json_text(doc), output)
 
 
 @main.command("evidence")
-@click.option("--model", "model_path", type=click.Path(exists=True), required=True)
+@click.option("--model", "model_path", type=_INPUT, required=True)
 @click.option("--x", "x_index", type=int, required=True)
 @click.option("--gamma", type=float, default=0.95, show_default=True)
 @click.option(
@@ -164,46 +170,42 @@ def model_cmd(model_path, x_index, output):
 @click.option("--output", "-o", type=click.Path(), default=None)
 def evidence_cmd(model_path, x_index, gamma, convention, psi0, output):
     """Evidence table and inferences for one observed outcome."""
+    from . import evidence
+    from .model import model_from_json
 
-    def body():
-        from . import evidence
-        from .model import model_from_json
-
-        model, psi = model_from_json(Path(model_path))
-        t = evidence.table_from_model(model, x_index, psi)
-        est = evidence.rb_estimate(t)
-        doc = {
-            "labels": list(t.labels),
-            "rb": t.rb.tolist(),
-            "prior": t.prior.tolist(),
-            "posterior": t.posterior.tolist(),
-            "estimate": est.index,
-            "tie": est.tie,
-            "dropped_zero_prior": t.dropped_zero_prior,
-            "plausible": _region_doc(evidence.plausible_region(t)),
-            "credible": {
-                "gamma": gamma,
-                "convention": convention,
-                **_region_doc(evidence.credible_region(t, gamma, convention)),
-            },
+    model, psi = model_from_json(_read_json(model_path, "model document"))
+    t = evidence.table_from_model(model, x_index, psi)
+    est = evidence.rb_estimate(t)
+    doc = {
+        "labels": list(t.labels),
+        "rb": t.rb.tolist(),
+        "prior": t.prior.tolist(),
+        "posterior": t.posterior.tolist(),
+        "estimate": est.index,
+        "tie": est.tie,
+        "dropped_zero_prior": t.dropped_zero_prior,
+        "plausible": _region_doc(evidence.plausible_region(t)),
+        "credible": {
+            "gamma": gamma,
+            "convention": convention,
+            **_region_doc(evidence.credible_region(t, gamma, convention)),
+        },
+    }
+    if psi0 is not None:
+        rep = evidence.assess_hypothesis(t, psi0)
+        doc["strength"] = rep.strength
+        doc["hypothesis"] = {
+            "psi0": psi0,
+            "rb_at_psi0": rep.rb_at_psi0,
+            "strength": rep.strength,
+            "posterior_mass": rep.posterior_mass,
+            "verdict": rep.verdict,
         }
-        if psi0 is not None:
-            rep = evidence.assess_hypothesis(t, psi0)
-            doc["strength"] = rep.strength
-            doc["hypothesis"] = {
-                "psi0": psi0,
-                "rb_at_psi0": rep.rb_at_psi0,
-                "strength": rep.strength,
-                "posterior_mass": rep.posterior_mass,
-                "verdict": rep.verdict,
-            }
-        _emit(_json_text(doc), output)
-
-    _run(body)
+    _emit(_json_text(doc), output)
 
 
 @main.command("decide")
-@click.option("--model", "model_path", type=click.Path(exists=True), required=True)
+@click.option("--model", "model_path", type=_INPUT, required=True)
 @click.option(
     "--loss",
     type=click.Choice(["rb", "map", "rb-eta"]),
@@ -214,33 +216,29 @@ def evidence_cmd(model_path, x_index, gamma, convention, psi0, output):
 @click.option("--output", "-o", type=click.Path(), default=None)
 def decide_cmd(model_path, loss, eta, output):
     """Bayes rule, risks and evidence decomposition for a model."""
+    from . import decision
+    from .model import identity_psi, model_from_json, psi_marginal
 
-    def body():
-        from . import decision
-        from .model import identity_psi, model_from_json, psi_marginal
-
-        model, psi = model_from_json(Path(model_path))
-        if psi is None:
-            psi = identity_psi(model)
-        prior = psi_marginal(model.prior, psi)
-        loss_spec = decision.make_loss(loss, prior, eta=eta)
-        rule, report = decision.bayes_rule(model, psi, loss_spec)
-        direct = decision.prior_risk(model, psi, loss_spec, rule)
-        doc = {
-            "loss": loss,
-            "eta": eta,
-            "actions": list(rule.action_per_x),
-            "ties": list(rule.ties),
-            "posterior_risk_per_x": report.posterior_risk_per_x.tolist(),
-            "prior_risk": report.prior_risk,
-            "prior_risk_joint": direct,
-            "decomposition": [list(d) for d in report.decomposition]
-            if report.decomposition
-            else None,
-        }
-        _emit(_json_text(doc), output)
-
-    _run(body)
+    model, psi = model_from_json(_read_json(model_path, "model document"))
+    if psi is None:
+        psi = identity_psi(model)
+    prior = psi_marginal(model.prior, psi)
+    loss_spec = decision.make_loss(loss, prior, eta=eta)
+    rule, report = decision.bayes_rule(model, psi, loss_spec)
+    direct = decision.prior_risk(model, psi, loss_spec, rule)
+    doc = {
+        "loss": loss,
+        "eta": eta,
+        "actions": list(rule.action_per_x),
+        "ties": list(rule.ties),
+        "posterior_risk_per_x": report.posterior_risk_per_x.tolist(),
+        "prior_risk": report.prior_risk,
+        "prior_risk_joint": direct,
+        "decomposition": [list(d) for d in report.decomposition]
+        if report.decomposition
+        else None,
+    }
+    _emit(_json_text(doc), output)
 
 
 @main.group("classify")
@@ -259,25 +257,21 @@ def classify_group():
 @click.option("--output", "-o", type=click.Path(), default=None)
 def classify_table1(alpha, betas, mu, n, reps, seed, precision, output):
     """Monte Carlo misclassification table for both predictive classifiers."""
+    from . import classify
 
-    def body():
-        from . import classify
-
-        try:
-            beta_values = [float(b) for b in betas.split(",") if b.strip()]
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse --betas {betas!r}: {exc}") from exc
-        if not beta_values:
-            raise ValidationError("--betas must list at least one value")
-        rows = classify.risk_table(alpha, beta_values, mu, n, reps, seed)
-        header = classify.RiskTableRow.csv_header().split(",")
-        table = [
-            [r.beta, r.map_err0, r.map_err1, r.map_sum, r.rb_err0, r.rb_err1, r.rb_sum, r.reps, r.seed]
-            for r in rows
-        ]
-        _emit(_csv_text(header, table, precision), output)
-
-    _run(body)
+    try:
+        beta_values = [float(b) for b in betas.split(",") if b.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse --betas {betas!r}: {exc}") from exc
+    if not beta_values:
+        raise ValidationError("--betas must list at least one value")
+    rows = classify.risk_table(alpha, beta_values, mu, n, reps, seed)
+    header = classify.RiskTableRow.csv_header().split(",")
+    table = [
+        [r.beta, r.map_err0, r.map_err1, r.map_sum, r.rb_err0, r.rb_err1, r.rb_sum, r.reps, r.seed]
+        for r in rows
+    ]
+    _emit(_csv_text(header, table, precision), output)
 
 
 @classify_group.command("predict")
@@ -290,27 +284,23 @@ def classify_table1(alpha, betas, mu, n, reps, seed, precision, output):
 @click.option("--output", "-o", type=click.Path(), default=None)
 def classify_predict(alpha, beta, n, c_bar, f0, f1, output):
     """Posterior-predictive and relative-belief labels for one new item."""
+    from . import classify
 
-    def body():
-        from . import classify
-
-        spec = classify.PredictiveSpec(
-            alpha=alpha, beta=beta, n=n, c_bar=c_bar, f0_at_x=f0, f1_at_x=f1
-        )
-        res = classify.predictive_classify(spec)
-        _emit(
-            _json_text(
-                {
-                    "c_map": res.c_map,
-                    "c_rb": res.c_rb,
-                    "map_ratio": res.map_ratio,
-                    "rb_ratio": res.rb_ratio,
-                }
-            ),
-            output,
-        )
-
-    _run(body)
+    spec = classify.PredictiveSpec(
+        alpha=alpha, beta=beta, n=n, c_bar=c_bar, f0_at_x=f0, f1_at_x=f1
+    )
+    res = classify.predictive_classify(spec)
+    _emit(
+        _json_text(
+            {
+                "c_map": res.c_map,
+                "c_rb": res.c_rb,
+                "map_ratio": res.map_ratio,
+                "rb_ratio": res.rb_ratio,
+            }
+        ),
+        output,
+    )
 
 
 @classify_group.command("known")
@@ -320,23 +310,19 @@ def classify_predict(alpha, beta, n, c_bar, f0, f1, output):
 @click.option("--output", "-o", type=click.Path(), default=None)
 def classify_known(psi0, psi1, epsilon, output):
     """Threshold labels and exact error sums under a known proportion."""
+    from . import classify
 
-    def body():
-        from . import classify
-
-        spec = classify.TwoClassSpec(psi0=psi0, psi1=psi1, epsilon=epsilon)
-        map_r = classify.map_rule(spec)
-        rb_r = classify.rb_rule(spec)
-        doc = {
-            "map_rule": {"x0": map_r[0], "x1": map_r[1]},
-            "rb_rule": {"x0": rb_r[0], "x1": rb_r[1]},
-        }
-        for name, rule in (("map", map_r), ("rb", rb_r)):
-            e0, e1, tot = classify.error_sum(spec, rule)
-            doc[f"{name}_errors"] = {"err0": e0, "err1": e1, "sum": tot}
-        _emit(_json_text(doc), output)
-
-    _run(body)
+    spec = classify.TwoClassSpec(psi0=psi0, psi1=psi1, epsilon=epsilon)
+    map_r = classify.map_rule(spec)
+    rb_r = classify.rb_rule(spec)
+    doc = {
+        "map_rule": {"x0": map_r[0], "x1": map_r[1]},
+        "rb_rule": {"x0": rb_r[0], "x1": rb_r[1]},
+    }
+    for name, rule in (("map", map_r), ("rb", rb_r)):
+        e0, e1, tot = classify.error_sum(spec, rule)
+        doc[f"{name}_errors"] = {"err0": e0, "err1": e1, "sum": tot}
+    _emit(_json_text(doc), output)
 
 
 def _load_csv_matrix(path: str) -> np.ndarray:
@@ -351,38 +337,34 @@ def _load_csv_matrix(path: str) -> np.ndarray:
 
 
 @main.command("regress")
-@click.option("--design", type=click.Path(exists=True), required=True)
-@click.option("--response", type=click.Path(exists=True), required=True)
+@click.option("--design", type=_INPUT, required=True)
+@click.option("--response", type=_INPUT, required=True)
 @click.option("--sigma2", type=float, required=True)
 @click.option("--tau2", type=float, required=True)
-@click.option("--w", "w_path", type=click.Path(exists=True), required=True)
+@click.option("--w", "w_path", type=_INPUT, required=True)
 @click.option("--grid-check", type=int, default=None, help="Cells for an argmax cross-check.")
 @click.option("--output", "-o", type=click.Path(), default=None)
 def regress_cmd(design, response, sigma2, tau2, w_path, grid_check, output):
     """Closed-form functional inference for conjugate Gaussian regression."""
+    from . import grids, regress
 
-    def body():
-        from . import grids, regress
-
-        X = _load_csv_matrix(design)
-        y = _load_csv_matrix(response).ravel()
-        w = _load_csv_matrix(w_path).ravel()
-        spec = regress.RegressionSpec(design=X, response=y, sigma2=sigma2, tau2=tau2)
-        rep = regress.functional_inference(spec, w)
-        doc = regress.functional_report_to_dict(rep)
-        if grid_check is not None:
-            sd = math.sqrt(rep.sigma2_psi)
-            grid = grids.build_grid(-8.0 * sd, 8.0 * sd, grid_check)
-            check = regress.rb_grid_check(spec, w, grid)
-            doc["grid_check"] = {
-                "closed_form": check.closed_form,
-                "grid_argmax": check.grid_argmax,
-                "gap": check.gap,
-                "cell_width": grid.cell_width,
-            }
-        _emit(_json_text(doc), output)
-
-    _run(body)
+    X = _load_csv_matrix(design)
+    y = _load_csv_matrix(response).ravel()
+    w = _load_csv_matrix(w_path).ravel()
+    spec = regress.RegressionSpec(design=X, response=y, sigma2=sigma2, tau2=tau2)
+    rep = regress.functional_inference(spec, w)
+    doc = regress.functional_report_to_dict(rep)
+    if grid_check is not None:
+        sd = math.sqrt(rep.sigma2_psi)
+        grid = grids.build_grid(-8.0 * sd, 8.0 * sd, grid_check)
+        check = regress.rb_grid_check(spec, w, grid)
+        doc["grid_check"] = {
+            "closed_form": check.closed_form,
+            "grid_argmax": check.grid_argmax,
+            "gap": check.gap,
+            "cell_width": grid.cell_width,
+        }
+    _emit(_json_text(doc), output)
 
 
 def _density_from_config(doc):
@@ -460,61 +442,60 @@ def _trace_rows(trace) -> tuple[list[str], list[list]]:
 
 @main.command("limits")
 @click.argument("experiment", type=click.Choice(["eta", "lambda", "map", "region", "sandwich"]))
-@click.option("--config", type=click.Path(exists=True), required=True)
+@click.option("--config", type=_INPUT, required=True)
 @click.option("--precision", type=click.Choice(["default", "full"]), default="default")
 @click.option("--output", "-o", type=click.Path(), default=None)
 def limits_cmd(experiment, config, precision, output):
     """Run one limit experiment described by a JSON config; emit a CSV trace."""
+    from . import evidence, limits
+    from .model import model_from_json
 
-    def body():
-        from . import evidence, limits
-        from .model import model_from_json
-
-        doc = _object(json.loads(Path(config).read_text()), "limits config")
-        if experiment in ("region", "sandwich"):
-            gamma = _number(_require(doc, "gamma", f"{experiment} config"), "config field 'gamma'")
-        if experiment == "eta":
-            if "table" in doc:
-                t = evidence.rb_table(*_table_from_config(doc))
-            else:
-                block = _require(doc, "model", "eta config")
-                model, psi = model_from_json(_object(block, "eta config field 'model'"))
-                x = _count(_require(doc, "x", "eta config"), "eta config field 'x'")
-                t = evidence.table_from_model(model, x, psi)
-            ladder = limits.default_eta_ladder(t.prior, _eta_steps(doc))
-            trace = limits.eta_limit(t, eta_ladder=ladder)
-            header, rows = _trace_rows(trace)
-        elif experiment in ("lambda", "map", "region"):
-            pdf, lik, grids_list = _ladder_from_config(doc)
-            target = doc.get("target")
-            if target is not None:
-                target = _number(target, "config field 'target'")
-            if experiment == "lambda":
-                trace = limits.lambda_limit(pdf, lik, grids_list, target=target)
-            elif experiment == "map":
-                trace = limits.map_limit_contrast(pdf, lik, grids_list, target=target)
-            else:
-                trace = limits.region_limit(
-                    pdf, lik, gamma, grids_list,
-                    _count(doc.get("refine_factor", 16), "config field 'refine_factor'"),
-                )
-            header, rows = _trace_rows(trace)
+    doc = _read_json(config, "limits config")
+    if experiment in ("region", "sandwich"):
+        gamma = _number(_require(doc, "gamma", f"{experiment} config"), "config field 'gamma'")
+    if experiment == "eta":
+        if "table" in doc:
+            t = evidence.rb_table(*_table_from_config(doc))
         else:
-            header = ["parameter", "eta", "gamma_used", "gamma_next", "lower_holds", "upper_holds"]
-            rows = []
-            if "table" in doc:
-                reports = [(0.0, limits.lpl_sandwich(*_table_from_config(doc), gamma))]
-            else:
-                pdf, lik, grids_list = _ladder_from_config(doc)
-                reports = limits.sandwich_double_limit(
-                    pdf, lik, gamma, grids_list, _eta_steps(doc)
-                )
-            for width, rep in reports:
-                for eta, lo, up in zip(rep.eta_values, rep.lower_holds, rep.upper_holds):
-                    rows.append([width, eta, rep.gamma_used, rep.gamma_next, lo, up])
-        _emit(_csv_text(header, rows, precision), output)
-
-    _run(body)
+            block = _require(doc, "model", "eta config")
+            model, psi = model_from_json(_object(block, "eta config field 'model'"))
+            x = _count(_require(doc, "x", "eta config"), "eta config field 'x'")
+            t = evidence.table_from_model(model, x, psi)
+        ladder = limits.default_eta_ladder(t.prior, _eta_steps(doc))
+        trace = limits.eta_limit(t, eta_ladder=ladder)
+        header, rows = _trace_rows(trace)
+    elif experiment in ("lambda", "map", "region"):
+        pdf, lik, grids_list = _ladder_from_config(doc)
+        target = doc.get("target")
+        if target is not None:
+            target = _number(target, "config field 'target'")
+        if experiment == "lambda":
+            trace = limits.lambda_limit(pdf, lik, grids_list, target=target)
+        elif experiment == "map":
+            trace = limits.map_limit_contrast(pdf, lik, grids_list, target=target)
+        else:
+            trace = limits.region_limit(
+                pdf, lik, gamma, grids_list,
+                _count(doc.get("refine_factor", 16), "config field 'refine_factor'"),
+            )
+        header, rows = _trace_rows(trace)
+    else:
+        header = ["parameter", "eta", "gamma_used", "gamma_next", "lower_holds", "upper_holds"]
+        rows = []
+        if "table" in doc:
+            masses = _table_from_config(doc)
+            # the ladder of the table lpl_sandwich builds from the same masses
+            ladder = limits.default_eta_ladder(evidence.rb_table(*masses).prior, _eta_steps(doc))
+            reports = [(0.0, limits.lpl_sandwich(*masses, gamma, ladder))]
+        else:
+            pdf, lik, grids_list = _ladder_from_config(doc)
+            reports = limits.sandwich_double_limit(
+                pdf, lik, gamma, grids_list, _eta_steps(doc)
+            )
+        for width, rep in reports:
+            for eta, lo, up in zip(rep.eta_values, rep.lower_holds, rep.upper_holds):
+                rows.append([width, eta, rep.gamma_used, rep.gamma_next, lo, up])
+    _emit(_csv_text(header, rows, precision), output)
 
 
 if __name__ == "__main__":

@@ -161,12 +161,23 @@ def _rule_actions(model: FiniteModel, psi: PsiMap, rule: DecisionRule) -> np.nda
 
 
 def conditional_error_probs(model: FiniteModel, psi: PsiMap, rule: DecisionRule) -> np.ndarray:
-    """Per-value error probabilities ``M(rule != psi | psi)``."""
+    """Per-value error probabilities ``M(rule != psi | psi)``.
+
+    A value without prior mass has no conditional law, and its entry is NaN.
+    """
     acts = _rule_actions(model, psi, rule)
-    _, cond = marginalize(model, psi)
+    pi_psi = psi_marginal(model.prior, psi)
+    values = np.flatnonzero(pi_psi > 0.0)
+    if len(values) == psi.n_psi:
+        _, cond = marginalize(model, psi)
+    else:
+        # marginalize's rows for the values with prior mass
+        cond = psi_marginal(model.joint, psi)[values] / pi_psi[values, None]
     # zeros at the correct actions leave each exact row total unchanged
-    wrong = acts[None, :] != np.arange(psi.n_psi)[:, None]
-    return fsums(np.where(wrong, cond, 0.0), axis=1)
+    wrong = acts[None, :] != values[:, None]
+    errs = np.full(psi.n_psi, np.nan)
+    errs[values] = fsums(np.where(wrong, cond, 0.0), axis=1)
+    return errs
 
 
 def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) -> float:
@@ -189,9 +200,12 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) 
     products[psi_of_theta[:, None] == acts] = 0.0
     direct = float(fsums(products.ravel()))
     if loss.kind in ("rb", "map"):
-        # conditional error probabilities, summed plain (rb) or prior-weighted (map)
-        weights = 1.0 if loss.kind == "rb" else psi_marginal(model.prior, psi)
-        closed = float(fsums(conditional_error_probs(model, psi, rule) * weights))
+        # conditional error probabilities, summed plain (rb) or prior-weighted (map) over
+        # the values with prior mass: under map an empty fibre weighs 0 on both sides
+        terms = conditional_error_probs(model, psi, rule)
+        if loss.kind == "map":
+            terms *= psi_marginal(model.prior, psi)
+        closed = float(fsums(terms[~np.isnan(terms)]))
         if abs(direct - closed) > 1e-9:
             raise RiskCrossCheckError(
                 f"risk cross-check failed: direct {direct!r} vs closed form {closed!r}"

@@ -17,12 +17,10 @@ identical arrays, so sharing a model across threads stays safe.
 
 from __future__ import annotations
 
-import json
 import numbers
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 import numpy as np
 
 from ._sums import fsums
@@ -299,18 +297,12 @@ def _label_list(value, what: str) -> tuple:
     return tuple(value)
 
 
-def model_from_json(doc: dict | str | Path) -> tuple[FiniteModel, PsiMap | None]:
-    """Build a validated model (and optional PsiMap) from a JSON document.
+def model_from_json(doc: dict) -> tuple[FiniteModel, PsiMap | None]:
+    """Build a validated model (and optional PsiMap) from a parsed JSON document.
 
-    Accepts a parsed dict, a JSON string, or a path to a JSON file with
-    keys ``theta``, ``x``, ``likelihood``, ``prior`` and optionally
-    ``psi: {labels, assignment}``.
+    The document is an object with keys ``theta``, ``x``, ``likelihood``,
+    ``prior`` and optionally ``psi: {labels, assignment}``.
     """
-    if isinstance(doc, Path):
-        doc = json.loads(doc.read_text())
-    elif isinstance(doc, str):
-        p = Path(doc)
-        doc = json.loads(p.read_text()) if p.exists() else json.loads(doc)
     if not isinstance(doc, dict):
         raise ValidationError(f"model document must be a JSON object, got {type(doc).__name__}")
     for key in ("theta", "x", "likelihood", "prior"):

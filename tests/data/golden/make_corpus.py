@@ -137,6 +137,13 @@ def _cases() -> list[dict]:
         "name": "evidence-tied-gamma-above-one",
         "args": ["evidence", "--model", "tied.json", "--x", "0", "--gamma", "1.5"],
     })
+    # a Latin-1 outcome label: the file is not UTF-8, so it is not JSON text
+    latin1 = {**_models()["tied"][0], "x": ["x\xe9", "x1"]}
+    (HERE / "latin1.json").write_bytes(json.dumps(latin1, ensure_ascii=False).encode("latin-1") + b"\n")
+    cases.append({
+        "name": "evidence-latin1",
+        "args": ["evidence", "--model", "latin1.json", "--x", "0"],
+    })
 
     # a subnormal prior mass, or eta, whose reciprocal error weight overflows: exit 3
     subnormal = {
@@ -197,6 +204,31 @@ def _cases() -> list[dict]:
         "name": "limits-region-lognormal",
         "args": ["limits", "region", "--config", "region_lognormal.json", "--precision", "full"],
     })
+
+    # a normal prior, and a beta prior on its own support; each sandwich at 4 caps per grid
+    configs = {
+        "normal": {
+            "prior": {"family": "normal", "mu": 0.0, "sigma2": 1.0},
+            "likelihood": {"kind": "normal-location", "x": 1.3, "sigma2": 0.5},
+            "grid": {"lo": -5.0, "hi": 5.0, "n_cells": 32},
+            "gamma": 0.9,
+        },
+        "beta": {
+            "prior": {"family": "beta", "alpha": 3.0, "beta": 2.0},
+            "likelihood": {"kind": "normal-location", "x": 0.4, "sigma2": 0.02},
+            "grid": {"lo": 0.0, "hi": 1.0, "n_cells": 32},
+            "gamma": 0.8,
+        },
+    }
+    for prior, config in configs.items():
+        path = f"limits_{prior}.json"
+        config = {**config, "steps": 3, "refine_factor": 16, "eta_steps": 4}
+        (HERE / path).write_text(json.dumps(config, indent=2) + "\n")
+        for experiment in ("region", "sandwich"):
+            cases.append({
+                "name": f"limits-{experiment}-{prior}",
+                "args": ["limits", experiment, "--config", path, "--precision", "full"],
+            })
     return cases
 
 

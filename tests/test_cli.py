@@ -360,6 +360,15 @@ class TestLimitsCommand:
         header = res.output.splitlines()[0]
         assert header.startswith("parameter,eta,gamma_used")
 
+    def test_sandwich_from_table_honours_eta_steps(self, runner, tmp_path):
+        doc = {"table": {"prior": [0.5, 0.25, 0.25], "posterior": [0.1, 0.2, 0.7]}, "gamma": 0.7}
+        default = invoke_limits(runner, tmp_path, "sandwich", doc)
+        three = invoke_limits(runner, tmp_path, "sandwich", {**doc, "eta_steps": 3})
+        assert default.exit_code == three.exit_code == 0
+        # a header, then one row per cap: the first three caps of the default ladder
+        assert len(default.output.splitlines()) == 9
+        assert three.output.splitlines() == default.output.splitlines()[:4]
+
     def test_region_trace(self, runner, tmp_path):
         cfg = tmp_path / "exp.json"
         cfg.write_text(
@@ -409,25 +418,6 @@ class TestLimitsCommand:
         doc = json.loads(out.read_text())
         # full-precision floats survive the JSON round trip losslessly
         assert doc["rb"] == [0.2 / 0.5, 0.8 / 0.5]
-
-
-DATA = Path(__file__).parent / "data"
-
-
-@pytest.mark.parametrize("experiment", ["region", "sandwich"])
-@pytest.mark.parametrize("prior", ["normal", "beta"])
-def test_limits_full_precision_output_is_pinned(runner, experiment, prior):
-    """`limits region|sandwich --precision full` prints exactly the committed CSV.
-
-    CI also runs the installed console script on the same configs and diffs
-    its output against the same files.
-    """
-    config = DATA / f"limits_{prior}.json"
-    res = runner.invoke(
-        main, ["limits", experiment, "--config", str(config), "--precision", "full"]
-    )
-    assert res.exit_code == 0, res.output
-    assert res.stdout_bytes == (DATA / f"limits_{experiment}_{prior}.csv").read_bytes()
 
 
 GRID_CONFIG = {
@@ -654,6 +644,60 @@ def mutated_documents(draw):
         current = current[key]
     kind = draw(st.sampled_from(sorted(set(JSON_VALUES) - {json_type(current)})))
     return argv, replaced(doc, path, draw(JSON_VALUES[kind]))
+
+
+REGRESS_ARGV = [
+    "regress", "--design", "{dir}/X.csv", "--response", "{dir}/y.csv",
+    "--sigma2", "1", "--tau2", "1", "--w", "{dir}/w.csv",
+]
+# a valid command line for every input file option, and the option
+FILE_OPTIONS = [
+    (["model", "--model", "{dir}/m.json"], "--model"),
+    (["evidence", "--model", "{dir}/m.json", "--x", "0"], "--model"),
+    (["decide", "--model", "{dir}/m.json"], "--model"),
+    (["limits", "eta", "--config", "{dir}/eta.json"], "--config"),
+    *((REGRESS_ARGV, option) for option in ("--design", "--response", "--w")),
+]
+
+
+@pytest.mark.parametrize(
+    "base, option", FILE_OPTIONS, ids=[f"{b[0]}{o}" for b, o in FILE_OPTIONS]
+)
+class TestInputFiles:
+    """A directory or a file that is not UTF-8 exits 2, never in a traceback."""
+
+    def argv(self, tmp_path, base, option):
+        files = {
+            "m.json": json.dumps(MODEL_DOC),
+            "eta.json": json.dumps({"model": MODEL_DOC, "x": 1}),
+            "X.csv": "1.0\n2.0\n",
+            "y.csv": "1.0\n3.0\n",
+            "w.csv": "1.0\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.format(dir=tmp_path) for a in base]
+        return argv, argv.index(option) + 1
+
+    def test_directory_exits_2(self, runner, tmp_path, base, option):
+        argv, at = self.argv(tmp_path, base, option)
+        assert runner.invoke(main, argv).exit_code == 0
+        argv[at] = str(tmp_path)
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 2, (argv, res.exception, res.output)
+        assert "is a directory" in res.stderr and "Traceback" not in res.output
+
+    def test_non_utf8_file_exits_2_with_one_line(self, runner, tmp_path, base, option):
+        argv, at = self.argv(tmp_path, base, option)
+        good = Path(argv[at])
+        # Latin-1 bytes: a label "t1\xe9", or a CSV cell "1\xe9.0"
+        bad = tmp_path / f"latin1{good.suffix}"
+        bad.write_bytes(good.read_text().replace("1", "1\xe9", 1).encode("latin-1"))
+        argv[at] = str(bad)
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 2, (argv, res.exception, res.output)
+        assert res.stdout == "" and res.stderr.startswith("error: ")
+        assert res.stderr.count("\n") == 1 and "Traceback" not in res.output
 
 
 class TestCliFuzz:

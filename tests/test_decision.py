@@ -29,6 +29,7 @@ from relbel.errors import (
     IndexOutOfRangeError,
     LossWeightOverflowError,
     NumericalGuardError,
+    RiskCrossCheckError,
     RuleSpaceTooLargeError,
     ValidationError,
     ZeroPriorMassError,
@@ -344,6 +345,46 @@ def three_theta_two_outcomes():
             np.array([0.2, 0.3, 0.5]),
         )
     )
+
+
+class TestEmptyFibre:
+    """Under map a psi value without prior mass weighs 0 in the risk and its cross-check."""
+
+    def model(self):
+        # theta b has no prior mass and is its own psi value under the identity map
+        return validate(
+            FiniteModel(
+                ("a", "b", "c"),
+                ("x0", "x1", "x2"),
+                np.array([[0.2, 0.5, 0.3], [0.6, 0.2, 0.2], [0.1, 0.1, 0.8]]),
+                np.array([0.6, 0.0, 0.4]),
+            )
+        )
+
+    def test_map_prior_risk_matches_the_oracle(self):
+        model = self.model()
+        psi = identity_psi(model)
+        loss = make_loss("map", psi_marginal(model.prior, psi))
+        rule, report = bayes_rule(model, psi, loss)
+        errs = conditional_error_probs(model, psi, rule)
+        assert np.isnan(errs[1]) and np.all(np.isfinite(errs[[0, 2]]))
+        _, best_risk = brute_force_bayes(model, psi, loss)
+        assert prior_risk(model, psi, loss, rule) == report.prior_risk
+        assert abs(report.prior_risk - best_risk) <= 1e-12
+        with pytest.raises(ZeroPriorMassError):
+            make_loss("rb", psi_marginal(model.prior, psi))
+
+    def test_cross_check_still_trips(self, monkeypatch):
+        model = self.model()
+        psi = identity_psi(model)
+        loss = make_loss("map", psi_marginal(model.prior, psi))
+        rule, _ = bayes_rule(model, psi, loss)
+        exact = decision_mod.conditional_error_probs
+        monkeypatch.setattr(
+            decision_mod, "conditional_error_probs", lambda *args: exact(*args) + 1e-6
+        )
+        with pytest.raises(RiskCrossCheckError):
+            prior_risk(model, psi, loss, rule)
 
 
 class TestInputChecks:

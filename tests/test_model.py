@@ -337,3 +337,15 @@ class TestJson:
         assert np.all(m2.likelihood == m.likelihood)
         assert np.all(m2.prior == m.prior)
         assert psi2.assignment == psi.assignment
+
+    def test_only_a_parsed_document(self, tmp_path):
+        # a JSON string or a path is a str, not an object; a 40-theta document's text
+        # is longer than a file name may be, and still fails with the same message
+        doc = model_to_json(validate(two_by_two()))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        wide = {"theta": [f"t{i}" for i in range(40)], "x": ["x0"],
+                "likelihood": [[1.0]] * 40, "prior": [1 / 40] * 40}
+        for value in (json.dumps(doc), json.dumps(wide), str(path), path):
+            with pytest.raises(ValidationError, match="must be a JSON object"):
+                model_from_json(value)
