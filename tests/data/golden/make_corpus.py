@@ -15,7 +15,10 @@ mass is a short decimal and every row sums to 1 within a few ulps. The
 ``evidence`` gammas are each table's plausible-region content and its two
 float neighbours, where the two credible-region conventions part. Each
 model also runs ``model`` (with and without ``--x``) and ``decide`` under
-all three losses; ``classify known|predict`` run at the README settings.
+all three losses; ``classify known|predict|table1`` run at the README
+settings (``table1`` at 2,000 replications), ``regress`` on an eight-row
+design with and without ``--grid-check``, and ``limits`` runs every
+experiment on gridded configs, ``eta`` and ``sandwich`` also on tables.
 """
 
 from __future__ import annotations
@@ -212,6 +215,7 @@ def _cases() -> list[dict]:
             "likelihood": {"kind": "normal-location", "x": 1.3, "sigma2": 0.5},
             "grid": {"lo": -5.0, "hi": 5.0, "n_cells": 32},
             "gamma": 0.9,
+            "target": 1.3,
         },
         "beta": {
             "prior": {"family": "beta", "alpha": 3.0, "beta": 2.0},
@@ -229,6 +233,34 @@ def _cases() -> list[dict]:
                 "name": f"limits-{experiment}-{prior}",
                 "args": ["limits", experiment, "--config", path, "--precision", "full"],
             })
+    # the normal config's target is the continuum evidence estimate, the observation x
+    # (region and sandwich do not read it); the other two default to the finest grid
+    for path in ("limits_normal.json", "limits_beta.json", "region_lognormal.json"):
+        for experiment in ("lambda", "map"):
+            cases.append({
+                "name": f"limits-{experiment}-{path.removesuffix('.json').split('_')[1]}",
+                "args": ["limits", experiment, "--config", path, "--precision", "full"],
+            })
+
+    for precision in ("default", "full"):
+        cases.append({
+            "name": f"classify-table1-{precision}",
+            "args": ["classify", "table1", "--alpha", "1", "--betas", "1,14,32,100", "--mu", "1",
+                     "--n", "10", "--reps", "2000", "--seed", "7", "--precision", precision],
+        })
+
+    # an intercept and two covariates over eight rows; the design file has a header row
+    design = "a,b,c\n" + "".join(
+        f"1,{u},{v}\n" for u, v in
+        [(0.5, 1.2), (1.5, -0.3), (2.0, 0.8), (-1.0, 0.1), (0.3, -1.4), (1.1, 2.2), (-0.7, 0.6), (2.4, -0.9)]
+    )
+    (HERE / "regress_design.csv").write_text(design)
+    (HERE / "regress_response.csv").write_text("1.9\n2.1\n3.4\n-0.2\n-0.8\n4.1\n0.5\n1.7\n")
+    (HERE / "regress_w.csv").write_text("0,1,1\n")
+    regress = ["regress", "--design", "regress_design.csv", "--response", "regress_response.csv",
+               "--sigma2", "0.5", "--tau2", "4", "--w", "regress_w.csv"]
+    cases.append({"name": "regress", "args": regress})
+    cases.append({"name": "regress-grid-check", "args": [*regress, "--grid-check", "4096"]})
     return cases
 
 

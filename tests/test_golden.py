@@ -11,6 +11,7 @@ that moved. A refactor or speed-up leaves every file as it is.
 import json
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -27,3 +28,31 @@ def test_output_matches_golden_bytes(case, monkeypatch):
     assert res.exit_code == case["exit"], res.output
     assert res.stderr == case["stderr"]
     assert res.stdout_bytes == (GOLDEN / "out" / f"{case['name']}.txt").read_bytes()
+
+
+def _invocations(group: click.Group, prefix: tuple = ()):
+    """Every leaf of the command tree, with each value of a choice argument."""
+    for name, cmd in group.commands.items():
+        path = (*prefix, name)
+        if isinstance(cmd, click.Group):
+            yield from _invocations(cmd, path)
+            continue
+        choices = [
+            p.type.choices
+            for p in cmd.params
+            if isinstance(p, click.Argument) and isinstance(p.type, click.Choice)
+        ]
+        if choices:
+            yield from ((*path, choice) for choice in choices[0])
+        else:
+            yield path
+
+
+def test_every_command_has_a_case():
+    invocations = list(_invocations(main))
+    assert ("classify", "table1") in invocations and ("limits", "lambda") in invocations
+    missing = [
+        inv for inv in invocations
+        if not any(tuple(c["args"][: len(inv)]) == inv for c in CASES)
+    ]
+    assert not missing
