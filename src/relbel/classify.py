@@ -177,10 +177,6 @@ class RiskTableRow:
     reps: int
     seed: int
 
-    @staticmethod
-    def csv_header() -> str:
-        return "beta,map_err0,map_err1,map_sum,rb_err0,rb_err1,rb_sum,reps,seed"
-
 
 # doubles consumed per replication: 1 (eps) + n (labels) + n (training x,
 # drawn for stream fidelity) + 2 (one test point per class)

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 invalid input, 3 numerical guard tripped. The
 command group's ``invoke`` is the one place a library error becomes an exit
-code, and ``_read_json`` the one reader of JSON input files. All randomness
-flows from an explicit ``--seed``; identical inputs and seed give
-byte-identical output.
+code, ``_read_json`` the one reader of JSON input files, and ``_json_text``
+the one writer of JSON reports. A report dataclass's fields are its output
+keys: a command passes ``dataclasses.asdict`` of it, and numpy arrays and
+scalars as they are. All randomness flows from an explicit ``--seed``;
+identical inputs and seed give byte-identical output.
 
 Each command imports the library layers it runs inside its own body, so a
 process loads only those: ``classify known`` never imports ``evidence``,
@@ -14,6 +16,7 @@ and ``--version`` imports no layer at all.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -79,7 +82,8 @@ def _emit(text: str, output: str | None):
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` as sorted, indented JSON; numpy arrays and scalars become lists and numbers."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=lambda a: a.tolist()) + "\n"
 
 
 def _fmt(value, precision: str) -> str:
@@ -88,7 +92,7 @@ def _fmt(value, precision: str) -> str:
     return str(value)
 
 
-def _csv_text(header: list[str], rows: list[list], precision: str) -> str:
+def _csv_text(header: list[str], rows, precision: str) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -98,12 +102,11 @@ def _csv_text(header: list[str], rows: list[list], precision: str) -> str:
 
 
 def _region_doc(report) -> dict:
-    return {
-        "members": report.members.tolist(),
-        "cutoff": None if report.cutoff == -math.inf else report.cutoff,
-        "posterior_content": report.posterior_content,
-        "prior_content": report.prior_content,
-    }
+    """A region report's fields; a ``-inf`` cutoff (every value is a member) prints as null."""
+    doc = dataclasses.asdict(report)
+    if report.cutoff == -math.inf:
+        doc["cutoff"] = None
+    return doc
 
 
 class _Relbel(click.Group):
@@ -139,20 +142,14 @@ def model_cmd(model_path, x_index, output):
     doc = {
         "valid": True,
         "renormalized": model.renormalized,
-        "prior_predictive": prior_predictive(model).tolist(),
+        "prior_predictive": prior_predictive(model),
     }
     if x_index is not None:
         rep = posterior(model, x_index)
-        doc["posterior"] = {
-            "masses": rep.posterior.tolist(),
-            "evidence_norm": rep.evidence_norm,
-        }
+        doc["posterior"] = {"masses": rep.posterior, "evidence_norm": rep.evidence_norm}
     if psi is not None:
         pi_psi, cond = marginalize(model, psi)
-        doc["marginal"] = {
-            "pi_psi": pi_psi.tolist(),
-            "conditional_predictive": cond.tolist(),
-        }
+        doc["marginal"] = {"pi_psi": pi_psi, "conditional_predictive": cond}
     _emit(_json_text(doc), output)
 
 
@@ -177,10 +174,10 @@ def evidence_cmd(model_path, x_index, gamma, convention, psi0, output):
     t = evidence.table_from_model(model, x_index, psi)
     est = evidence.rb_estimate(t)
     doc = {
-        "labels": list(t.labels),
-        "rb": t.rb.tolist(),
-        "prior": t.prior.tolist(),
-        "posterior": t.posterior.tolist(),
+        "labels": t.labels,
+        "rb": t.rb,
+        "prior": t.prior,
+        "posterior": t.posterior,
         "estimate": est.index,
         "tie": est.tie,
         "dropped_zero_prior": t.dropped_zero_prior,
@@ -194,13 +191,7 @@ def evidence_cmd(model_path, x_index, gamma, convention, psi0, output):
     if psi0 is not None:
         rep = evidence.assess_hypothesis(t, psi0)
         doc["strength"] = rep.strength
-        doc["hypothesis"] = {
-            "psi0": psi0,
-            "rb_at_psi0": rep.rb_at_psi0,
-            "strength": rep.strength,
-            "posterior_mass": rep.posterior_mass,
-            "verdict": rep.verdict,
-        }
+        doc["hypothesis"] = {"psi0": psi0, **dataclasses.asdict(rep)}
     _emit(_json_text(doc), output)
 
 
@@ -229,14 +220,10 @@ def decide_cmd(model_path, loss, eta, output):
     doc = {
         "loss": loss,
         "eta": eta,
-        "actions": list(rule.action_per_x),
-        "ties": list(rule.ties),
-        "posterior_risk_per_x": report.posterior_risk_per_x.tolist(),
-        "prior_risk": report.prior_risk,
+        "actions": rule.action_per_x,
+        "ties": rule.ties,
+        **dataclasses.asdict(report),
         "prior_risk_joint": direct,
-        "decomposition": [list(d) for d in report.decomposition]
-        if report.decomposition
-        else None,
     }
     _emit(_json_text(doc), output)
 
@@ -266,12 +253,8 @@ def classify_table1(alpha, betas, mu, n, reps, seed, precision, output):
     if not beta_values:
         raise ValidationError("--betas must list at least one value")
     rows = classify.risk_table(alpha, beta_values, mu, n, reps, seed)
-    header = classify.RiskTableRow.csv_header().split(",")
-    table = [
-        [r.beta, r.map_err0, r.map_err1, r.map_sum, r.rb_err0, r.rb_err1, r.rb_sum, r.reps, r.seed]
-        for r in rows
-    ]
-    _emit(_csv_text(header, table, precision), output)
+    header = [f.name for f in dataclasses.fields(classify.RiskTableRow)]
+    _emit(_csv_text(header, map(dataclasses.astuple, rows), precision), output)
 
 
 @classify_group.command("predict")
@@ -289,18 +272,7 @@ def classify_predict(alpha, beta, n, c_bar, f0, f1, output):
     spec = classify.PredictiveSpec(
         alpha=alpha, beta=beta, n=n, c_bar=c_bar, f0_at_x=f0, f1_at_x=f1
     )
-    res = classify.predictive_classify(spec)
-    _emit(
-        _json_text(
-            {
-                "c_map": res.c_map,
-                "c_rb": res.c_rb,
-                "map_ratio": res.map_ratio,
-                "rb_ratio": res.rb_ratio,
-            }
-        ),
-        output,
-    )
+    _emit(_json_text(dataclasses.asdict(classify.predictive_classify(spec))), output)
 
 
 @classify_group.command("known")
@@ -353,17 +325,12 @@ def regress_cmd(design, response, sigma2, tau2, w_path, grid_check, output):
     w = _load_csv_matrix(w_path).ravel()
     spec = regress.RegressionSpec(design=X, response=y, sigma2=sigma2, tau2=tau2)
     rep = regress.functional_inference(spec, w)
-    doc = regress.functional_report_to_dict(rep)
+    doc = dataclasses.asdict(rep)
     if grid_check is not None:
         sd = math.sqrt(rep.sigma2_psi)
         grid = grids.build_grid(-8.0 * sd, 8.0 * sd, grid_check)
         check = regress.rb_grid_check(spec, w, grid)
-        doc["grid_check"] = {
-            "closed_form": check.closed_form,
-            "grid_argmax": check.grid_argmax,
-            "gap": check.gap,
-            "cell_width": grid.cell_width,
-        }
+        doc["grid_check"] = {**dataclasses.asdict(check), "cell_width": grid.cell_width}
     _emit(_json_text(doc), output)
 
 

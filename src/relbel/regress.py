@@ -91,20 +91,6 @@ class FunctionalReport:
     sigma2_z_post: float
 
 
-def functional_report_to_dict(rep: FunctionalReport) -> dict:
-    return {
-        "w": rep.w.tolist(),
-        "psi_map": rep.psi_map,
-        "psi_rb": rep.psi_rb,
-        "sigma2_psi": rep.sigma2_psi,
-        "sigma2_psi_post": rep.sigma2_psi_post,
-        "z_map": rep.z_map,
-        "z_rb": rep.z_rb,
-        "sigma2_z": rep.sigma2_z,
-        "sigma2_z_post": rep.sigma2_z_post,
-    }
-
-
 def posterior_params(spec: RegressionSpec) -> PosteriorGaussian:
     """Posterior mean and covariance of the coefficients, plus the MLE."""
     X, y = spec.design, spec.response

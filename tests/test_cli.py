@@ -536,7 +536,7 @@ class TestReportRoundTrips:
         res = runner.invoke(main, args)
         assert res.exit_code == 0, res.output
         rows = list(csv.DictReader(io.StringIO(res.output)))
-        assert list(rows[0]) == RiskTableRow.csv_header().split(",")
+        assert list(rows[0]) == [f.name for f in dataclasses.fields(RiskTableRow)]
         want = risk_table(1.0, [1.0, 14.0], 1.0, 10, 2000, 21)
         assert [{k: float(v) for k, v in r.items()} for r in rows] == [
             dataclasses.asdict(w) for w in want
