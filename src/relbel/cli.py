@@ -149,7 +149,9 @@ def model_cmd(model_path, x_index, output):
         doc["posterior"] = {"masses": rep.posterior, "evidence_norm": rep.evidence_norm}
     if psi is not None:
         pi_psi, cond = marginalize(model, psi)
-        doc["marginal"] = {"pi_psi": pi_psi, "conditional_predictive": cond}
+        # a value without prior mass has no conditional law: its row prints as null
+        rows = [row if mass > 0.0 else None for mass, row in zip(pi_psi, cond)]
+        doc["marginal"] = {"pi_psi": pi_psi, "conditional_predictive": rows}
     _emit(_json_text(doc), output)
 
 

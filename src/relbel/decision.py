@@ -166,18 +166,10 @@ def conditional_error_probs(model: FiniteModel, psi: PsiMap, rule: DecisionRule)
     A value without prior mass has no conditional law, and its entry is NaN.
     """
     acts = _rule_actions(model, psi, rule)
-    pi_psi = psi_marginal(model.prior, psi)
-    values = np.flatnonzero(pi_psi > 0.0)
-    if len(values) == psi.n_psi:
-        _, cond = marginalize(model, psi)
-    else:
-        # marginalize's rows for the values with prior mass
-        cond = psi_marginal(model.joint, psi)[values] / pi_psi[values, None]
-    # zeros at the correct actions leave each exact row total unchanged
-    wrong = acts[None, :] != values[:, None]
-    errs = np.full(psi.n_psi, np.nan)
-    errs[values] = fsums(np.where(wrong, cond, 0.0), axis=1)
-    return errs
+    _, cond = marginalize(model, psi)
+    # zeros at the correct actions leave each exact row total unchanged; a NaN row stays NaN
+    wrong = acts[None, :] != np.arange(psi.n_psi)[:, None]
+    return fsums(cond * wrong, axis=1)
 
 
 def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) -> float:

@@ -36,10 +36,6 @@ class ImpossibleObservationError(ValidationError):
     """The observed outcome has zero prior-predictive mass."""
 
 
-class EmptyFiberError(ValidationError):
-    """A marginal value carries zero prior mass (empty or null fiber)."""
-
-
 # --- grids ------------------------------------------------------------------
 
 class BadRangeError(ValidationError):

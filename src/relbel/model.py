@@ -25,7 +25,6 @@ import numpy as np
 
 from ._sums import fsums
 from .errors import (
-    EmptyFiberError,
     ImpossibleObservationError,
     IndexOutOfRangeError,
     NegativeMassError,
@@ -265,23 +264,20 @@ def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray
 
     Returns ``(pi_psi, cond_pred)`` where ``pi_psi[j]`` is the prior mass of
     psi value j and ``cond_pred[j, x]`` is the predictive probability of
-    outcome x after integrating theta over the fiber of j. Both are
+    outcome x after integrating theta over the fiber of j. A value without
+    prior mass has no conditional law, and its row is NaN. Both are
     read-only and built once per model and psi map.
 
     Raises:
         ValidationError: the psi assignment does not fit the model.
-        EmptyFiberError: some psi value has zero prior mass.
     """
     tables = model._psi_tables.setdefault(psi, {})
     if "conditional" not in tables:
         pi_psi = psi_marginal(model.prior, psi)
-        if np.any(pi_psi <= 0.0):
-            j = int(np.argmin(pi_psi))
-            raise EmptyFiberError(
-                f"psi value {psi.psi_labels[j]!r} has zero prior mass"
-            )
         cond = psi_marginal(model.joint, psi)
-        cond /= pi_psi[:, None]
+        # a value without prior mass has a zero joint row: 0 / 0
+        with np.errstate(invalid="ignore"):
+            cond /= pi_psi[:, None]
         for v in (pi_psi, cond):
             v.setflags(write=False)
         tables["conditional"] = pi_psi, cond

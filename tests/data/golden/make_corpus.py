@@ -164,6 +164,16 @@ def _cases() -> list[dict]:
         "name": "decide-zero_prior-rb-eta-subnormal",
         "args": ["decide", "--model", "zero_prior.json", "--loss", "rb-eta", "--eta", "5e-324"],
     })
+    # psi value B carries no prior mass: model prints its conditional row as null
+    empty_fibre = {
+        "theta": ["a", "b", "c"],
+        "x": ["x0", "x1"],
+        "likelihood": [[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]],
+        "prior": [0.5, 0.0, 0.5],
+        "psi": {"labels": ["A", "B"], "assignment": [0, 1, 0]},
+    }
+    (HERE / "empty_fibre.json").write_text(json.dumps(empty_fibre) + "\n")
+    cases.append({"name": "model-empty_fibre", "args": ["model", "--model", "empty_fibre.json"]})
     cases.append({
         "name": "classify-known",
         "args": ["classify", "known", "--psi0", "0.05", "--psi1", "0.8", "--epsilon", "0.01"],

@@ -374,6 +374,13 @@ class TestEmptyFibre:
         with pytest.raises(ZeroPriorMassError):
             make_loss("rb", psi_marginal(model.prior, psi))
 
+    def test_empty_value_is_nan_under_any_rule(self):
+        # a rule that always picks the empty value leaves no wrong cell in its row
+        model = self.model()
+        errs = conditional_error_probs(model, identity_psi(model), DecisionRule((1, 1, 1), (False,) * 3))
+        assert np.isnan(errs[1])
+        assert errs[[0, 2]] == pytest.approx([1.0, 1.0], abs=1e-15)
+
     def test_cross_check_still_trips(self, monkeypatch):
         model = self.model()
         psi = identity_psi(model)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from relbel.errors import (
-    EmptyFiberError,
     ImpossibleObservationError,
     IndexOutOfRangeError,
     NegativeMassError,
@@ -290,7 +289,7 @@ class TestMarginalize:
             pi_psi, cond = marginalize(model, psi)
             assert np.allclose(pi_psi @ cond, prior_predictive(model), atol=1e-9)
 
-    def test_empty_fiber_rejected(self):
+    def test_empty_fiber_row_is_nan(self):
         m = validate(
             FiniteModel(
                 ("a", "b", "c"),
@@ -299,8 +298,12 @@ class TestMarginalize:
                 np.array([0.5, 0.5, 0.0]),
             )
         )
-        with pytest.raises(EmptyFiberError):
-            marginalize(m, PsiMap((0, 0, 1), ("A", "B")))
+        pi_psi, cond = marginalize(m, PsiMap((0, 0, 1), ("A", "B")))
+        assert pi_psi.tolist() == [1.0, 0.0]
+        assert np.isnan(cond[1]).all()
+        # the row with prior mass has the bits of a model without the empty value
+        full = validate(FiniteModel(("a", "b"), ("x0", "x1"), m.likelihood[:2], m.prior[:2]))
+        assert cond[0].tobytes() == marginalize(full, PsiMap((0, 0), ("A",)))[1][0].tobytes()
 
 
 class TestInvariants:
