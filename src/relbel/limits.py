@@ -114,8 +114,11 @@ def eta_limit(source, x=None, psi: PsiMap | None = None, eta_ladder=None) -> Lim
     """Bayes actions under the capped reciprocal-prior loss along an eta ladder.
 
     The per-step action maximizes ``posterior / max(eta, prior)``; the trace
-    target is the evidence maximizer, which must be unique. Discrepancy is
-    the index distance to the target.
+    target is the evidence maximizer, which must be unique. Actions and the
+    target are input indices (``t.kept_indices`` of table positions), as
+    :func:`region_limit`'s cells are grid cells, so a value without prior
+    mass keeps its place in the count. Discrepancy is the index distance to
+    the target.
     """
     t = _table_from_source(source, x=x, psi=psi)
     est = rb_estimate(t)
@@ -126,7 +129,8 @@ def eta_limit(source, x=None, psi: PsiMap | None = None, eta_ladder=None) -> Lim
     eta_ladder = tuple(float(e) for e in eta_ladder)
     if any(e <= 0 for e in eta_ladder) or any(a <= b for a, b in zip(eta_ladder, eta_ladder[1:])):
         raise ValidationError("eta ladder must be strictly decreasing and positive")
-    return _trace(eta_ladder, [_capped_action(t, eta) for eta in eta_ladder], est.index)
+    kept = t.kept_indices.tolist()
+    return _trace(eta_ladder, [kept[_capped_action(t, eta)] for eta in eta_ladder], kept[est.index])
 
 
 def _gridded_pair(

@@ -105,6 +105,31 @@ class TestEtaLimit:
             if started:
                 assert d == 0.0
 
+    def test_zero_prior_theta_keeps_input_indices(self):
+        # theta t1 has no prior mass and drops out of the table; decide counts it
+        from relbel.decision import bayes_rule, make_loss
+
+        model = validate(
+            FiniteModel(
+                ("t0", "t1", "t2", "t3", "t4"),
+                ("x0", "x1", "x2"),
+                np.array([
+                    [0.2, 0.5, 0.3], [0.6, 0.2, 0.2], [0.1, 0.1, 0.8],
+                    [0.45, 0.35, 0.2], [0.3, 0.3, 0.4],
+                ]),
+                np.array([0.3, 0.0, 0.25, 0.25, 0.2]),
+            )
+        )
+        psi = identity_psi(model)
+        trace = eta_limit(model, x=0, psi=psi)
+        assert model.theta_labels[trace.target] == "t3"
+        for eta, action in zip(trace.parameter_values, trace.actions_or_regions):
+            rule, _ = bayes_rule(model, psi, make_loss("rb-eta", model.prior, eta=eta))
+            assert rule.action_per_x[0] == action
+        # on a table of masses the indices are positions in the input lists
+        t = rb_table([0.5, 0.0, 0.5], [0.2, 0.0, 0.8])
+        assert eta_limit(t).target == 2
+
 
 NORMAL_PRIOR = family("normal", mu=0.0, sigma2=1.0)
 
