@@ -388,8 +388,10 @@ def _eta_steps(doc: dict) -> int:
     return _count(doc.get("eta_steps", 8), "config field 'eta_steps'")
 
 
-def _table_from_config(doc: dict) -> tuple[list, list]:
-    """Prior and posterior masses of a ``table`` block."""
+def _table_from_config(doc: dict):
+    """The evidence table of a ``table`` block's prior and posterior masses."""
+    from . import evidence
+
     tbl = _object(doc["table"], "table config")
     masses = []
     for key in ("prior", "posterior"):
@@ -397,7 +399,7 @@ def _table_from_config(doc: dict) -> tuple[list, list]:
         if not isinstance(values, list):
             raise ValidationError(f"table config field {key!r} must be a list of numbers")
         masses.append([_number(v, f"table config field {key!r} entry") for v in values])
-    return masses[0], masses[1]
+    return evidence.rb_table(*masses)
 
 
 def _trace_rows(trace) -> tuple[list[str], list[list]]:
@@ -424,7 +426,7 @@ def limits_cmd(experiment, config, precision, output):
         gamma = _number(_require(doc, "gamma", f"{experiment} config"), "config field 'gamma'")
     if experiment == "eta":
         if "table" in doc:
-            t = evidence.rb_table(*_table_from_config(doc))
+            t = _table_from_config(doc)
         else:
             block = _require(doc, "model", "eta config")
             model, psi = model_from_json(_object(block, "eta config field 'model'"))
@@ -452,10 +454,9 @@ def limits_cmd(experiment, config, precision, output):
         header = ["parameter", "eta", "gamma_used", "gamma_next", "lower_holds", "upper_holds"]
         rows = []
         if "table" in doc:
-            masses = _table_from_config(doc)
-            # the ladder of the table lpl_sandwich builds from the same masses
-            ladder = limits.default_eta_ladder(evidence.rb_table(*masses).prior, _eta_steps(doc))
-            reports = [(0.0, limits.lpl_sandwich(*masses, gamma, ladder))]
+            t = _table_from_config(doc)
+            ladder = limits.default_eta_ladder(t.prior, _eta_steps(doc))
+            reports = [(0.0, limits.lpl_sandwich(t, gamma, ladder))]
         else:
             pdf, lik, grids_list = _ladder_from_config(doc)
             reports = limits.sandwich_double_limit(

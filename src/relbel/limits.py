@@ -290,8 +290,8 @@ class SandwichReport:
         return idx
 
 
-def lpl_sandwich(prior, posterior_masses, gamma: float, eta_ladder=None) -> SandwichReport:
-    """Check the region sandwich on one finite (or truncated) table.
+def lpl_sandwich(t: EvidenceTable, gamma: float, eta_ladder=None) -> SandwichReport:
+    """Check the region sandwich on one finite (or truncated) evidence table.
 
     Uses the smallest attainable posterior content at or above ``gamma``
     for the lower credible region (reported), and the next attainable
@@ -301,7 +301,6 @@ def lpl_sandwich(prior, posterior_masses, gamma: float, eta_ladder=None) -> Sand
     """
     if not 0.0 <= gamma <= 1.0:
         raise NoAttainableGammaError(f"gamma must be in [0, 1], got {gamma}")
-    t = rb_table(prior, posterior_masses)
     levels = attainable_gammas(t)
     at_or_above = levels[levels >= gamma]
     gamma_used = float(at_or_above[0]) if len(at_or_above) else float(levels[-1])
@@ -348,8 +347,7 @@ def sandwich_double_limit(
     out = []
     for grid in grids:
         t = _grid_table(prior_density, likelihood_at_x, grid)
-        ladder = default_eta_ladder(t.prior, eta_steps)
-        out.append((grid.cell_width, lpl_sandwich(t.prior, t.posterior, gamma, ladder)))
+        out.append((grid.cell_width, lpl_sandwich(t, gamma, default_eta_ladder(t.prior, eta_steps))))
     return out
 
 

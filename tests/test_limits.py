@@ -321,20 +321,20 @@ class TestSandwich:
             prior = psi_marginal(model.prior, psi)
             post = psi_marginal(posterior(model, x).posterior, psi)
             gamma = float(rng.uniform(0.2, 0.95))
-            rep = lpl_sandwich(prior, post, gamma)
+            rep = lpl_sandwich(rb_table(prior, post), gamma)
             for eta, lo, up in zip(rep.eta_values, rep.lower_holds, rep.upper_holds):
                 if eta <= prior.min():
                     assert lo and up
 
     def test_truncated_geometric_sandwich(self):
         t = truncated_geometric_table()
-        rep = lpl_sandwich(t.prior, t.posterior, 0.8, default_eta_ladder(t.prior, 40))
+        rep = lpl_sandwich(t, 0.8, default_eta_ladder(t.prior, 40))
         assert rep.holds_from is not None
         assert rep.gamma_next is None or rep.gamma_next > rep.gamma_used
         assert rep.gamma_used >= 0.8
 
     def test_gamma_one_both_sides_full(self):
-        rep = lpl_sandwich([0.5, 0.5], [0.2, 0.8], 1.0)
+        rep = lpl_sandwich(rb_table([0.5, 0.5], [0.2, 0.8]), 1.0)
         assert rep.lower_region.tolist() == rep.upper_region.tolist() == [0, 1]
         assert all(rep.lower_holds) and all(rep.upper_holds)
 
@@ -342,7 +342,7 @@ class TestSandwich:
         from relbel.errors import NoAttainableGammaError
 
         with pytest.raises(NoAttainableGammaError):
-            lpl_sandwich([0.5, 0.5], [0.2, 0.8], 1.2)
+            lpl_sandwich(rb_table([0.5, 0.5], [0.2, 0.8]), 1.2)
 
     def test_double_limit_grid(self):
         # the cap must fall below the smallest positive cell mass before the
@@ -360,6 +360,20 @@ class TestSandwich:
             assert np.array_equal(rep.d_regions[-1], rep.lower_region)
         gaps = [rep.gamma_used - 0.9 for _, rep in reports]
         assert gaps[-1] <= gaps[0]
+
+    def test_double_limit_levels_are_the_grid_tables_own(self):
+        # normalizing the grid table's masses a second time moved both levels
+        # one ulp at the finest grid of this ladder
+        from relbel.evidence import attainable_gammas
+        from relbel.limits import _grid_table
+
+        pdf = family("normal", mu=-0.11663111921448177, sigma2=1.026778564335999).pdf
+        lik = gaussian_location_likelihood(0.9654857940451644, 0.5487577107271681)
+        grids = grid_ladder(build_grid(-7.20973690247078, 6.976474664041817, 32), steps=4)
+        reports = sandwich_double_limit(pdf, lik, 0.9698599395610621, grids, eta_steps=4)
+        for grid, (_, rep) in zip(grids, reports):
+            levels = attainable_gammas(_grid_table(pdf, lik, grid))
+            assert rep.gamma_used in levels and rep.gamma_next in levels
 
 
 class TestInvarianceDemo:
