@@ -255,23 +255,39 @@ def brute_force_bayes(
 
     Scores come from the joint theta-space expectation of a dense
     ``[true, action]`` loss matrix, independent of the per-outcome
-    maximization in :func:`bayes_rule`. Guarded by ``cap`` on the number
-    of rules, which also keeps the matrix tiny.
+    maximization in :func:`bayes_rule`. Rules are numbered as by
+    :func:`all_rules`, outcome 0 the most significant digit, and their risks
+    are built as a running outer sum over outcomes: the same additions in
+    the same order as summing each rule's per-outcome terms, so every score
+    has the bits of that rule-by-rule sum, and ties go to the lowest number.
+    The cost is O(n_psi^n_x) additions and memory, guarded by ``cap`` on
+    the number of rules, which also keeps the matrix tiny.
     """
-    rules = all_rules(psi.n_psi, model.n_x, cap)
+    _rule_count(psi.n_psi, model.n_x, cap)
     n = loss.n
     dense = np.where(np.eye(n, dtype=bool), 0.0, loss.values[:, None] * np.ones((1, n)))
     psi_of_theta = np.asarray(psi.assignment)
     # W[x, a] = joint expectation of the loss when outcome x gets action a
     W = model.joint.T @ dense[psi_of_theta]
-    risks = W[np.arange(model.n_x)[:, None], rules.T].sum(axis=0)
+    risks = W[0]
+    for row in W[1:]:
+        risks = (risks[:, None] + row).ravel()
     best = int(np.argmin(risks))
-    return tuple(int(a) for a in rules[best]), float(risks[best])
+    digits = range(model.n_x - 1, -1, -1)
+    return tuple(best // psi.n_psi**k % psi.n_psi for k in digits), float(risks[best])
 
 
 def all_rules(n_psi: int, n_x: int, cap: int = RULE_CAP) -> np.ndarray:
-    """Every deterministic rule as an ``(n_rules, n_x)`` action array."""
+    """Every deterministic rule as an ``(n_rules, n_x)`` action array, outcome 0 most significant."""
+    n_rules = _rule_count(n_psi, n_x, cap)
+    # every power fits in int64: none exceeds n_rules <= cap
+    powers = n_psi ** np.arange(n_x - 1, -1, -1, dtype=np.int64)
+    return np.arange(n_rules, dtype=np.int64)[:, None] // powers % n_psi
+
+
+def _rule_count(n_psi: int, n_x: int, cap: int) -> int:
+    """``n_psi ** n_x``, checked against ``cap`` before anything is allocated."""
     n_rules = n_psi**n_x
     if n_rules > cap:
         raise RuleSpaceTooLargeError(f"{n_psi}^{n_x} = {n_rules} rules exceeds the cap {cap}")
-    return np.indices((n_psi,) * n_x).reshape(n_x, -1).T
+    return n_rules

@@ -10,8 +10,10 @@ The built-in density families are closed forms on ``scipy.special`` ufuncs,
 written so that every pdf and cdf value has the bits of the matching frozen
 ``scipy.stats`` distribution; the module does not import ``scipy.stats``,
 whose import costs more than the rest of a CLI run. ``scipy.special`` itself
-is imported on first use, by :func:`family` and :func:`normal_masses`, so the
-finite commands, which need neither, never load scipy.
+is imported only where a special function runs: by a beta family, by the
+normal and lognormal cdfs, and by :func:`normal_masses`. The finite commands,
+and gridded runs that only evaluate normal, lognormal or uniform pdfs, never
+load scipy.
 """
 
 from __future__ import annotations
@@ -241,9 +243,6 @@ def family(name: str, **params: float) -> DensityFamily:
     ``scipy.special`` kernels, 0 (and 1 for a cdf) beyond the support, and
     NaN for NaN input.
     """
-    from scipy.special import betainc, ndtr
-    from scipy.special._ufuncs import _beta_pdf  # the kernel of scipy.stats.beta.pdf
-
     if name == "normal":
         mu, sigma2 = params.get("mu", 0.0), params.get("sigma2", 1.0)
         if sigma2 <= 0:
@@ -255,6 +254,8 @@ def family(name: str, **params: float) -> DensityFamily:
             return np.exp(-(z * z) / 2.0) / _SQRT_2PI / sd
 
         def cdf(x):
+            from scipy.special import ndtr
+
             return ndtr((np.asarray(x, dtype=float) - mu) / sd)
 
         support = (-math.inf, math.inf)
@@ -262,6 +263,8 @@ def family(name: str, **params: float) -> DensityFamily:
         a, b = params.get("alpha", 1.0), params.get("beta", 1.0)
         if a <= 0 or b <= 0:
             raise ValidationError("beta needs alpha > 0 and beta > 0")
+        from scipy.special import betainc
+        from scipy.special._ufuncs import _beta_pdf  # the kernel of scipy.stats.beta.pdf
 
         def pdf(x):
             x = np.asarray(x, dtype=float)
@@ -304,6 +307,8 @@ def family(name: str, **params: float) -> DensityFamily:
             return np.where(z <= 0.0, 0.0, np.exp(log_pdf) / scale)[()]
 
         def cdf(x):
+            from scipy.special import ndtr
+
             z = np.asarray(x, dtype=float) / scale
             with np.errstate(divide="ignore", invalid="ignore"):
                 return _cdf_on(z, 0.0, math.inf, ndtr(np.log(z) / s))

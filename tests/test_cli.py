@@ -859,17 +859,26 @@ WITH_CLASSIFY = CLI_BASE | {"relbel._sums", "relbel.classify"}
 
 
 def test_finite_commands_load_no_scipy(tmp_path, model_file):
-    """One fresh interpreter per command: exactly its layers load, and scipy only on a grid."""
+    """One fresh interpreter per command: its layers load, and scipy only for a special function."""
     cfg = tmp_path / "eta.json"
     cfg.write_text(json.dumps({"model": MODEL_DOC, "x": 1, "eta_steps": 4}))
-    region = tmp_path / "region.json"
-    region.write_text(json.dumps({
-        "prior": {"family": "normal", "mu": 0.0, "sigma2": 1.0},
-        "likelihood": {"kind": "normal-location", "x": 1.9, "sigma2": 1.0},
-        "grid": {"lo": -6.0, "hi": 6.0, "n_cells": 32},
+    # a normal prior evaluates only pdfs; a beta prior needs scipy's beta kernels
+    region = {
+        "likelihood": {"kind": "normal-location", "x": 0.4, "sigma2": 1.0},
         "steps": 2,
         "gamma": 0.9,
         "refine_factor": 4,
+    }
+    normal, beta = tmp_path / "normal.json", tmp_path / "beta.json"
+    normal.write_text(json.dumps({
+        **region,
+        "prior": {"family": "normal", "mu": 0.0, "sigma2": 1.0},
+        "grid": {"lo": -6.0, "hi": 6.0, "n_cells": 32},
+    }))
+    beta.write_text(json.dumps({
+        **region,
+        "prior": {"family": "beta", "alpha": 3.0, "beta": 2.0},
+        "grid": {"lo": 0.0, "hi": 1.0, "n_cells": 32},
     }))
     for name, text in (("X", "1.0\n2.0\n"), ("y", "1.0\n3.0\n"), ("w", "1.0\n")):
         (tmp_path / f"{name}.csv").write_text(text)
@@ -889,7 +898,8 @@ def test_finite_commands_load_no_scipy(tmp_path, model_file):
         (["regress", "--design", str(tmp_path / "X.csv"), "--response", str(tmp_path / "y.csv"),
           "--sigma2", "1", "--tau2", "1", "--w", str(tmp_path / "w.csv"), "--grid-check", "64"],
          WITH_EVIDENCE | {"relbel.regress"}, True),
-        (["limits", "region", "--config", str(region)], WITH_LIMITS, True),
+        (["limits", "region", "--config", str(normal)], WITH_LIMITS, False),
+        (["limits", "region", "--config", str(beta)], WITH_LIMITS, True),
     ]
     code = (
         "import sys\n"

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -274,6 +275,124 @@ class TestDenseOracle:
                     level = ok[0] if ok else levels[-1]
                     expected = set(np.flatnonzero(risks <= level).tolist())
                     assert lpl_region(loss, post, float(gamma)).member_indices == expected
+
+
+def materialized_brute_force(model, psi, loss):
+    """The oracle as one gather: every rule's action row, its terms, a sum per rule."""
+    rules = np.indices((psi.n_psi,) * model.n_x).reshape(model.n_x, -1).T
+    W = model.joint.T @ dense_loss(loss)[np.asarray(psi.assignment)]
+    risks = W[np.arange(model.n_x)[:, None], rules.T].sum(axis=0)
+    best = int(np.argmin(risks))
+    return tuple(int(a) for a in rules[best]), float(risks[best])
+
+
+@st.composite
+def tied_models(draw):
+    """Small models of small-integer masses, so rules often tie exactly.
+
+    One theta value, one outcome and one psi value are all possible.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_theta = draw(st.integers(1, 5))
+    n_x = draw(st.integers(1, 6))
+    n_psi = draw(st.integers(1, min(3, n_theta)))
+    prior = rng.integers(1, 4, size=n_theta).astype(float)
+    likelihood = rng.integers(0, 3, size=(n_theta, n_x)).astype(float)
+    likelihood[likelihood.sum(axis=1) == 0.0] = 1.0
+    assignment = rng.permutation(
+        np.concatenate([np.arange(n_psi), rng.integers(0, n_psi, size=n_theta - n_psi)])
+    )
+    model = validate(
+        FiniteModel(
+            theta_labels=tuple(f"t{i}" for i in range(n_theta)),
+            x_labels=tuple(f"x{i}" for i in range(n_x)),
+            likelihood=likelihood / likelihood.sum(axis=1, keepdims=True),
+            prior=prior / prior.sum(),
+        )
+    )
+    psi = PsiMap(tuple(int(j) for j in assignment), tuple(f"p{j}" for j in range(n_psi)))
+    return model, psi
+
+
+class TestBruteForceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_models(), st.sampled_from(LOSS_KINDS))
+    def test_matches_materialized_scores_bit_for_bit(self, case, kind):
+        model, psi = case
+        pi_psi = psi_marginal(model.prior, psi)
+        loss = make_loss(kind, pi_psi, eta=0.5 * float(pi_psi.max()) if kind == "rb-eta" else None)
+        best_rule, best_risk = brute_force_bayes(model, psi, loss)
+        ref_rule, ref_risk = materialized_brute_force(model, psi, loss)
+        assert best_rule == ref_rule
+        assert best_risk.hex() == ref_risk.hex()
+        expected = np.indices((psi.n_psi,) * model.n_x).reshape(model.n_x, -1).T
+        assert np.array_equal(all_rules(psi.n_psi, model.n_x), expected)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_one_outcome(self, kind):
+        model = validate(FiniteModel(("t0", "t1", "t2"), ("x0",), np.ones((3, 1)), np.array([0.2, 0.3, 0.5])))
+        psi = identity_psi(model)
+        loss = make_loss(kind, model.prior, eta=0.25 if kind == "rb-eta" else None)
+        rule, report = bayes_rule(model, psi, loss)
+        best_rule, best_risk = brute_force_bayes(model, psi, loss)
+        assert best_rule == rule.action_per_x and len(best_rule) == 1
+        assert best_risk.hex() == materialized_brute_force(model, psi, loss)[1].hex()
+        assert abs(best_risk - report.prior_risk) <= 1e-12
+        assert all_rules(3, 1).tolist() == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("n_x", [1, 5, 70])
+    def test_one_psi_value(self, n_x):
+        # past 64 outcomes an n_x-dimensional index array exceeds numpy's dimension limit
+        lik = np.full((2, n_x), 1.0 / n_x)
+        model = validate(FiniteModel(("t0", "t1"), tuple(f"x{i}" for i in range(n_x)), lik, np.full(2, 0.5)))
+        psi = PsiMap((0, 0), ("p0",))
+        loss = make_loss("map", psi_marginal(model.prior, psi))
+        assert brute_force_bayes(model, psi, loss) == ((0,) * n_x, 0.0)
+        rules = all_rules(1, n_x)
+        assert rules.shape == (1, n_x) and not rules.any()
+
+    @pytest.mark.parametrize("n_x", [20, 10_000])
+    def test_cap_is_checked_before_any_allocation(self, n_x):
+        message = f"2^{n_x} = {2**n_x} rules exceeds the cap 1000000"
+        lik = np.random.default_rng(n_x).dirichlet(np.ones(n_x), size=2)
+        model = validate(FiniteModel(("t0", "t1"), tuple(f"x{i}" for i in range(n_x)), lik, np.full(2, 0.5)))
+        psi = identity_psi(model)
+        loss = make_loss("map", model.prior)
+        model.joint  # a cached table of the model, not the oracle's work
+        for call in (lambda: all_rules(2, n_x), lambda: brute_force_bayes(model, psi, loss)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(RuleSpaceTooLargeError) as err:
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(err.value) == message
+            # 2^10000 and its message take a few kB; W alone would be 160 kB at 10,000 outcomes
+            assert peak < 64 * 1024
+
+    def test_memory_is_linear_in_the_rule_count(self):
+        # 2^19 rules: the risks and one half-size partial sum, not n_x x 2^19 arrays
+        rng = np.random.default_rng(19)
+        n_x = 19
+        model = validate(
+            FiniteModel(
+                ("t0", "t1", "t2"),
+                tuple(f"x{i}" for i in range(n_x)),
+                rng.dirichlet(np.ones(n_x), size=3),
+                np.array([0.2, 0.3, 0.5]),
+            )
+        )
+        psi = PsiMap((0, 1, 1), ("p0", "p1"))
+        loss = make_loss("rb", psi_marginal(model.prior, psi))
+        model.joint
+        tracemalloc.start()
+        try:
+            brute_force_bayes(model, psi, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestPriorRisk:
