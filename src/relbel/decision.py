@@ -12,6 +12,8 @@ minus that product at ``a``, so the Bayes rule at each outcome is the
 argmax of posterior times weight; under the ``rb`` loss that product is the
 relative belief ratio. Lowest-posterior-loss regions are superlevel sets of
 that product, built by the helper that builds ``sup-geq`` credible regions.
+A loss sees theta only through psi, so :func:`prior_risk` totals the
+rule's expected loss over the joint table of (psi, x), not of (theta, x).
 :func:`brute_force_bayes` independently scores every deterministic rule
 from the joint distribution and a dense loss matrix, and serves as an
 oracle for that shortcut.
@@ -40,11 +42,13 @@ from .model import (
     PsiMap,
     marginalize,
     posterior_table,
+    psi_joint,
     psi_marginal,
 )
 
 LOSS_KINDS = ("map", "rb", "rb-eta")
 RULE_CAP = 10**6
+_COUNT_BITS = 128  # the longest rule count an error message prints: 39 digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +177,15 @@ def conditional_error_probs(model: FiniteModel, psi: PsiMap, rule: DecisionRule)
 
 
 def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) -> float:
-    """Expected loss of the rule under the joint distribution.
+    """Expected loss of the rule under the joint distribution of (psi, x).
 
-    Computed directly in theta-space as the exact total of joint mass
-    times loss over the theta x outcome table (:func:`relbel._sums.fsums`,
-    with ``math.fsum``'s bits and no Python list); for the uncapped
-    reciprocal-prior and constant losses the closed forms (sum of
+    The loss depends on theta only through psi, so the risk is computed
+    directly as the exact total of joint mass times loss over the psi x
+    outcome table of :func:`relbel.model.psi_joint` (:func:`relbel._sums.fsums`,
+    with ``math.fsum``'s bits and no Python list). Under the identity map
+    that is bitwise the total over the theta x outcome table; a fibre of
+    several theta values enters with its pushed-forward joint mass. For the
+    uncapped reciprocal-prior and constant losses the closed forms (sum of
     conditional error probabilities, plain or prior-weighted) are
     cross-checked to 1e-9, and a disagreement raises
     :class:`RiskCrossCheckError`.
@@ -186,10 +193,9 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) 
     if loss.n != psi.n_psi:
         raise ValidationError(f"loss size {loss.n} != {psi.n_psi} psi values")
     acts = _rule_actions(model, psi, rule)
-    psi_of_theta = np.asarray(psi.assignment)
     # joint mass times the error weight of the true value, zero where the action is correct
-    products = model.joint * loss.values[psi_of_theta][:, None]
-    products[psi_of_theta[:, None] == acts] = 0.0
+    products = psi_joint(model, psi) * loss.values[:, None]
+    products[acts, np.arange(model.n_x)] = 0.0
     direct = float(fsums(products.ravel()))
     if loss.kind in ("rb", "map"):
         # conditional error probabilities, summed plain (rb) or prior-weighted (map) over
@@ -286,8 +292,17 @@ def all_rules(n_psi: int, n_x: int, cap: int = RULE_CAP) -> np.ndarray:
 
 
 def _rule_count(n_psi: int, n_x: int, cap: int) -> int:
-    """``n_psi ** n_x``, checked against ``cap`` before anything is allocated."""
+    """``n_psi ** n_x``, checked against ``cap`` before anything is allocated.
+
+    The error message prints a count of at most ``_COUNT_BITS`` bits. A
+    b-bit ``n_psi`` gives ``n_psi ** n_x >= 2 ** ((b - 1) n_x)``, so once
+    that exponent passes both the cap's bit length and ``_COUNT_BITS`` the
+    count is over the cap and too long to print, and is never formed.
+    """
+    if (n_psi.bit_length() - 1) * n_x > max(cap.bit_length(), _COUNT_BITS):
+        raise RuleSpaceTooLargeError(f"{n_psi}^{n_x} rules exceeds the cap {cap}")
     n_rules = n_psi**n_x
     if n_rules > cap:
-        raise RuleSpaceTooLargeError(f"{n_psi}^{n_x} = {n_rules} rules exceeds the cap {cap}")
+        count = f" = {n_rules}" if n_rules.bit_length() <= _COUNT_BITS else ""
+        raise RuleSpaceTooLargeError(f"{n_psi}^{n_x}{count} rules exceeds the cap {cap}")
     return n_rules

@@ -7,12 +7,13 @@ interest is described by a surjection from theta-indices to psi-indices.
 All values are immutable after validation and safe to share across threads.
 
 A model computes its joint table, the table's exact column totals m(x), and
-one posterior table and one conditional predictive table per
-:class:`PsiMap` once, on first use, and keeps them read-only, so every
-decision on the same model and psi map reads the same arrays. The caches
-assume the model's arrays do not change after first use; :func:`validate`
-makes them read-only. Two threads that fill a cache at once compute
-identical arrays, so sharing a model across threads stays safe.
+one posterior table, one (psi, x) joint table and one conditional
+predictive table per :class:`PsiMap` once, on first use, and keeps them
+read-only, so every decision on the same model and psi map reads the same
+arrays. The caches assume the model's arrays do not change after first use;
+:func:`validate` makes them read-only. Two threads that fill a cache at
+once compute identical arrays, so sharing a model across threads stays
+safe.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ class FiniteModel:
     each row is a probability mass function over outcomes.
 
     ``joint`` (the table ``prior * likelihood``), ``predictive`` (its exact
-    column totals m(x)) and the per-psi tables of :func:`posterior_table`
-    and :func:`marginalize` are computed on first use and kept, read-only;
-    they assume ``likelihood`` and ``prior`` do not change after that. A
-    psi map's tables are held weakly, by the map's identity, and freed with
-    the map.
+    column totals m(x)) and the per-psi tables of :func:`posterior_table`,
+    :func:`psi_joint` and :func:`marginalize` are computed on first use and
+    kept, read-only; they assume ``likelihood`` and ``prior`` do not change
+    after that. A psi map's tables are held weakly, by the map's identity,
+    and freed with the map.
     """
 
     theta_labels: tuple
@@ -153,14 +154,18 @@ def validate(model: FiniteModel) -> FiniteModel:
         raise NegativeMassError("prior masses must be nonnegative")
 
     try:
-        row_totals = fsums(lik, axis=1).tolist()
+        row_totals = fsums(lik, axis=1)
+        # entries are nonnegative or NaN, so a row with a non-finite entry has a
+        # non-finite total: one check of the totals covers every row
+        failing = ~np.isfinite(row_totals) | (np.abs(row_totals - 1.0) > NORM_TOL)
+        suspects = np.flatnonzero(failing)[:1].tolist()
     except OverflowError:
         # some row sums past the float range; row by row, the first bad row reports
-        row_totals = [None] * model.n_theta
-    row_totals = np.array([
-        _unit_total(lik[i], NonStochasticRowError, f"likelihood row {i} ({label!r})", total)
-        for i, (label, total) in enumerate(zip(model.theta_labels, row_totals))
-    ])
+        row_totals, suspects = None, range(model.n_theta)
+    for i in suspects:  # the first failing row raises with its own message
+        total = None if row_totals is None else float(row_totals[i])
+        what = f"likelihood row {i} ({model.theta_labels[i]!r})"
+        _unit_total(lik[i], NonStochasticRowError, what, total)
     prior_total = _unit_total(prior, PriorNotNormalizedError, "prior")
 
     # dividing by an exact 1.0 leaves a row bitwise unchanged
@@ -259,12 +264,31 @@ def posterior_table(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.nda
     return tables["posterior"], m
 
 
+def psi_joint(model: FiniteModel, psi: PsiMap) -> np.ndarray:
+    """The joint table of (psi, x): ``psi_marginal(model.joint, psi)``.
+
+    Row ``j`` accumulates the joint rows of the fibre of psi value ``j`` in
+    theta order, so a one-theta fibre's row is bitwise that theta's joint
+    row. Read-only and built once per model and psi map.
+
+    Raises:
+        ValidationError: the psi assignment does not fit the model.
+    """
+    tables = model._psi_tables.setdefault(psi, {})
+    if "joint" not in tables:
+        joint = psi_marginal(model.joint, psi)
+        joint.setflags(write=False)
+        tables["joint"] = joint
+    return tables["joint"]
+
+
 def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray]:
     """Marginal prior over psi and the conditional predictive table.
 
     Returns ``(pi_psi, cond_pred)`` where ``pi_psi[j]`` is the prior mass of
     psi value j and ``cond_pred[j, x]`` is the predictive probability of
-    outcome x after integrating theta over the fiber of j. A value without
+    outcome x after integrating theta over the fiber of j: the
+    :func:`psi_joint` row of j divided by ``pi_psi[j]``. A value without
     prior mass has no conditional law, and its row is NaN. Both are
     read-only and built once per model and psi map.
 
@@ -274,10 +298,9 @@ def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray
     tables = model._psi_tables.setdefault(psi, {})
     if "conditional" not in tables:
         pi_psi = psi_marginal(model.prior, psi)
-        cond = psi_marginal(model.joint, psi)
         # a value without prior mass has a zero joint row: 0 / 0
         with np.errstate(invalid="ignore"):
-            cond /= pi_psi[:, None]
+            cond = psi_joint(model, psi) / pi_psi[:, None]
         for v in (pi_psi, cond):
             v.setflags(write=False)
         tables["conditional"] = pi_psi, cond

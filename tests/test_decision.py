@@ -44,6 +44,7 @@ from relbel.model import (
     posterior,
     posterior_table,
     prior_predictive,
+    psi_joint,
     psi_marginal,
     validate,
 )
@@ -351,15 +352,23 @@ class TestBruteForceOracle:
         rules = all_rules(1, n_x)
         assert rules.shape == (1, n_x) and not rules.any()
 
-    @pytest.mark.parametrize("n_x", [20, 10_000])
-    def test_cap_is_checked_before_any_allocation(self, n_x):
-        message = f"2^{n_x} = {2**n_x} rules exceeds the cap 1000000"
-        lik = np.random.default_rng(n_x).dirichlet(np.ones(n_x), size=2)
-        model = validate(FiniteModel(("t0", "t1"), tuple(f"x{i}" for i in range(n_x)), lik, np.full(2, 0.5)))
+    @pytest.mark.parametrize(
+        "n_psi, n_x, message",
+        [
+            pytest.param(2, 20, "2^20 = 1048576 rules exceeds the cap 1000000", id="20"),
+            pytest.param(2, 10_000, "2^10000 rules exceeds the cap 1000000", id="10000"),
+            pytest.param(2, 20_000, "2^20000 rules exceeds the cap 1000000", id="20000"),
+            pytest.param(3, 20_000, "3^20000 rules exceeds the cap 1000000", id="3^20000"),
+        ],
+    )
+    def test_cap_is_checked_before_any_allocation(self, n_psi, n_x, message):
+        lik = np.random.default_rng(n_x).dirichlet(np.ones(n_x), size=n_psi)
+        labels = tuple(f"t{i}" for i in range(n_psi)), tuple(f"x{i}" for i in range(n_x))
+        model = validate(FiniteModel(*labels, lik, np.full(n_psi, 1 / n_psi)))
         psi = identity_psi(model)
         loss = make_loss("map", model.prior)
         model.joint  # a cached table of the model, not the oracle's work
-        for call in (lambda: all_rules(2, n_x), lambda: brute_force_bayes(model, psi, loss)):
+        for call in (lambda: all_rules(n_psi, n_x), lambda: brute_force_bayes(model, psi, loss)):
             tracemalloc.start()
             try:
                 with pytest.raises(RuleSpaceTooLargeError) as err:
@@ -368,8 +377,28 @@ class TestBruteForceOracle:
             finally:
                 tracemalloc.stop()
             assert str(err.value) == message
-            # 2^10000 and its message take a few kB; W alone would be 160 kB at 10,000 outcomes
+            # the message takes under 100 bytes; W alone would be 160 kB at 10,000 outcomes
             assert peak < 64 * 1024
+
+    @pytest.mark.parametrize(
+        "n_psi, n_x, count",
+        [(2, 127, 2**127), (2, 128, None), (2, 129, None), (3, 80, 3**80), (3, 81, None), (7, 10**9, None)],
+    )
+    def test_cap_message_prints_counts_of_at_most_128_bits(self, n_psi, n_x, count):
+        # 2^127 has 128 bits and 3^80 has 127; 2^128 and 3^81 have 129
+        shown = "" if count is None else f" = {count}"
+        with pytest.raises(RuleSpaceTooLargeError) as err:
+            all_rules(n_psi, n_x)
+        assert str(err.value) == f"{n_psi}^{n_x}{shown} rules exceeds the cap 1000000"
+
+    def test_cap_above_the_printed_length(self):
+        # a cap past 2^128 still compares the exact count
+        assert decision_mod._rule_count(2, 200, 2**300) == 2**200
+        assert decision_mod._rule_count(3, 189, 2**300) == 3**189
+        with pytest.raises(RuleSpaceTooLargeError, match=r"^3\^190 rules exceeds the cap"):
+            decision_mod._rule_count(3, 190, 2**300)
+        with pytest.raises(RuleSpaceTooLargeError, match=r"^2\^302 rules exceeds the cap"):
+            decision_mod._rule_count(2, 302, 2**300)
 
     def test_memory_is_linear_in_the_rule_count(self):
         # 2^19 rules: the risks and one half-size partial sum, not n_x x 2^19 arrays
@@ -439,20 +468,51 @@ class TestPriorRisk:
                     report.prior_risk, abs=1e-9
                 )
 
+    @staticmethod
+    def dense_totals(model, psi):
+        """Per loss kind: the loss, its Bayes rule, and the dense psi x outcome and theta x outcome totals."""
+        pi = psi_marginal(model.prior, psi)
+        psi_of_theta = np.asarray(psi.assignment)
+        # rb needs prior mass on every psi value, which a zero-prior theta denies the identity map
+        for kind in LOSS_KINDS if pi.all() else ("map", "rb-eta"):
+            loss = make_loss(kind, pi, eta=0.5 * float(pi.max()) if kind == "rb-eta" else None)
+            rule, _ = bayes_rule(model, psi, loss)
+            acts = np.asarray(rule.action_per_x)[None, :]
+            psi_losses = np.where(np.arange(psi.n_psi)[:, None] == acts, 0.0, loss.values[:, None])
+            theta_losses = np.where(psi_of_theta[:, None] == acts, 0.0, loss.values[psi_of_theta][:, None])
+            yield (
+                loss,
+                rule,
+                math.fsum((psi_marginal(model.joint, psi) * psi_losses).ravel().tolist()),
+                math.fsum((model.joint * theta_losses).ravel().tolist()),
+            )
+
     @settings(max_examples=100, deadline=None)
     @given(finite_models(max_theta=10, max_x=8, max_psi=4))
     def test_bitwise_the_dense_loss_table_total(self, case):
-        # the reference builds the dense theta x outcome loss table and sums its products
+        # the definition: the dense psi x outcome loss table times the (psi, x) joint, summed
         model, psi = case
-        pi = psi_marginal(model.prior, psi)
-        psi_of_theta = np.asarray(psi.assignment)
-        for kind in LOSS_KINDS:
-            loss = make_loss(kind, pi, eta=0.5 * float(pi.max()) if kind == "rb-eta" else None)
-            rule, _ = bayes_rule(model, psi, loss)
-            correct = psi_of_theta[:, None] == np.asarray(rule.action_per_x)[None, :]
-            losses = np.where(correct, 0.0, loss.values[psi_of_theta][:, None])
-            want = math.fsum((model.joint * losses).ravel().tolist())
-            assert prior_risk(model, psi, loss, rule).hex() == want.hex()
+        # Against the theta x outcome total, with u = 2^-53 and k the largest fibre size:
+        # a (psi, x) joint entry adds at most k terms from 0.0, so it is within (1 +- u)^(k-1)
+        # of the exact fibre total, and its product and the fsum give two more factors: the
+        # result is within (1 +- u)^(k+1) of the exact risk. The theta x outcome total is
+        # within (1 +- u)^2 of it, so the two differ by at most (k + 3)u to first order,
+        # and (k + 4)u bounds every order for k <= 10.
+        k = int(np.bincount(psi.assignment).max())
+        for loss, rule, want, theta_total in self.dense_totals(model, psi):
+            got = prior_risk(model, psi, loss, rule)
+            assert got.hex() == want.hex()
+            assert abs(got - theta_total) <= (k + 4) * 2.0**-53 * theta_total
+
+    @settings(max_examples=100, deadline=None)
+    @given(finite_models(max_theta=10, max_x=8, max_psi=4))
+    def test_identity_map_bitwise_the_theta_table_total(self, case):
+        # one-theta fibres push forward as 0.0 + entry, which is exact
+        model, _ = case
+        psi = identity_psi(model)
+        for loss, rule, want, theta_total in self.dense_totals(model, psi):
+            assert want.hex() == theta_total.hex()
+            assert prior_risk(model, psi, loss, rule).hex() == theta_total.hex()
 
 
 def three_theta_two_outcomes():
@@ -680,7 +740,7 @@ def decide_all(model, psi, copy=lambda m: m):
 
 
 class TestCachedTables:
-    """One joint table, one m(x) and one posterior table per model and psi map."""
+    """One joint table and one m(x) per model; one posterior and one (psi, x) joint table per psi map."""
 
     def test_m_totalled_once_and_table_built_once(self, monkeypatch):
         raw, psi = raw_model()
@@ -693,7 +753,7 @@ class TestCachedTables:
             return counted_fsums(a, axis)
 
         def counting_marginal(masses, p):
-            # marginalize pushes the joint itself forward; posterior_table divides it first
+            # psi_joint pushes the joint itself forward; posterior_table divides it first
             tables.append(np.ndim(masses) == 2 and masses is not model.joint)
             conditionals.append(masses is model.joint)
             return counted_marginal(masses, p)
@@ -706,10 +766,11 @@ class TestCachedTables:
         prior_predictive(model)
         assert sum(joint_totals) == 1
         assert sum(tables) == 1
-        # prior_risk's cross-checks under rb and map share one conditional table
+        # prior_risk under every loss and its cross-checks share one (psi, x) joint table
         assert sum(conditionals) == 1
         assert posterior_table(model, psi)[0] is posterior_table(model, psi)[0]
         assert marginalize(model, psi)[1] is marginalize(model, psi)[1]
+        assert psi_joint(model, psi) is psi_joint(model, psi)
 
     def test_cached_arrays_read_only_and_bitwise_fresh(self):
         raw, psi = raw_model()
@@ -726,10 +787,12 @@ class TestCachedTables:
         assert m.tobytes() == fresh_m.tobytes()
         assert table.tobytes() == psi_marginal(joint / fresh_m, psi).T.tobytes()
         pi_psi, cond = marginalize(model, psi)
-        for cached in (pi_psi, cond):
+        joint_psi = psi_joint(model, psi)
+        for cached in (pi_psi, cond, joint_psi):
             assert not cached.flags.writeable
         fresh_pi = psi_marginal(fresh.prior, psi)
         assert pi_psi.tobytes() == fresh_pi.tobytes()
+        assert joint_psi.tobytes() == psi_marginal(joint, psi).tobytes()
         assert cond.tobytes() == (psi_marginal(joint, psi) / fresh_pi[:, None]).tobytes()
 
     def test_dropped_psi_map_releases_its_table(self):

@@ -94,6 +94,20 @@ class TestValidate:
             with pytest.raises(NonStochasticRowError, match=message):
                 validate(FiniteModel(("a", "b"), ("x0", "x1"), lik, np.array([0.5, 0.5])))
 
+    def test_of_two_bad_rows_the_first_reports(self):
+        # rows without an overflow are checked together; only the first failing row reports
+        fine, off, nan = [0.5, 0.5], [0.2, 0.7], [np.nan, 0.5]
+        sums_off = "sums to 0.8999999999999999, not 1 within 1e-09"
+        for rows, message in (
+            ([fine, off, fine, nan], f"likelihood row 1 ('t1') {sums_off}"),
+            ([fine, nan, off, fine], "likelihood row 1 ('t1') has a non-finite entry"),
+            ([off, fine, [0.4, 0.4], fine], f"likelihood row 0 ('t0') {sums_off}"),
+        ):
+            labels = tuple(f"t{i}" for i in range(len(rows)))
+            with pytest.raises(NonStochasticRowError) as err:
+                validate(FiniteModel(labels, ("x0", "x1"), np.array(rows), np.full(len(rows), 0.25)))
+            assert str(err.value) == message
+
     def test_renormalizes_within_tolerance_once(self):
         m = validate(
             FiniteModel(
