@@ -164,6 +164,34 @@ def _cases() -> list[dict]:
         "name": "decide-zero_prior-rb-eta-subnormal",
         "args": ["decide", "--model", "zero_prior.json", "--loss", "rb-eta", "--eta", "5e-324"],
     })
+    # four values share the ratio 4/3 at x0, in exact arithmetic: a tie that rounding may split
+    ratio_ties = {
+        "theta": ["t0", "t1", "t2", "t3", "t4", "t5"],
+        "x": ["x0", "x1"],
+        "likelihood": [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.0, 1.0]],
+        "prior": [w / 18 for w in (1, 5, 4, 5, 1, 2)],
+    }
+    (HERE / "ratio_ties.json").write_text(json.dumps(ratio_ties) + "\n")
+    cases.append({
+        "name": "evidence-ratio_ties",
+        "args": ["evidence", "--model", "ratio_ties.json", "--x", "0"],
+    })
+    cases.append({
+        "name": "decide-ratio_ties-rb",
+        "args": ["decide", "--model", "ratio_ties.json", "--loss", "rb"],
+    })
+    cases.append({
+        "name": "decide-ratio_ties-rb-eta",
+        "args": ["decide", "--model", "ratio_ties.json", "--loss", "rb-eta",
+                 "--eta", repr(2.5 / 18)],
+    })
+    (HERE / "eta_ratio_ties.json").write_text(
+        json.dumps({"model": ratio_ties, "x": 0, "eta_steps": 8}, indent=2) + "\n"
+    )
+    cases.append({
+        "name": "limits-eta-ratio_ties",
+        "args": ["limits", "eta", "--config", "eta_ratio_ties.json", "--precision", "full"],
+    })
     # psi value B carries no prior mass: model prints its conditional row as null
     empty_fibre = {
         "theta": ["a", "b", "c"],
