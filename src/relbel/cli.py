@@ -27,7 +27,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import NumericalGuardError, ValidationError
+from .errors import IndexOutOfRangeError, NumericalGuardError, ValidationError
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -101,9 +101,10 @@ def _csv_text(header: list[str], rows, precision: str) -> str:
     return buf.getvalue()
 
 
-def _region_doc(report) -> dict:
-    """A region report's fields; a ``-inf`` cutoff (every value is a member) prints as null."""
+def _region_doc(report, t) -> dict:
+    """A region's fields, members as input indices of ``t``; a ``-inf`` cutoff prints as null."""
     doc = dataclasses.asdict(report)
+    doc["members"] = t.kept_indices[report.members]
     if report.cutoff == -math.inf:
         doc["cutoff"] = None
     return doc
@@ -168,30 +169,37 @@ def model_cmd(model_path, x_index, output):
 @click.option("--psi0", type=int, default=None, help="Value index to assess as a hypothesis.")
 @click.option("--output", "-o", type=click.Path(), default=None)
 def evidence_cmd(model_path, x_index, gamma, convention, psi0, output):
-    """Evidence table and inferences for one observed outcome."""
+    """Evidence table and inferences for one observed outcome, by input index."""
     from . import evidence
-    from .model import model_from_json
+    from .model import identity_psi, model_from_json
 
     model, psi = model_from_json(_read_json(model_path, "model document"))
+    psi = psi or identity_psi(model)
     t = evidence.table_from_model(model, x_index, psi)
     est = evidence.rb_estimate(t)
+    kept, rb = t.kept_indices, np.full(psi.n_psi, None)
+    prior, post = np.zeros(psi.n_psi), np.zeros(psi.n_psi)
+    rb[kept], prior[kept], post[kept] = t.rb, t.prior, t.posterior
     doc = {
-        "labels": t.labels,
-        "rb": t.rb,
-        "prior": t.prior,
-        "posterior": t.posterior,
-        "estimate": est.index,
+        "labels": psi.psi_labels,
+        "rb": rb,
+        "prior": prior,
+        "posterior": post,
+        "estimate": kept[est.index],
         "tie": est.tie,
         "dropped_zero_prior": t.dropped_zero_prior,
-        "plausible": _region_doc(evidence.plausible_region(t)),
+        "plausible": _region_doc(evidence.plausible_region(t), t),
         "credible": {
             "gamma": gamma,
             "convention": convention,
-            **_region_doc(evidence.credible_region(t, gamma, convention)),
+            **_region_doc(evidence.credible_region(t, gamma, convention), t),
         },
     }
     if psi0 is not None:
-        rep = evidence.assess_hypothesis(t, psi0)
+        row = np.flatnonzero(kept == psi0)
+        if not row.size:
+            raise IndexOutOfRangeError(f"psi0 index {psi0} names no value with prior mass in [0, {psi.n_psi})")
+        rep = evidence.assess_hypothesis(t, int(row[0]))
         doc["strength"] = rep.strength
         doc["hypothesis"] = {"psi0": psi0, **dataclasses.asdict(rep)}
     _emit(_json_text(doc), output)

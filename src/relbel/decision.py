@@ -1,17 +1,17 @@
 """Prior-based loss functions, exact Bayes rules, and risk accounting.
 
 All losses here are two-valued: zero on a correct decision, and on an
-error a weight that depends only on the true value. The weight is constant
-(``map``), the reciprocal of the true value's prior mass (``rb``), or that
-reciprocal capped at ``1/eta`` (``rb-eta``), which applies unchanged to
-the cell masses of a discretized problem. A loss is stored as its vector
-of error weights.
+error one over a denominator that depends only on the true value: 1
+(``map``), its prior mass (``rb``), or that mass capped below at ``eta``
+(``rb-eta``), which applies unchanged to the cell masses of a discretized
+problem. A loss is stored as its vector of denominators.
 
-The posterior risk of action ``a`` is the total of posterior times weight
-minus that product at ``a``, so the Bayes rule at each outcome is the
-argmax of posterior times weight; under the ``rb`` loss that product is the
-relative belief ratio. Lowest-posterior-loss regions are superlevel sets of
-that product, built by the helper that builds ``sup-geq`` credible regions.
+The posterior risk of action ``a`` is the total of posterior over
+denominator minus that ratio at ``a``, so the Bayes rule at each outcome
+is the argmax of the ratio: under the ``rb`` loss, bitwise the relative
+belief ratio, as :mod:`relbel.evidence`'s one helper divides both.
+Lowest-posterior-loss regions are superlevel sets of that ratio, built by
+the helper that builds ``sup-geq`` credible regions.
 A loss sees theta only through psi, so :func:`prior_risk` totals the
 rule's expected loss over the joint table of (psi, x), not of (theta, x).
 :func:`brute_force_bayes` independently scores every deterministic rule
@@ -30,13 +30,12 @@ from .errors import (
     BadEtaError,
     BadGammaError,
     IndexOutOfRangeError,
-    LossWeightOverflowError,
     RiskCrossCheckError,
     RuleSpaceTooLargeError,
     ValidationError,
     ZeroPriorMassError,
 )
-from .evidence import RegionReport, _descending_levels, _superlevel_region
+from .evidence import RegionReport, _descending_levels, _ratios, _superlevel_region
 from .model import (
     FiniteModel,
     PsiMap,
@@ -53,7 +52,11 @@ _COUNT_BITS = 128  # the longest rule count an error message prints: 39 digits
 
 @dataclass(frozen=True, eq=False)
 class Loss:
-    """Two-valued loss: 0 on a correct action, ``values[true]`` on an error."""
+    """Two-valued loss: 0 on a correct action, ``1 / values[true]`` on an error.
+
+    ``values`` holds the denominators, read-only: ones (``map``), the prior
+    masses (``rb``) or ``max(eta, prior)`` (``rb-eta``).
+    """
 
     kind: str
     values: np.ndarray
@@ -76,64 +79,49 @@ class DecisionRule:
 class RiskReport:
     prior_risk: float
     posterior_risk_per_x: np.ndarray
-    # per-outcome (sum of rb, rb at the action) for reciprocal-prior losses
+    # per-outcome (sum of ratios, ratio at the action) for the rb and rb-eta losses
     decomposition: tuple | None = None
 
 
 def make_loss(kind: str, prior, eta: float | None = None) -> Loss:
-    """Build a loss's error weights from the prior masses over the quantity of interest.
-
-    Raises:
-        LossWeightOverflowError: a reciprocal weight is past the float range,
-            as for a prior mass (or ``eta``) under about 5.6e-309, 1 / DBL_MAX.
-    """
+    """Build a loss's denominators from the prior masses over the quantity of interest."""
     if kind not in LOSS_KINDS:
         raise ValidationError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
-    prior = np.asarray(prior, dtype=float)
+    # a copy: the caller's array stays writable
+    prior = np.array(prior, dtype=float)
     if prior.ndim != 1 or len(prior) == 0:
         raise ValidationError("prior must be a nonempty 1-D array")
     if not np.all(np.isfinite(prior)):
         raise ValidationError("prior masses must be finite")
     if kind == "map":
-        weights = np.ones(len(prior))
+        denom = np.ones(len(prior))
+    elif kind == "rb":
+        if np.any(prior <= 0.0):
+            raise ZeroPriorMassError("reciprocal-prior loss needs all prior masses > 0")
+        denom = prior
     else:
-        if kind == "rb":
-            if np.any(prior <= 0.0):
-                raise ZeroPriorMassError("reciprocal-prior loss needs all prior masses > 0")
-            denom = prior
-        else:
-            if eta is None or not (math.isfinite(eta) and eta > 0.0):
-                raise BadEtaError(f"eta must be finite and > 0, got {eta}")
-            denom = np.maximum(eta, prior)
-        # a denominator under about 1 / DBL_MAX gives inf, and bayes_rule
-        # would then take a 0 * inf = NaN product for the action
-        with np.errstate(over="ignore"):
-            weights = 1.0 / denom
-        overflow = np.flatnonzero(~np.isfinite(weights))
-        if overflow.size:
-            i = int(overflow[0])
-            raise LossWeightOverflowError(
-                f"{kind} loss weight 1/{float(denom[i])!r} at psi index {i} overflows the float range"
-            )
-    weights.setflags(write=False)
-    return Loss(kind=kind, values=weights, eta=eta)
+        if eta is None or not (math.isfinite(eta) and eta > 0.0):
+            raise BadEtaError(f"eta must be finite and > 0, got {eta}")
+        denom = np.maximum(eta, prior)
+    denom.setflags(write=False)
+    return Loss(kind=kind, values=denom, eta=eta)
 
 
 def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRule, RiskReport]:
     """Per-outcome posterior-risk minimizer and its risk accounting.
 
-    The action at each outcome is the first argmax of posterior times error
-    weight, flagged as a tie when another value attains the same product.
-    The posterior risk per outcome is the exact total of those products
-    without the action's, the decomposition pairs their exact total with
-    the action's product, and the prior risk is the exact total of
+    The action at each outcome is the first argmax of posterior over the
+    loss's denominators, flagged as a tie when another value attains the
+    same ratio. The posterior risk per outcome is the exact total of those
+    ratios without the action's, the decomposition pairs their exact total
+    with the action's ratio, and the prior risk is the exact total of
     ``m(x)`` times posterior risk; all are summed by
     :func:`relbel._sums.fsums`, with ``math.fsum``'s bits.
     """
     if loss.n != psi.n_psi:
         raise ValidationError(f"loss size {loss.n} != {psi.n_psi} psi values")
     table, m = posterior_table(model, psi)
-    ratios = table * loss.values
+    ratios = _ratios(table, loss.values)
     rows = np.arange(model.n_x)
     actions = np.argmax(ratios, axis=1)
     at_action = ratios[rows, actions]
@@ -180,7 +168,7 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) 
     """Expected loss of the rule under the joint distribution of (psi, x).
 
     The loss depends on theta only through psi, so the risk is computed
-    directly as the exact total of joint mass times loss over the psi x
+    directly as the exact total of joint mass over denominator over the psi x
     outcome table of :func:`relbel.model.psi_joint` (:func:`relbel._sums.fsums`,
     with ``math.fsum``'s bits and no Python list). Under the identity map
     that is bitwise the total over the theta x outcome table; a fibre of
@@ -193,8 +181,8 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) 
     if loss.n != psi.n_psi:
         raise ValidationError(f"loss size {loss.n} != {psi.n_psi} psi values")
     acts = _rule_actions(model, psi, rule)
-    # joint mass times the error weight of the true value, zero where the action is correct
-    products = psi_joint(model, psi) * loss.values[:, None]
+    # joint mass over the denominator of the true value, zero where the action is correct
+    products = _ratios(psi_joint(model, psi), loss.values[:, None])
     products[acts, np.arange(model.n_x)] = 0.0
     direct = float(fsums(products.ravel()))
     if loss.kind in ("rb", "map"):
@@ -214,11 +202,11 @@ def prior_risk(model: FiniteModel, psi: PsiMap, loss: Loss, rule: DecisionRule) 
 def lpl_region(loss: Loss, posterior_masses, gamma: float, prior=None) -> RegionReport:
     """Lowest-posterior-loss region with posterior content at least gamma.
 
-    The posterior risk of a value falls as its posterior times error weight
-    rises, so the region is a superlevel set of that product: the cutoff is
-    the largest product level whose superlevel set reaches content gamma,
-    and members satisfy ``ratio >= cutoff``. Under the ``rb`` loss the
-    product is the relative belief ratio, and the region is the credible
+    The posterior risk of a value falls as its posterior over its
+    denominator rises, so the region is a superlevel set of that ratio: the
+    cutoff is the largest ratio level whose superlevel set reaches content
+    gamma, and members satisfy ``ratio >= cutoff``. Under the ``rb`` loss
+    the ratio is the relative belief ratio, and the region is the credible
     region of the same content by construction: one helper builds both.
     """
     if not 0.0 <= gamma <= 1.0:
@@ -228,7 +216,7 @@ def lpl_region(loss: Loss, posterior_masses, gamma: float, prior=None) -> Region
         raise ValidationError(f"posterior length {post.shape} != loss size {loss.n}")
     if not np.all(np.isfinite(post)):
         raise ValidationError("posterior masses must be finite")
-    ratios = post * loss.values
+    ratios = _ratios(post, loss.values)
     return _superlevel_region(ratios, _descending_levels(ratios, post), post, gamma, prior)
 
 
@@ -271,7 +259,8 @@ def brute_force_bayes(
     """
     _rule_count(psi.n_psi, model.n_x, cap)
     n = loss.n
-    dense = np.where(np.eye(n, dtype=bool), 0.0, loss.values[:, None] * np.ones((1, n)))
+    # the oracle's own weights: one over each denominator, off the diagonal
+    dense = np.where(np.eye(n, dtype=bool), 0.0, (1.0 / loss.values)[:, None] * np.ones((1, n)))
     psi_of_theta = np.asarray(psi.assignment)
     # W[x, a] = joint expectation of the loss when outcome x gets action a
     W = model.joint.T @ dense[psi_of_theta]

@@ -134,5 +134,5 @@ class DensityOverflowError(NumericalGuardError):
     """A density evaluation overflowed the float range on the grid."""
 
 
-class LossWeightOverflowError(NumericalGuardError):
-    """A loss's error weight, the reciprocal of a prior mass, exceeds the float range."""
+class RatioOverflowError(NumericalGuardError):
+    """A posterior mass over its prior (or capped prior) mass exceeds the float range."""

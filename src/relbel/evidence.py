@@ -4,8 +4,8 @@ The relative belief ratio of a value is its posterior mass over its prior
 mass: above 1 the data gave evidence for the value, below 1 against, at 1
 none either way. From one table of ratios this module derives the best
 estimate, the plausible region (ratio strictly above 1), credible regions
-under both cutoff conventions, the strength of evidence for a hypothesis,
-and the predictive analogue for future observations.
+under both cutoff conventions, and the strength of evidence for a
+hypothesis.
 
 Membership comparisons are exact on the computed floats; no epsilon band
 is applied anywhere, since a band would silently change region contents.
@@ -26,6 +26,7 @@ from ._sums import _TINY, _U, fsums
 from .errors import (
     BadGammaError,
     IndexOutOfRangeError,
+    RatioOverflowError,
     ValidationError,
     ZeroPriorPositivePosteriorError,
 )
@@ -97,18 +98,37 @@ class HypothesisReport:
     verdict: str  # evidence-for | evidence-against | no-evidence
 
 
-def _unit(v: np.ndarray, what: str) -> np.ndarray:
+def _unit(v: np.ndarray, what: str) -> None:
+    """Check that ``v`` holds nonnegative masses summing to 1 within NORM_TOL."""
     if np.any(v < 0):
         raise ValidationError(f"{what} masses must be nonnegative")
-    total = _unit_total(v, ValidationError, what)
-    return v if total == 1.0 else v / total
+    _unit_total(v, ValidationError, what)
+
+
+def _ratios(masses, denominators) -> np.ndarray:
+    """``masses / denominators``, the one division of a posterior by a prior mass.
+
+    Relative belief ratios and Bayes-rule scores both divide here, so the
+    ``rb`` rule's scores are bitwise the evidence table's ratios.
+
+    Raises:
+        RatioOverflowError: a ratio is past the float range.
+    """
+    with np.errstate(over="ignore"):
+        ratios = masses / denominators
+    bad = ~np.isfinite(ratios)
+    if bad.any():
+        mass, denom = (float(np.broadcast_to(a, bad.shape)[bad][0]) for a in (masses, denominators))
+        raise RatioOverflowError(f"ratio {mass!r} / {denom!r} overflows the float range")
+    return ratios
 
 
 def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
     """Build the evidence table ``rb = posterior / prior``.
 
     Entries with zero prior and zero posterior mass are dropped (counted in
-    the result); zero prior with positive posterior is an input error.
+    the result); zero prior with positive posterior is an input error. The
+    kept masses are stored as given, checked to sum to 1 within NORM_TOL.
     """
     prior = np.asarray(prior, dtype=float)
     posterior = np.asarray(posterior, dtype=float)
@@ -134,9 +154,10 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
         labels = labels[kept_idx]
     elif labels is not None:
         labels = tuple(labels[i] for i in kept_idx.tolist())
-    prior = _unit(prior[keep], "prior")
-    posterior = _unit(posterior[keep], "posterior")
-    rb = posterior / prior
+    prior, posterior = prior[keep], posterior[keep]
+    _unit(prior, "prior")
+    _unit(posterior, "posterior")
+    rb = _ratios(posterior, prior)
     for a in (prior, posterior, rb):
         a.setflags(write=False)
     return EvidenceTable(
@@ -212,7 +233,6 @@ def _descending_levels(ratios: np.ndarray, posterior: np.ndarray) -> tuple[np.nd
     order = np.argsort(-ratios, kind="stable")
     sorted_r = ratios[order]
     cum = np.cumsum(posterior[order])
-    # != rather than np.diff, whose inf - inf would split a run of infinite ratios
     ends = np.append(np.flatnonzero(sorted_r[1:] != sorted_r[:-1]), len(sorted_r) - 1)
     out = sorted_r[ends], cum[ends], order, ends
     for a in out:
@@ -228,8 +248,9 @@ def _superlevel_region(
     ``descending`` is :func:`_descending_levels` of ``ratios`` and
     ``posterior``, sorted by the caller: once per table for ``sup-geq``
     credible regions, which pass rb, and once per call for lowest-posterior-
-    loss regions, which pass posterior times error weight. The two are one
-    computation under the ``rb`` loss. The members are a sorted index array.
+    loss regions, which pass posterior over the loss's denominators. The two
+    are one computation under the ``rb`` loss. The members are a sorted
+    index array.
     """
     levels, content = descending[:2]
     hit = np.flatnonzero(content >= gamma)
@@ -333,9 +354,3 @@ def assess_hypothesis(t: EvidenceTable, psi0: int) -> HypothesisReport:
         posterior_mass=float(t.posterior[psi0]),
         verdict=verdict,
     )
-
-
-def rb_predict(prior_pred, post_pred, labels: Sequence | None = None) -> tuple[EvidenceTable, Estimate]:
-    """Relative belief over future observations; returns table and argmax."""
-    t = rb_table(prior_pred, post_pred, labels=labels)
-    return t, rb_estimate(t)

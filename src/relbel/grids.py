@@ -1,10 +1,9 @@
-"""Regular 1-D discretizations: cells, masses, and interval reconstruction.
+"""Regular 1-D discretizations: cells and their masses.
 
 A grid splits ``[lo, hi)`` into equal-width half-open cells; a density is
 turned into cell masses by composite midpoint quadrature, or by exact CDF
 differences (:func:`masses_from_cdf`). Mass lost outside the range is
-recorded as ``tail_mass``, never hidden. Index sets map back to maximal
-disjoint intervals via :func:`undiscretize`.
+recorded as ``tail_mass``, never hidden.
 
 The built-in density families are closed forms on ``scipy.special`` ufuncs,
 written so that every pdf and cdf value has the bits of the matching frozen
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .errors import (
     AllZeroMassError,
     BadRangeError,
     DensityOverflowError,
-    IndexOutOfRangeError,
     NegativeDensityError,
     TooManyCellsError,
     ValidationError,
@@ -184,27 +182,6 @@ def masses_from_cdf(cdf: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) 
     if np.any(raw < -1e-12):
         raise NegativeDensityError("CDF is decreasing on the given edges")
     return np.clip(raw, 0.0, None)
-
-
-def undiscretize(cells: Iterable[int], grid: Grid1D) -> list[tuple[float, float]]:
-    """Maximal disjoint intervals covering exactly the selected cells."""
-    idx = sorted(set(int(i) for i in cells))
-    if not idx:
-        return []
-    if idx[0] < 0 or idx[-1] >= grid.n_cells:
-        raise IndexOutOfRangeError(
-            f"cell index outside [0, {grid.n_cells}): {idx[0] if idx[0] < 0 else idx[-1]}"
-        )
-    edges = grid.edges
-    out = []
-    start = prev = idx[0]
-    for i in idx[1:]:
-        if i != prev + 1:
-            out.append((float(edges[start]), float(edges[prev + 1])))
-            start = i
-        prev = i
-    out.append((float(edges[start]), float(edges[prev + 1])))
-    return out
 
 
 # --- built-in density families ------------------------------------------------

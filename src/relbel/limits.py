@@ -38,6 +38,7 @@ from .errors import (
 )
 from .evidence import (
     EvidenceTable,
+    _ratios,
     attainable_gammas,
     credible_region,
     rb_estimate,
@@ -106,8 +107,11 @@ def _trace(parameters, actions, target) -> LimitTrace:
 
 
 def _capped_action(t: EvidenceTable, eta: float) -> int:
-    """Bayes action under the capped reciprocal-prior loss with cap ``eta``."""
-    return int(np.argmax(t.posterior / np.maximum(eta, t.prior)))
+    """Bayes action under the capped reciprocal-prior loss with cap ``eta``.
+
+    Below every prior mass it is bitwise the evidence estimate.
+    """
+    return int(np.argmax(_ratios(t.posterior, make_loss("rb-eta", t.prior, eta=eta).values)))
 
 
 def eta_limit(source, x=None, psi: PsiMap | None = None, eta_ladder=None) -> LimitTrace:

@@ -148,7 +148,7 @@ def _cases() -> list[dict]:
         "args": ["evidence", "--model", "latin1.json", "--x", "0"],
     })
 
-    # a subnormal prior mass, or eta, whose reciprocal error weight overflows: exit 3
+    # a subnormal prior mass, or eta, as a denominator: every ratio over it stays finite
     subnormal = {
         "theta": ["t0", "t1", "t2"],
         "x": ["x0", "x1"],
@@ -163,6 +163,22 @@ def _cases() -> list[dict]:
     cases.append({
         "name": "decide-zero_prior-rb-eta-subnormal",
         "args": ["decide", "--model", "zero_prior.json", "--loss", "rb-eta", "--eta", "5e-324"],
+    })
+    # the posterior mass of t1 at x1 over its subnormal prior mass overflows: exit 3
+    overflow = {
+        "theta": ["t0", "t1"],
+        "x": ["x0", "x1"],
+        "likelihood": [[1.0, 1e-310], [0.0, 1.0]],
+        "prior": [1.0, 5e-324],
+    }
+    (HERE / "ratio_overflow.json").write_text(json.dumps(overflow) + "\n")
+    cases.append({
+        "name": "evidence-ratio_overflow",
+        "args": ["evidence", "--model", "ratio_overflow.json", "--x", "1"],
+    })
+    cases.append({
+        "name": "decide-ratio_overflow-rb",
+        "args": ["decide", "--model", "ratio_overflow.json", "--loss", "rb"],
     })
     # four values share the ratio 4/3 at x0, in exact arithmetic: a tie that rounding may split
     ratio_ties = {

@@ -55,6 +55,25 @@ class TestEvidenceCommand:
         assert doc["strength"] == pytest.approx(0.2)
         assert doc["hypothesis"]["verdict"] == "evidence-against"
 
+    def test_indices_are_input_indices(self, runner, tmp_path):
+        # t1 has no prior mass: the table drops it, the report keeps its place
+        path = tmp_path / "m.json"
+        lik = [[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]]
+        path.write_text(json.dumps({"theta": ["t0", "t1", "t2"], "x": ["x0", "x1"],
+                                    "likelihood": lik, "prior": [0.5, 0.0, 0.5]}))
+        args = ["evidence", "--model", str(path), "--x", "1", "--gamma", "0.5"]
+        doc = json.loads(runner.invoke(main, [*args, "--psi0", "2"]).output)
+        assert doc["labels"] == ["t0", "t1", "t2"]
+        assert doc["prior"] == [0.5, 0.0, 0.5] and doc["posterior"][1] == 0.0
+        assert doc["rb"][1] is None and doc["rb"][0] > 1.0 > doc["rb"][2]
+        assert doc["estimate"] == 0 and doc["dropped_zero_prior"] == 1
+        assert doc["plausible"]["members"] == doc["credible"]["members"] == [0]
+        assert doc["hypothesis"]["psi0"] == 2 and doc["hypothesis"]["rb_at_psi0"] == doc["rb"][2]
+        for psi0 in ("1", "3", "-1"):
+            res = runner.invoke(main, [*args, "--psi0", psi0])
+            assert res.exit_code == 2 and res.stdout == ""
+            assert res.stderr == f"error: psi0 index {psi0} names no value with prior mass in [0, 3)\n"
+
     def test_missing_file_exits_2(self, runner):
         res = runner.invoke(main, ["evidence", "--model", "no-such.json", "--x", "0"])
         assert res.exit_code == 2
@@ -154,15 +173,20 @@ class TestDecideCommand:
             assert res.output.startswith("error: risk cross-check failed")
 
     def test_overflowing_loss_weight_exits_3_with_one_line(self, tmp_path):
-        # a fresh process, since numpy's RuntimeWarnings are once per location
+        # a fresh process, since numpy's RuntimeWarnings are once per location; the
+        # posterior mass of t2 at x1, about 4.9e-14, over its prior mass 5e-324 overflows
         path = tmp_path / "subnormal.json"
-        path.write_text(json.dumps({**MODEL_DOC, "prior": [1.0, 5e-324]}))
-        for extra in (["rb"], ["rb-eta", "--eta", "5e-324"]):
-            out = fresh_python("-m", "relbel.cli", "decide", "--model", str(path), "--loss", *extra)
+        path.write_text(
+            json.dumps({**MODEL_DOC, "likelihood": [[1.0, 1e-310], [0.0, 1.0]], "prior": [1.0, 5e-324]})
+        )
+        for args in (
+            ["decide", "--model", str(path), "--loss", "rb"],
+            ["decide", "--model", str(path), "--loss", "rb-eta", "--eta", "5e-324"],
+            ["evidence", "--model", str(path), "--x", "1"],
+        ):
+            out = fresh_python("-m", "relbel.cli", *args)
             assert out.returncode == 3 and out.stdout == "", out
-            assert out.stderr == (
-                f"error: {extra[0]} loss weight 1/5e-324 at psi index 1 overflows the float range\n"
-            )
+            assert out.stderr == "error: ratio 4.9406564584122364e-14 / 5e-324 overflows the float range\n"
 
 
 class TestClassifyCommands:

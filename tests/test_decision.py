@@ -28,14 +28,21 @@ from relbel.decision import (
 from relbel.errors import (
     BadEtaError,
     IndexOutOfRangeError,
-    LossWeightOverflowError,
     NumericalGuardError,
+    RatioOverflowError,
     RiskCrossCheckError,
     RuleSpaceTooLargeError,
     ValidationError,
     ZeroPriorMassError,
 )
-from relbel.evidence import attainable_gammas, credible_region, rb_estimate, rb_table
+from relbel.evidence import (
+    attainable_gammas,
+    credible_region,
+    rb_estimate,
+    rb_table,
+    table_from_model,
+)
+from relbel.limits import default_eta_ladder, eta_limit
 from relbel.model import (
     FiniteModel,
     PsiMap,
@@ -53,29 +60,32 @@ from conftest import finite_models, random_model
 
 class TestMakeLoss:
     def test_map_all_ones_off_diagonal(self):
-        # the stored values are the error weights, one per true value
+        # the stored values are the denominators, one per true value
         loss = make_loss("map", [0.3, 0.7])
         assert loss.values.shape == (2,) and loss.n == 2
         assert np.all(loss.values == np.array([1.0, 1.0]))
         assert not loss.values.flags.writeable
 
     def test_rb_reciprocal_rows(self):
-        loss = make_loss("rb", [0.25, 0.75])
-        assert loss.values.shape == (2,)
-        assert loss.values[0] == pytest.approx(4.0)
-        assert loss.values[1] == pytest.approx(4.0 / 3.0)
+        # the denominators are the prior masses, so the error weights are their reciprocals
+        prior = np.array([0.25, 0.75])
+        loss = make_loss("rb", prior)
+        assert loss.values.tobytes() == prior.tobytes()
+        assert dense_loss(loss).tolist() == [[0.0, 4.0], [4.0 / 3.0, 0.0]]
+        # the loss holds a read-only copy; the caller's array stays writable
+        assert prior.flags.writeable and not loss.values.flags.writeable
 
     def test_eta_saturation(self):
         loss = make_loss("rb-eta", [0.2, 0.8], eta=0.9)
-        assert loss.values.shape == (2,)
-        assert np.allclose(loss.values, 1.0 / 0.9)
+        assert loss.values.tolist() == [0.9, 0.9]
 
     def test_eta_bound(self, rng):
         for _ in range(20):
             prior = rng.dirichlet(np.ones(4))
             eta = float(rng.uniform(0.01, 1.0))
             loss = make_loss("rb-eta", prior, eta=eta)
-            assert loss.values.max() <= 1.0 / eta + 1e-12
+            assert loss.values.tobytes() == np.maximum(eta, prior).tobytes()
+            assert loss.values.min() >= eta
 
     def test_errors(self):
         with pytest.raises(ZeroPriorMassError):
@@ -94,17 +104,21 @@ class TestMakeLoss:
         ],
     )
     def test_overflowing_weight_is_a_guard(self, kind, prior, eta):
-        # 1/5e-324 is inf, and bayes_rule took the 0 * inf = NaN product as its action
+        # the denominator is stored as it is; a unit posterior mass over it overflows
+        # at the ratio, which trips the guard without a numpy warning
+        loss = make_loss(kind, prior, eta=eta)
+        assert loss.values[1] == max(prior[1], eta or 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(LossWeightOverflowError, match="at psi index 1 overflows") as exc:
-                make_loss(kind, prior, eta=eta)
+            with pytest.raises(RatioOverflowError, match=r"^ratio 1\.0 / .* overflows") as exc:
+                lpl_region(loss, [0.0, 1.0, 0.0], 0.5)
         assert isinstance(exc.value, NumericalGuardError)
 
     def test_largest_finite_weight_accepted(self):
-        loss = make_loss("rb", [0.5, 1e-308])
-        assert loss.values[1] == 1e308
-        assert make_loss("rb-eta", [0.5, 0.0], eta=1e-308).values[1] == 1e308
+        for loss in (make_loss("rb", [0.5, 1e-308]), make_loss("rb-eta", [0.5, 0.0], eta=1e-308)):
+            assert loss.values[1] == 1e-308
+            # 1 / 1e-308 is 1e308 and finite
+            assert lpl_region(loss, [0.0, 1.0], 1.0).cutoff == 1e308
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -236,10 +250,39 @@ class TestBayesRule:
         assert {type(t) for t in rule.ties} == {bool}
 
 
+class TestOneRatio:
+    """The rb rule divides posterior by prior as the evidence table does, tie flags included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_models(), st.floats(2.0**-60, 1.0, exclude_max=True))
+    def test_rb_rule_is_the_evidence_estimate_and_the_capped_rule_below_the_prior(self, case, share):
+        model, psi = case
+        pi = psi_marginal(model.prior, psi)
+        rule, report = bayes_rule(model, psi, make_loss("rb", pi))
+        # every psi value keeps prior mass; any cap under the least one leaves the prior as it is
+        least = float(pi.min())
+        caps = {math.nextafter(least, 0.0), least * share}
+        for x in range(model.n_x):
+            t = table_from_model(model, x, psi)
+            est = rb_estimate(t)
+            assert rule.action_per_x[x] == int(t.kept_indices[est.index])
+            assert rule.ties[x] == est.tie
+            if not est.tie:
+                for eta in caps:
+                    ladder = [e for e in default_eta_ladder(t.prior) if e > eta] + [eta]
+                    trace = eta_limit(t, eta_ladder=ladder)
+                    assert trace.actions_or_regions[-1] == trace.target
+        for eta in caps:
+            capped, capped_report = bayes_rule(model, psi, make_loss("rb-eta", pi, eta=eta))
+            assert capped.action_per_x == rule.action_per_x
+            assert capped.ties == rule.ties
+            assert capped_report.posterior_risk_per_x.tobytes() == report.posterior_risk_per_x.tobytes()
+
+
 def dense_loss(loss):
-    """The ``[true, action]`` loss matrix: weight of the true value off the diagonal."""
+    """The ``[true, action]`` loss matrix: one over the true value's denominator off the diagonal."""
     n = loss.n
-    return np.where(np.eye(n, dtype=bool), 0.0, np.repeat(loss.values[:, None], n, axis=1))
+    return np.where(np.eye(n, dtype=bool), 0.0, np.repeat((1.0 / loss.values)[:, None], n, axis=1))
 
 
 class TestDenseOracle:
@@ -470,7 +513,11 @@ class TestPriorRisk:
 
     @staticmethod
     def dense_totals(model, psi):
-        """Per loss kind: the loss, its Bayes rule, and the dense psi x outcome and theta x outcome totals."""
+        """Per loss kind: the loss, its Bayes rule, and the psi x outcome and theta x outcome totals.
+
+        Each total is a joint table over the denominators of the true values,
+        zero where the rule's action is correct, summed by ``math.fsum``.
+        """
         pi = psi_marginal(model.prior, psi)
         psi_of_theta = np.asarray(psi.assignment)
         # rb needs prior mass on every psi value, which a zero-prior theta denies the identity map
@@ -478,23 +525,24 @@ class TestPriorRisk:
             loss = make_loss(kind, pi, eta=0.5 * float(pi.max()) if kind == "rb-eta" else None)
             rule, _ = bayes_rule(model, psi, loss)
             acts = np.asarray(rule.action_per_x)[None, :]
-            psi_losses = np.where(np.arange(psi.n_psi)[:, None] == acts, 0.0, loss.values[:, None])
-            theta_losses = np.where(psi_of_theta[:, None] == acts, 0.0, loss.values[psi_of_theta][:, None])
-            yield (
-                loss,
-                rule,
-                math.fsum((psi_marginal(model.joint, psi) * psi_losses).ravel().tolist()),
-                math.fsum((model.joint * theta_losses).ravel().tolist()),
+            psi_terms = np.where(
+                np.arange(psi.n_psi)[:, None] == acts,
+                0.0,
+                psi_marginal(model.joint, psi) / loss.values[:, None],
             )
+            theta_terms = np.where(
+                psi_of_theta[:, None] == acts, 0.0, model.joint / loss.values[psi_of_theta][:, None]
+            )
+            yield loss, rule, math.fsum(psi_terms.ravel().tolist()), math.fsum(theta_terms.ravel().tolist())
 
     @settings(max_examples=100, deadline=None)
     @given(finite_models(max_theta=10, max_x=8, max_psi=4))
     def test_bitwise_the_dense_loss_table_total(self, case):
-        # the definition: the dense psi x outcome loss table times the (psi, x) joint, summed
+        # the definition: the (psi, x) joint over the denominators, off the rule's actions, summed
         model, psi = case
         # Against the theta x outcome total, with u = 2^-53 and k the largest fibre size:
         # a (psi, x) joint entry adds at most k terms from 0.0, so it is within (1 +- u)^(k-1)
-        # of the exact fibre total, and its product and the fsum give two more factors: the
+        # of the exact fibre total, and its quotient and the fsum give two more factors: the
         # result is within (1 +- u)^(k+1) of the exact risk. The theta x outcome total is
         # within (1 +- u)^2 of it, so the two differ by at most (k + 3)u to first order,
         # and (k + 4)u bounds every order for k <= 10.

@@ -1,4 +1,5 @@
 import math
+import warnings
 from bisect import bisect_left
 
 import numpy as np
@@ -7,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from relbel.errors import BadGammaError, ValidationError, ZeroPriorPositivePosteriorError
+from relbel.errors import (
+    BadGammaError,
+    NumericalGuardError,
+    RatioOverflowError,
+    ValidationError,
+    ZeroPriorPositivePosteriorError,
+)
 from relbel.evidence import (
     assess_hypothesis,
     attainable_gammas,
     credible_region,
     plausible_region,
     rb_estimate,
-    rb_predict,
     rb_table,
     strength,
     table_from_gridded,
@@ -75,6 +81,9 @@ class TestRbTable:
 class TestEstimate:
     def test_hand_example(self):
         assert rb_estimate(example_table()) == (1, False)
+
+    def test_point_mass(self):
+        assert rb_estimate(rb_table([0.5, 0.5], [0.0, 1.0])) == (1, False)
 
     def test_total_tie_flagged(self):
         est = rb_estimate(rb_table([0.5, 0.5], [0.5, 0.5]))
@@ -156,13 +165,13 @@ class TestCredible:
         assert reg.member_indices == pl.member_indices == {2}
 
     def test_plausible_content_past_one_round_trips(self):
-        # the normalized posterior of the eight kept cells fsums to 1 + 2**-52,
-        # and every one of them has rb > 1
+        # the posterior of the eight cells with mass fsums to 1 + 2**-52, and
+        # every one of them has rb > 1
         t = rb_table(
             [0.5] + [0.0625] * 8,
-            [0.0, 0.13993458547651016, 0.14780797014690802, 0.12905580721766435,
-             0.14632169480832322, 0.06370268976432047, 0.16072471746814834,
-             0.0669444269295607, 0.14550810818856466],
+            [0.0, 0.1399345854765102, 0.14780797014690805, 0.12905580721766438,
+             0.14632169480832324, 0.06370268976432049, 0.16072471746814837,
+             0.06694442692956071, 0.1455081081885647],
         )
         pl = plausible_region(t)
         assert pl.posterior_content == 1.0 + 2.0**-52
@@ -172,17 +181,14 @@ class TestCredible:
         with pytest.raises(BadGammaError):
             credible_region(t, 1.0 + 2.0**-51)
 
-    def test_infinite_ratios_form_one_level(self):
-        # two posterior masses over a subnormal prior mass overflow to rb = inf;
-        # they are one level, reached only together
-        with np.errstate(over="ignore"):
-            t = rb_table([5e-324, 5e-324, 1.0], [0.25, 0.25, 0.5])
-        assert t.rb[:2].tolist() == [math.inf, math.inf]
-        assert attainable_gammas(t).tolist() == [0.5, 1.0]
-        assert credible_region(t, 0.25).member_indices == {0, 1}
-        for gamma in (0.25, 0.5, 0.75):
-            reg = credible_region(t, gamma, "quantile-gt")
-            assert reg.cutoff.hex() == bisected_quantile_cutoff(t, gamma).hex()
+    def test_infinite_ratios_raise_the_guard(self):
+        # two posterior masses over a subnormal prior mass overflow the float
+        # range; the table refuses them, without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RatioOverflowError, match=r"^ratio 0\.25 / 5e-324 overflows") as exc:
+                rb_table([5e-324, 5e-324, 1.0], [0.25, 0.25, 0.5])
+        assert isinstance(exc.value, NumericalGuardError)
 
     def test_bad_gamma(self):
         with pytest.raises(BadGammaError):
@@ -211,20 +217,6 @@ class TestStrengthAndHypothesis:
         assert rep0.verdict == "evidence-against" and rep0.strength == pytest.approx(0.2)
         flat = assess_hypothesis(rb_table([0.5, 0.5], [0.5, 0.5]), 0)
         assert flat.verdict == "no-evidence"
-
-
-class TestPredict:
-    def test_no_change_total_tie(self):
-        _, est = rb_predict([0.5, 0.5], [0.5, 0.5])
-        assert est == (0, True)
-
-    def test_hand_example(self):
-        _, est = rb_predict([0.5, 0.5], [0.1, 0.9])
-        assert est.index == 1
-
-    def test_point_mass(self):
-        _, est = rb_predict([0.5, 0.5], [0.0, 1.0])
-        assert est.index == 1
 
 
 class TestBijectionInvariance:
@@ -406,22 +398,21 @@ class TestQuantileCutoffMatchesBisection:
 
 @st.composite
 def ratio_tables(draw):
-    """Tables with tied ratios, cells without posterior mass and infinite ratios.
+    """Tables with tied ratios, cells without posterior mass and huge ratios.
 
     Masses come from small integer weights, so ratios tie. A cell may get
-    no posterior weight (ratio 0), or the smallest subnormal prior mass
-    with posterior weight (ratio inf); the first cell is always plain.
+    no posterior weight (ratio 0), or a prior mass of 1e-300 with posterior
+    weight (ratio near 1e300); the first cell is always plain.
     """
     n = draw(st.integers(1, 10))
-    kind = st.sampled_from(["plain", "empty", "inf"])
+    kind = st.sampled_from(["plain", "empty", "huge"])
     kinds = ["plain"] + draw(st.lists(kind, min_size=n - 1, max_size=n - 1))
     prior_w = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     post_w = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    total = sum(w for w, k in zip(prior_w, kinds) if k != "inf")
-    prior = [5e-324 if k == "inf" else w / total for w, k in zip(prior_w, kinds)]
+    total = sum(w for w, k in zip(prior_w, kinds) if k != "huge")
+    prior = [1e-300 if k == "huge" else w / total for w, k in zip(prior_w, kinds)]
     post = np.array([0 if k == "empty" else w for w, k in zip(post_w, kinds)], dtype=float)
-    with np.errstate(over="ignore"):  # the infinite ratios
-        return rb_table(prior, post / post.sum())
+    return rb_table(prior, post / post.sum())
 
 
 def per_call_levels(ratios, posterior):

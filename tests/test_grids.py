@@ -12,7 +12,6 @@ from relbel.errors import (
     AllZeroMassError,
     BadRangeError,
     DensityOverflowError,
-    IndexOutOfRangeError,
     NegativeDensityError,
     ValidationError,
     ZeroCellsError,
@@ -25,7 +24,6 @@ from relbel.grids import (
     masses_from_cdf,
     normal_masses,
     refine,
-    undiscretize,
 )
 
 
@@ -129,28 +127,6 @@ class TestDiscretize:
         quad = discretize(stats.norm.pdf, g, quadrature_points=64)
         exact = _normalize(g, masses_from_cdf(stats.norm.cdf, g.edges), warn_tail=None)
         assert np.max(np.abs(quad.masses - exact.masses)) < 1e-9
-
-
-class TestUndiscretize:
-    def test_merges_runs(self):
-        g = build_grid(0, 1, 4)
-        assert undiscretize({0, 1, 3}, g) == [(0.0, 0.5), (0.75, 1.0)]
-
-    def test_all_cells(self):
-        g = build_grid(0, 1, 4)
-        assert undiscretize(range(4), g) == [(0.0, 1.0)]
-
-    def test_empty(self):
-        assert undiscretize(set(), build_grid(0, 1, 4)) == []
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            undiscretize({4}, build_grid(0, 1, 4))
-
-    def test_partition_property(self):
-        g = build_grid(-2.5, 3.5, 7)
-        (lo, hi), = undiscretize(range(7), g)
-        assert (lo, hi) == (-2.5, 3.5)
 
 
 class TestFamilies:
