@@ -386,14 +386,14 @@ def _ladder_from_config(doc: dict):
     lik = _likelihood_from_config(_require(doc, "likelihood", "config"))
     grids_list = limits.grid_ladder(
         _grid_from_config(_require(doc, "grid", "config")),
-        _count(doc.get("steps", 4), "config field 'steps'"),
-        _count(doc.get("factor", 2), "config field 'factor'"),
+        **_counts(doc, steps="steps", factor="factor"),
     )
     return fam.pdf, lik, grids_list
 
 
-def _eta_steps(doc: dict) -> int:
-    return _count(doc.get("eta_steps", 8), "config field 'eta_steps'")
+def _counts(doc: dict, **fields: str) -> dict:
+    """Integer fields ``doc`` sets, keyed by parameter; unset ones keep the library default."""
+    return {p: _count(doc[k], f"config field {k!r}") for p, k in fields.items() if k in doc}
 
 
 def _table_from_config(doc: dict):
@@ -440,7 +440,7 @@ def limits_cmd(experiment, config, precision, output):
             model, psi = model_from_json(_object(block, "eta config field 'model'"))
             x = _count(_require(doc, "x", "eta config"), "eta config field 'x'")
             t = evidence.table_from_model(model, x, psi)
-        ladder = limits.default_eta_ladder(t.prior, _eta_steps(doc))
+        ladder = limits.default_eta_ladder(t.prior, **_counts(doc, steps="eta_steps"))
         trace = limits.eta_limit(t, eta_ladder=ladder)
         header, rows = _trace_rows(trace)
     elif experiment in ("lambda", "map", "region"):
@@ -454,8 +454,7 @@ def limits_cmd(experiment, config, precision, output):
             trace = limits.map_limit_contrast(pdf, lik, grids_list, target=target)
         else:
             trace = limits.region_limit(
-                pdf, lik, gamma, grids_list,
-                _count(doc.get("refine_factor", 16), "config field 'refine_factor'"),
+                pdf, lik, gamma, grids_list, **_counts(doc, refine_factor="refine_factor")
             )
         header, rows = _trace_rows(trace)
     else:
@@ -463,12 +462,12 @@ def limits_cmd(experiment, config, precision, output):
         rows = []
         if "table" in doc:
             t = _table_from_config(doc)
-            ladder = limits.default_eta_ladder(t.prior, _eta_steps(doc))
+            ladder = limits.default_eta_ladder(t.prior, **_counts(doc, steps="eta_steps"))
             reports = [(0.0, limits.lpl_sandwich(t, gamma, ladder))]
         else:
             pdf, lik, grids_list = _ladder_from_config(doc)
             reports = limits.sandwich_double_limit(
-                pdf, lik, gamma, grids_list, _eta_steps(doc)
+                pdf, lik, gamma, grids_list, **_counts(doc, eta_steps="eta_steps")
             )
         for width, rep in reports:
             for eta, lo, up in zip(rep.eta_values, rep.lower_holds, rep.upper_holds):

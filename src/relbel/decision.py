@@ -16,7 +16,7 @@ A loss sees theta only through psi, so :func:`prior_risk` totals the
 rule's expected loss over the joint table of (psi, x), not of (theta, x).
 :func:`brute_force_bayes` independently scores every deterministic rule
 from the joint distribution and a dense loss matrix, and serves as an
-oracle for that shortcut.
+oracle for that shortcut, its weights divided by the same helper.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class Loss:
 
     kind: str
     values: np.ndarray
-    eta: float | None = None
 
     @property
     def n(self) -> int:
@@ -104,7 +103,7 @@ def make_loss(kind: str, prior, eta: float | None = None) -> Loss:
             raise BadEtaError(f"eta must be finite and > 0, got {eta}")
         denom = np.maximum(eta, prior)
     denom.setflags(write=False)
-    return Loss(kind=kind, values=denom, eta=eta)
+    return Loss(kind=kind, values=denom)
 
 
 def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRule, RiskReport]:
@@ -242,9 +241,7 @@ def unbiasedness_gap(model: FiniteModel, psi: PsiMap, h, rule: DecisionRule) -> 
     return float(fsums(terms))
 
 
-def brute_force_bayes(
-    model: FiniteModel, psi: PsiMap, loss: Loss, cap: int = RULE_CAP
-) -> tuple[tuple, float]:
+def brute_force_bayes(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[tuple, float]:
     """Exhaustively score every deterministic rule; return the best.
 
     Scores come from the joint theta-space expectation of a dense
@@ -254,13 +251,15 @@ def brute_force_bayes(
     are built as a running outer sum over outcomes: the same additions in
     the same order as summing each rule's per-outcome terms, so every score
     has the bits of that rule-by-rule sum, and ties go to the lowest number.
-    The cost is O(n_psi^n_x) additions and memory, guarded by ``cap`` on
-    the number of rules, which also keeps the matrix tiny.
+    The cost is O(n_psi^n_x) additions and memory, guarded by ``RULE_CAP``
+    on the number of rules, which also keeps the matrix tiny. A weight past
+    the float range raises :class:`RatioOverflowError`.
     """
-    _rule_count(psi.n_psi, model.n_x, cap)
+    _rule_count(psi.n_psi, model.n_x, RULE_CAP)
     n = loss.n
     # the oracle's own weights: one over each denominator, off the diagonal
-    dense = np.where(np.eye(n, dtype=bool), 0.0, (1.0 / loss.values)[:, None] * np.ones((1, n)))
+    weights = _ratios(np.ones(n), loss.values)
+    dense = np.where(np.eye(n, dtype=bool), 0.0, weights[:, None] * np.ones((1, n)))
     psi_of_theta = np.asarray(psi.assignment)
     # W[x, a] = joint expectation of the loss when outcome x gets action a
     W = model.joint.T @ dense[psi_of_theta]
@@ -272,10 +271,10 @@ def brute_force_bayes(
     return tuple(best // psi.n_psi**k % psi.n_psi for k in digits), float(risks[best])
 
 
-def all_rules(n_psi: int, n_x: int, cap: int = RULE_CAP) -> np.ndarray:
+def all_rules(n_psi: int, n_x: int) -> np.ndarray:
     """Every deterministic rule as an ``(n_rules, n_x)`` action array, outcome 0 most significant."""
-    n_rules = _rule_count(n_psi, n_x, cap)
-    # every power fits in int64: none exceeds n_rules <= cap
+    n_rules = _rule_count(n_psi, n_x, RULE_CAP)
+    # every power fits in int64: none exceeds n_rules <= RULE_CAP
     powers = n_psi ** np.arange(n_x - 1, -1, -1, dtype=np.int64)
     return np.arange(n_rules, dtype=np.int64)[:, None] // powers % n_psi
 

@@ -189,12 +189,11 @@ def masses_from_cdf(cdf: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) 
 
 @dataclass(frozen=True, eq=False)
 class DensityFamily:
-    """A named 1-D density with vectorized pdf/cdf and its support."""
+    """A named 1-D density with vectorized pdf and cdf."""
 
     name: str
     pdf: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
 
 
 def _pdf_on(z, lo: float, hi: float, inner) -> np.ndarray:
@@ -234,8 +233,6 @@ def family(name: str, **params: float) -> DensityFamily:
             from scipy.special import ndtr
 
             return ndtr((np.asarray(x, dtype=float) - mu) / sd)
-
-        support = (-math.inf, math.inf)
     elif name == "beta":
         a, b = params.get("alpha", 1.0), params.get("beta", 1.0)
         if a <= 0 or b <= 0:
@@ -251,8 +248,6 @@ def family(name: str, **params: float) -> DensityFamily:
         def cdf(x):
             x = np.asarray(x, dtype=float)
             return _cdf_on(x, 0.0, 1.0, betainc(a, b, x))
-
-        support = (0.0, 1.0)
     elif name == "uniform":
         a, b = params.get("a", 0.0), params.get("b", 1.0)
         if a >= b:
@@ -266,8 +261,6 @@ def family(name: str, **params: float) -> DensityFamily:
         def cdf(x):
             z = (np.asarray(x, dtype=float) - a) / width
             return _cdf_on(z, 0.0, 1.0, z)
-
-        support = (a, b)
     elif name == "lognormal":
         mu, sigma2 = params.get("mu", 0.0), params.get("sigma2", 1.0)
         if sigma2 <= 0:
@@ -289,8 +282,6 @@ def family(name: str, **params: float) -> DensityFamily:
             z = np.asarray(x, dtype=float) / scale
             with np.errstate(divide="ignore", invalid="ignore"):
                 return _cdf_on(z, 0.0, math.inf, ndtr(np.log(z) / s))
-
-        support = (0.0, math.inf)
     else:
         raise ValidationError(f"unknown density family {name!r}")
-    return DensityFamily(name=name, pdf=pdf, cdf=cdf, support=support)
+    return DensityFamily(name=name, pdf=pdf, cdf=cdf)

@@ -47,7 +47,9 @@ from .evidence import (
     table_from_model,
 )
 from .grids import CELL_CAP  # noqa: F401  (re-exported: the cap every ladder grid meets)
-from .grids import Grid1D, GriddedDistribution, capped, discretize, masses_from_cdf, refine
+from .grids import (
+    Grid1D, GriddedDistribution, _normalize, capped, discretize, masses_from_cdf, refine,
+)
 from .model import FiniteModel, PsiMap
 
 FLAT_TOL = 1e-12
@@ -381,20 +383,20 @@ def invariance_demo(
     The image cells are the transform of the grid cells (non-uniform
     widths). Masses on the image scale are computed from the image-scale
     CDFs, independently of the original scale, so equality of the ratio
-    tables is a genuine check of transport, not bookkeeping.
+    tables is a genuine check of transport, not bookkeeping. Masses are
+    normalized as by :func:`discretize`: a CDF flat on the grid raises.
     """
     edges = grid.edges
     image_edges = np.asarray(transform(edges), dtype=float)
     if np.any(np.diff(image_edges) <= 0):
         raise ValidationError("transform must be strictly increasing on the grid")
 
-    def unit(v: np.ndarray) -> np.ndarray:
-        return v / float(fsums(v))
+    def cell_masses(cdf: Callable, e: np.ndarray) -> np.ndarray:
+        return _normalize(grid, masses_from_cdf(cdf, e), warn_tail=None).masses
 
-    prior_m = unit(masses_from_cdf(prior_cdf, edges))
-    post_m = unit(masses_from_cdf(post_cdf, edges))
-    prior_mi = unit(masses_from_cdf(prior_cdf_image, image_edges))
-    post_mi = unit(masses_from_cdf(post_cdf_image, image_edges))
+    prior_m, post_m = cell_masses(prior_cdf, edges), cell_masses(post_cdf, edges)
+    prior_mi = cell_masses(prior_cdf_image, image_edges)
+    post_mi = cell_masses(post_cdf_image, image_edges)
 
     t = rb_table(prior_m, post_m)
     ti = rb_table(prior_mi, post_mi)

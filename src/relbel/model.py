@@ -9,11 +9,11 @@ All values are immutable after validation and safe to share across threads.
 A model computes its joint table, the table's exact column totals m(x), and
 one posterior table, one (psi, x) joint table and one conditional
 predictive table per :class:`PsiMap` once, on first use, and keeps them
-read-only, so every decision on the same model and psi map reads the same
-arrays. The caches assume the model's arrays do not change after first use;
-:func:`validate` makes them read-only. Two threads that fill a cache at
-once compute identical arrays, so sharing a model across threads stays
-safe.
+read-only, so every decision on the same model and psi map, and every
+:func:`posterior`, reads the same arrays. The caches assume the model's
+arrays do not change after first use; :func:`validate` makes them
+read-only. Two threads that fill a cache at once compute identical arrays,
+so sharing a model across threads stays safe.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numbers
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 import numpy as np
 
 from ._sums import fsums
@@ -183,26 +184,25 @@ def validate(model: FiniteModel) -> FiniteModel:
 
 
 def posterior(model: FiniteModel, x: int) -> PosteriorReport:
-    """Posterior over theta given outcome index ``x``, by Bayes' formula."""
+    """Posterior over theta given outcome index ``x``: cached joint column over cached m(x)."""
     if not 0 <= x < model.n_x:
         raise IndexOutOfRangeError(f"outcome index {x} not in [0, {model.n_x})")
-    joint = model.prior * model.likelihood[:, x]
-    m_x = float(fsums(joint))
+    m_x = float(model.predictive[x])
     if m_x <= 0.0:
         raise ImpossibleObservationError(
             f"outcome {model.x_labels[x]!r} has zero prior-predictive mass"
         )
-    return PosteriorReport(posterior=joint / m_x, evidence_norm=m_x)
+    return PosteriorReport(posterior=model.joint[:, x] / m_x, evidence_norm=m_x)
 
 
 def prior_predictive(model: FiniteModel) -> np.ndarray:
     """Marginal outcome distribution m(x) = sum_theta prior * likelihood.
 
     Each entry is the exact column total of the joint table
-    (:func:`relbel._sums.fsums`, with ``math.fsum``'s bits), so ``m[x]`` is
-    bitwise ``posterior(model, x).evidence_norm`` and does not depend on the
-    BLAS build. Impossible outcomes keep m(x) = 0 here. The array is the
-    model's cached, read-only ``predictive``.
+    (:func:`relbel._sums.fsums`, with ``math.fsum``'s bits), so it does not
+    depend on the BLAS build, and ``posterior(model, x)`` divides by
+    ``m[x]``. Impossible outcomes keep m(x) = 0 here. The array is the
+    model's cached, read-only ``predictive``, totalled once per model.
     """
     return model.predictive
 
@@ -236,6 +236,18 @@ def psi_marginal(masses: np.ndarray, psi: PsiMap) -> np.ndarray:
     return out
 
 
+def _psi_table(model: FiniteModel, psi: PsiMap, key: str, build: Callable):
+    """The model's table ``key`` for ``psi``: ``build()``'s array, or tuple of
+    arrays, made read-only on first use and kept while ``psi`` lives."""
+    tables = model._psi_tables.setdefault(psi, {})
+    if key not in tables:
+        built = build()
+        for a in built if isinstance(built, tuple) else (built,):
+            a.setflags(write=False)
+        tables[key] = built
+    return tables[key]
+
+
 def posterior_table(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray]:
     """Posterior masses over psi for every outcome, and the m(x) they divide by.
 
@@ -256,12 +268,7 @@ def posterior_table(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.nda
         raise ImpossibleObservationError(
             f"outcome {model.x_labels[x]!r} has zero prior-predictive mass"
         )
-    tables = model._psi_tables.setdefault(psi, {})
-    if "posterior" not in tables:
-        table = psi_marginal(model.joint / m, psi).T
-        table.setflags(write=False)
-        tables["posterior"] = table
-    return tables["posterior"], m
+    return _psi_table(model, psi, "posterior", lambda: psi_marginal(model.joint / m, psi).T), m
 
 
 def psi_joint(model: FiniteModel, psi: PsiMap) -> np.ndarray:
@@ -274,12 +281,7 @@ def psi_joint(model: FiniteModel, psi: PsiMap) -> np.ndarray:
     Raises:
         ValidationError: the psi assignment does not fit the model.
     """
-    tables = model._psi_tables.setdefault(psi, {})
-    if "joint" not in tables:
-        joint = psi_marginal(model.joint, psi)
-        joint.setflags(write=False)
-        tables["joint"] = joint
-    return tables["joint"]
+    return _psi_table(model, psi, "joint", lambda: psi_marginal(model.joint, psi))
 
 
 def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray]:
@@ -295,16 +297,14 @@ def marginalize(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.ndarray
     Raises:
         ValidationError: the psi assignment does not fit the model.
     """
-    tables = model._psi_tables.setdefault(psi, {})
-    if "conditional" not in tables:
+
+    def build():
         pi_psi = psi_marginal(model.prior, psi)
         # a value without prior mass has a zero joint row: 0 / 0
         with np.errstate(invalid="ignore"):
-            cond = psi_joint(model, psi) / pi_psi[:, None]
-        for v in (pi_psi, cond):
-            v.setflags(write=False)
-        tables["conditional"] = pi_psi, cond
-    return tables["conditional"]
+            return pi_psi, psi_joint(model, psi) / pi_psi[:, None]
+
+    return _psi_table(model, psi, "conditional", build)
 
 
 # --- JSON ingestion ----------------------------------------------------------
