@@ -21,6 +21,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -39,9 +40,15 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _object(value, where: str) -> dict:
+def _object(value, where: str, fields: tuple = ()) -> dict:
+    """``value`` as a JSON object; given ``fields``, one that sets no other field."""
     if not isinstance(value, dict):
         raise ValidationError(f"{where} must be a JSON object, got {type(value).__name__}")
+    unknown = [k for k in value if k not in fields] if fields else []
+    if unknown:
+        raise ValidationError(
+            f"{where} has unknown field {unknown[0]!r:.40}; it takes {', '.join(fields)}"
+        )
     return value
 
 
@@ -111,14 +118,26 @@ def _region_doc(report, t) -> dict:
 
 
 class _Relbel(click.Group):
-    """The ``relbel`` group: a library error ends any command with one ``error:`` line."""
+    """The ``relbel`` group: a library error ends any command with one ``error:`` line,
+    and a ``UserWarning`` that the warning filters show prints as one ``warning:`` line."""
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (ValidationError, NumericalGuardError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_GUARD if isinstance(exc, NumericalGuardError) else EXIT_VALIDATION)
+        # saves and restores the warning hooks; the filters themselves stay as they are
+        with warnings.catch_warnings():
+            shown = warnings.showwarning
+
+            def show(message, category, *args, **kwargs):
+                if issubclass(category, UserWarning):
+                    click.echo(f"warning: {message}", err=True)
+                else:
+                    shown(message, category, *args, **kwargs)
+
+            warnings.showwarning = show
+            try:
+                return super().invoke(ctx)
+            except (ValidationError, NumericalGuardError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_GUARD if isinstance(exc, NumericalGuardError) else EXIT_VALIDATION)
 
 
 # an existing regular file; a missing one or a directory exits 2 through click
@@ -220,6 +239,8 @@ def decide_cmd(model_path, loss, eta, output):
     from . import decision
     from .model import identity_psi, model_from_json, psi_marginal
 
+    if eta is not None and loss != "rb-eta":
+        raise ValidationError(f"--eta applies only to --loss rb-eta, not --loss {loss}")
     model, psi = model_from_json(_read_json(model_path, "model document"))
     if psi is None:
         psi = identity_psi(model)
@@ -308,14 +329,20 @@ def classify_known(psi0, psi1, epsilon, output):
 
 
 def _load_csv_matrix(path: str) -> np.ndarray:
-    """Plain numeric CSV, row-major, optional single header row."""
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError:
+    """Plain numeric CSV, row-major, optional single header row, at least one data row."""
+    with warnings.catch_warnings():
+        # numpy warns on a file without data rows; the error below reports it instead
+        warnings.simplefilter("ignore", UserWarning)
         try:
-            return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse numeric CSV {path!r}: {exc}") from exc
+            matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError:
+            try:
+                matrix = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+            except ValueError as exc:
+                raise ValidationError(f"cannot parse numeric CSV {path!r}: {exc}") from exc
+    if matrix.size == 0:
+        raise ValidationError(f"numeric CSV {path!r} has no data rows")
+    return matrix
 
 
 @main.command("regress")
@@ -356,7 +383,7 @@ def _density_from_config(doc):
 def _likelihood_from_config(doc):
     from . import limits
 
-    doc = _object(doc, "likelihood config")
+    doc = _object(doc, "likelihood config", ("kind", "x", "sigma2"))
     kind = doc.get("kind", "normal-location")
     x = _number(_require(doc, "x", "likelihood config"), "likelihood config field 'x'")
     sigma2 = _number(doc.get("sigma2", 1.0), "likelihood config field 'sigma2'")
@@ -370,7 +397,7 @@ def _likelihood_from_config(doc):
 def _grid_from_config(doc):
     from . import grids
 
-    doc = _object(doc, "grid config")
+    doc = _object(doc, "grid config", ("lo", "hi", "n_cells"))
     return grids.build_grid(
         _number(_require(doc, "lo", "grid config"), "grid config field 'lo'"),
         _number(_require(doc, "hi", "grid config"), "grid config field 'hi'"),

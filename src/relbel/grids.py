@@ -196,6 +196,14 @@ class DensityFamily:
     cdf: Callable[[np.ndarray], np.ndarray]
 
 
+_FAMILY_PARAMS = {
+    "normal": ("mu", "sigma2"),
+    "beta": ("alpha", "beta"),
+    "uniform": ("a", "b"),
+    "lognormal": ("mu", "sigma2"),
+}
+
+
 def _pdf_on(z, lo: float, hi: float, inner) -> np.ndarray:
     """``inner`` on the closed support ``[lo, hi]`` of ``z``, 0 outside it.
 
@@ -217,8 +225,14 @@ def family(name: str, **params: float) -> DensityFamily:
     ``scipy.stats`` distribution with the same parameters (``norm``,
     ``beta``, ``uniform``, ``lognorm``): the same standardization, the same
     ``scipy.special`` kernels, 0 (and 1 for a cdf) beyond the support, and
-    NaN for NaN input.
+    NaN for NaN input. A parameter the family does not take is an error.
     """
+    takes = _FAMILY_PARAMS.get(name) if isinstance(name, str) else None
+    if takes is None:
+        raise ValidationError(f"unknown density family {name!r}")
+    unknown = sorted(params.keys() - set(takes))
+    if unknown:
+        raise ValidationError(f"{name} takes {', '.join(takes)}, not {unknown[0]!r}")
     if name == "normal":
         mu, sigma2 = params.get("mu", 0.0), params.get("sigma2", 1.0)
         if sigma2 <= 0:
@@ -261,7 +275,7 @@ def family(name: str, **params: float) -> DensityFamily:
         def cdf(x):
             z = (np.asarray(x, dtype=float) - a) / width
             return _cdf_on(z, 0.0, 1.0, z)
-    elif name == "lognormal":
+    else:  # lognormal
         mu, sigma2 = params.get("mu", 0.0), params.get("sigma2", 1.0)
         if sigma2 <= 0:
             raise ValidationError("lognormal needs sigma2 > 0")
@@ -282,6 +296,4 @@ def family(name: str, **params: float) -> DensityFamily:
             z = np.asarray(x, dtype=float) / scale
             with np.errstate(divide="ignore", invalid="ignore"):
                 return _cdf_on(z, 0.0, math.inf, ndtr(np.log(z) / s))
-    else:
-        raise ValidationError(f"unknown density family {name!r}")
     return DensityFamily(name=name, pdf=pdf, cdf=cdf)

@@ -79,9 +79,12 @@ def grid_ladder(base: Grid1D, steps: int = 4, factor: int = 2) -> list[Grid1D]:
     """Successively ``factor``-refined grids starting from ``base``.
 
     Raises:
+        ValidationError: ``steps`` is below 1.
         TooManyCellsError: some grid of the ladder would have more than
             ``CELL_CAP`` cells; nothing has been discretized yet.
     """
+    if steps < 1:
+        raise ValidationError(f"a grid ladder needs at least one step, got {steps}")
     grids = [capped(base, "the base grid")]
     for k in range(1, steps):
         grids.append(capped(refine(grids[-1], factor), f"ladder step {k + 1} of {steps}"))

@@ -19,6 +19,10 @@ all three losses; ``classify known|predict|table1`` run at the README
 settings (``table1`` at 2,000 replications), ``regress`` on an eight-row
 design with and without ``--grid-check``, and ``limits`` runs every
 experiment on gridded configs, ``eta`` and ``sandwich`` also on tables.
+Inputs that once ran with a field ignored (an empty design file, ``--eta``
+under another loss, zero ladder steps, a misspelt prior or likelihood
+parameter) pin their one ``error:`` line, and a grid that cuts off prior
+tail mass pins its ``warning:`` lines.
 """
 
 from __future__ import annotations
@@ -315,6 +319,34 @@ def _cases() -> list[dict]:
                "--sigma2", "0.5", "--tau2", "4", "--w", "regress_w.csv"]
     cases.append({"name": "regress", "args": regress})
     cases.append({"name": "regress-grid-check", "args": [*regress, "--grid-check", "4096"]})
+
+    # inputs that once ran with a field ignored: each exits 2 with one error line
+    (HERE / "regress_empty.csv").write_text("")
+    cases.append({
+        "name": "regress-empty-design",
+        "args": ["regress", "--design", "regress_empty.csv", *regress[3:]],
+    })
+    cases.append({
+        "name": "decide-psi_map-map-eta",
+        "args": ["decide", "--model", "psi_map.json", "--loss", "map", "--eta", "0.3"],
+    })
+    normal = configs["normal"]
+    ignored = {
+        "steps0": {**normal, "steps": 0},
+        "prior_mean": {**normal, "prior": {"family": "normal", "mean": 3.0, "sigma2": 1.0}},
+        "likelihood_sigm2": {
+            **normal, "likelihood": {"kind": "normal-location", "x": 1.3, "sigm2": 9.0}
+        },
+        # a normal(0, 1) prior on [-1.5, 2.0): a tail warning per grid, one line each
+        "tail": {**normal, "grid": {"lo": -1.5, "hi": 2.0, "n_cells": 16}, "steps": 2},
+    }
+    for name, config in ignored.items():
+        path = f"limits_{name}.json"
+        (HERE / path).write_text(json.dumps(config, indent=2) + "\n")
+        cases.append({
+            "name": f"limits-lambda-{name.replace('_', '-')}",
+            "args": ["limits", "lambda", "--config", path, "--precision", "full"],
+        })
     return cases
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tomllib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,12 @@ class TestDecideCommand:
     def test_eta_loss_requires_eta(self, runner, model_file):
         res = runner.invoke(main, ["decide", "--model", model_file, "--loss", "rb-eta"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("loss", ["rb", "map"])
+    def test_eta_only_with_the_capped_loss(self, runner, model_file, loss):
+        res = runner.invoke(main, ["decide", "--model", model_file, "--loss", loss, "--eta", "0.3"])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr == f"error: --eta applies only to --loss rb-eta, not --loss {loss}\n"
 
     def test_risk_cross_check_exits_3(self, runner, model_file, monkeypatch):
         from relbel import decision
@@ -316,6 +323,18 @@ class TestRegressCommand:
             ],
         )
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("text", ["", "\n", "a,b\n"])
+    def test_design_without_data_rows_exits_2_naming_it(self, runner, tmp_path, text):
+        (tmp_path / "X.csv").write_text(text)
+        (tmp_path / "y.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "w.csv").write_text("1.0\n")
+        res = runner.invoke(main, [
+            "regress", "--design", str(tmp_path / "X.csv"), "--response", str(tmp_path / "y.csv"),
+            "--sigma2", "1", "--tau2", "1", "--w", str(tmp_path / "w.csv"),
+        ])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr == f"error: numeric CSV {str(tmp_path / 'X.csv')!r} has no data rows\n"
 
     def test_grid_check_past_the_cell_cap_exits_2(self, runner, tmp_path):
         (tmp_path / "X.csv").write_text("1.0\n2.0\n3.0\n")
@@ -507,6 +526,24 @@ class TestMalformedLimitsConfigs:
             msg = self.expect_2(runner, tmp_path, experiment, doc)
             assert field in msg and ("number" in msg or "integer" in msg), msg
 
+    def test_unknown_block_fields_and_empty_ladders(self, runner, tmp_path):
+        g = GRID_CONFIG
+        cases = [
+            ("lambda", {**g, "prior": {"family": "normal", "mean": 3.0}},
+             "normal takes mu, sigma2, not 'mean'"),
+            ("lambda", {**g, "likelihood": {**g["likelihood"], "sigm2": 9.0}},
+             "likelihood config has unknown field 'sigm2'; it takes kind, x, sigma2"),
+            ("region", {**g, "grid": {**g["grid"], "width": 1.0}},
+             "grid config has unknown field 'width'; it takes lo, hi, n_cells"),
+            ("lambda", {**g, "steps": 0}, "a grid ladder needs at least one step, got 0"),
+            ("map", {**g, "steps": -3}, "a grid ladder needs at least one step, got -3"),
+        ]
+        for experiment, doc, message in cases:
+            assert self.expect_2(runner, tmp_path, experiment, doc) == f"error: {message}\n"
+        # top-level keys stay free: a comment, or the experiment's name
+        res = invoke_limits(runner, tmp_path, "lambda", {**g, "comment": "ignored"})
+        assert res.exit_code == 0, res.output
+
     def test_grids_past_the_cell_cap(self, runner, tmp_path):
         g = GRID_CONFIG
         cases = [
@@ -547,6 +584,40 @@ def test_beta_density_overflow_exits_3(runner, tmp_path):
     res = invoke_limits(runner, tmp_path, "lambda", doc)
     assert res.exit_code == 3, res.output
     assert res.output.startswith("error: density overflows") and res.output.count("\n") == 1
+
+
+class TestWarningLine:
+    """A warning the filters show prints as one line; the filters are left as they are."""
+
+    TAIL = {**GRID_CONFIG, "grid": {"lo": -1.5, "hi": 2.0, "n_cells": 16}}
+
+    def test_tail_warning_is_one_line(self, runner, tmp_path):
+        res = invoke_limits(runner, tmp_path, "lambda", self.TAIL)
+        assert res.exit_code == 0, res.output
+        lines = res.stderr.splitlines()
+        assert len(lines) == 2 and res.stderr.endswith("\n"), res.stderr
+        for line in lines:
+            assert line.startswith("warning: 0.089") and line.endswith(
+                "of the distribution lies outside [-1.5, 2.0); masses were renormalized"
+            ), line
+        assert res.stdout.startswith("parameter,discrepancy,summary\n")
+
+    def test_filters_still_decide(self, runner, tmp_path, model_file, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            res = invoke_limits(runner, tmp_path, "lambda", self.TAIL)
+        assert res.exit_code == 0 and res.stderr == ""
+        from relbel import model
+
+        def leaky(m):
+            warnings.warn("leaked", RuntimeWarning)
+            return m.predictive
+
+        monkeypatch.setattr(model, "prior_predictive", leaky)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = runner.invoke(main, ["model", "--model", model_file])
+        assert isinstance(res.exception, RuntimeWarning)
 
 
 class TestReportRoundTrips:

@@ -1,9 +1,11 @@
 import dataclasses
 import gc
+import json
 import math
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +50,7 @@ from relbel.model import (
     PsiMap,
     identity_psi,
     marginalize,
+    model_from_json,
     posterior,
     posterior_table,
     prior_predictive,
@@ -56,6 +59,8 @@ from relbel.model import (
     validate,
 )
 from conftest import finite_models, random_model
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 class TestMakeLoss:
@@ -433,6 +438,20 @@ class TestBruteForceOracle:
         with pytest.raises(RuleSpaceTooLargeError) as err:
             all_rules(n_psi, n_x)
         assert str(err.value) == f"{n_psi}^{n_x}{shown} rules exceeds the cap 1000000"
+
+    def test_subnormal_denominator_trips_the_guard(self):
+        # one over the subnormal prior mass of t2 is past the float range; bayes_rule divides
+        # posterior by that mass and needs no reciprocal
+        doc = json.loads((GOLDEN / "subnormal_prior.json").read_text())
+        model, _ = model_from_json(doc)
+        psi = identity_psi(model)
+        loss = make_loss("rb", model.prior)
+        rule, report = bayes_rule(model, psi, loss)
+        assert rule.action_per_x == (0, 2) and report.prior_risk == 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RatioOverflowError, match=r"^ratio 1\.0 / 5e-324 overflows"):
+                brute_force_bayes(model, psi, loss)
 
     def test_cap_above_the_printed_length(self):
         # a cap past 2^128 still compares the exact count
@@ -819,6 +838,18 @@ class TestCachedTables:
         assert posterior_table(model, psi)[0] is posterior_table(model, psi)[0]
         assert marginalize(model, psi)[1] is marginalize(model, psi)[1]
         assert psi_joint(model, psi) is psi_joint(model, psi)
+
+    def test_posterior_reads_the_cached_m(self, monkeypatch):
+        raw, _ = raw_model()
+        model = validate(raw)
+        m = prior_predictive(model)
+        totals, exact = [], model_mod.fsums
+        monkeypatch.setattr(model_mod, "fsums", lambda *a, **kw: totals.append(1) or exact(*a, **kw))
+        for x in range(model.n_x):
+            rep = posterior(model, x)
+            assert rep.evidence_norm == m[x]
+            assert rep.posterior.tobytes() == (model.joint[:, x] / m[x]).tobytes()
+        assert totals == []
 
     def test_cached_arrays_read_only_and_bitwise_fresh(self):
         raw, psi = raw_model()

@@ -147,6 +147,21 @@ class TestFamilies:
         with pytest.raises(ValidationError):
             family("cauchy")
 
+    @pytest.mark.parametrize(
+        "name, params, unknown",
+        [
+            ("normal", {"mean": 3.0, "sigma2": 1.0}, "mean"),
+            ("beta", {"alpha": 2.0, "mu": 0.5}, "mu"),
+            ("uniform", {"lo": 0.0}, "lo"),
+            ("lognormal", {"mu": 0.0, "sigma": 1.0}, "sigma"),
+        ],
+    )
+    def test_unknown_parameter_rejected(self, name, params, unknown):
+        from relbel.errors import ValidationError
+
+        with pytest.raises(ValidationError, match=f"^{name} takes .*, not '{unknown}'$"):
+            family(name, **params)
+
     def test_masses_from_cdf_nonuniform_edges(self):
         edges = np.array([0.0, 0.5, 2.0, 10.0])
         m = masses_from_cdf(stats.lognorm(s=1.0).cdf, edges)

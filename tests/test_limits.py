@@ -1,10 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from relbel.errors import SeparationViolatedError, TieAtMaximizerError, TooManyCellsError
+from relbel.errors import (
+    AllZeroMassError,
+    SeparationViolatedError,
+    TieAtMaximizerError,
+    TooManyCellsError,
+    ValidationError,
+)
 import relbel.grids as grids_mod
 from relbel.evidence import rb_table
 from relbel.grids import build_grid, family
@@ -150,6 +159,11 @@ class TestCellCap:
         with pytest.raises(TooManyCellsError, match="base grid"):
             grid_ladder(build_grid(0.0, 1.0, CELL_CAP + 1), steps=1)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_ladder_needs_a_step(self, steps):
+        with pytest.raises(ValidationError, match=f"at least one step, got {steps}"):
+            grid_ladder(build_grid(0.0, 1.0, 8), steps=steps)
+
     def test_reference_past_the_cap_rejected_before_discretizing(self):
         def density(p):
             raise AssertionError("discretized")
@@ -242,6 +256,44 @@ class TestLambdaLimit:
         grids = [build_grid(-6, 6, 128)]
         with pytest.raises(SeparationViolatedError):
             lambda_limit(NORMAL_PRIOR.pdf, lambda p: np.ones_like(p), grids)
+
+
+@st.composite
+def continuum_problems(draw):
+    """A prior, a likelihood, a grid ladder and the continuum evidence estimate.
+
+    For psi = theta the relative belief ratio is the likelihood over m(x), so
+    its maximizer is the likelihood's: x for a normal location, e^x on the
+    log scale. Each grid holds the target strictly inside.
+    """
+    unit = st.floats(0.0, 1.0)
+    base = draw(st.sampled_from([32, 64]))
+    if draw(st.booleans()):
+        mu, sigma2 = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.25, 4.0))
+        x = mu + draw(st.floats(-2.5, 2.5)) * math.sqrt(sigma2)
+        target, prior = x, family("normal", mu=mu, sigma2=sigma2)
+        lik = gaussian_location_likelihood(x, draw(st.floats(0.1, 2.0)))
+        lo, hi = x - 0.5 - 5.5 * draw(unit), x + 0.5 + 5.5 * draw(unit)
+    else:
+        mu, sigma2 = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 1.0))
+        x = mu + draw(st.floats(-2.0, 2.0)) * math.sqrt(sigma2)
+        target, prior = math.exp(x), family("lognormal", mu=mu, sigma2=sigma2)
+        lik = gaussian_log_location_likelihood(x, draw(st.floats(0.1, 2.0)))
+        lo, hi = target * 0.8 * draw(unit), target * (1.25 + 3.75 * draw(unit))
+    return prior.pdf, lik, grid_ladder(build_grid(lo, hi, base), steps=5), target
+
+
+class TestLambdaContinuumTarget:
+    # a grid may cut off prior tail mass, which warns by design
+    @pytest.mark.filterwarnings("ignore:.*of the distribution lies outside")
+    @settings(max_examples=60, deadline=None)
+    @given(continuum_problems())
+    def test_action_within_a_cell_of_the_target(self, problem):
+        """At every step the action's cell holds the target or neighbours the one that does."""
+        pdf, lik, grids, target = problem
+        trace = lambda_limit(pdf, lik, grids, target=target)
+        for width, d in zip(trace.parameter_values, trace.discrepancies):
+            assert d <= 1.5 * width, (trace.actions_or_regions, target)
 
 
 class TestMapLimitContrast:
@@ -394,3 +446,18 @@ class TestInvarianceDemo:
         # sanity: the original-scale argmax cells contain the analytic points
         assert grid.midpoints[rep.rb_index] == pytest.approx(1.5, abs=grid.cell_width)
         assert grid.midpoints[rep.map_index] == pytest.approx(0.75, abs=grid.cell_width)
+
+    def test_flat_prior_cdf_raises_all_zero_mass(self):
+        # no prior mass on the grid: the shared normalizer refuses it before any 0 / 0
+        grid = build_grid(-6, 6, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AllZeroMassError):
+                invariance_demo(
+                    lambda e: np.zeros_like(e),
+                    stats.norm(0.75, 0.7).cdf,
+                    stats.lognorm(s=1.0).cdf,
+                    stats.lognorm(s=0.7, scale=math.exp(0.75)).cdf,
+                    np.exp,
+                    grid,
+                )
