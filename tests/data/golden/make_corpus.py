@@ -21,8 +21,10 @@ design with and without ``--grid-check``, and ``limits`` runs every
 experiment on gridded configs, ``eta`` and ``sandwich`` also on tables.
 Inputs that once ran with a field ignored (an empty design file, ``--eta``
 under another loss, zero ladder steps, a misspelt prior or likelihood
-parameter) pin their one ``error:`` line, and a grid that cuts off prior
-tail mass pins its ``warning:`` lines.
+parameter) pin their one ``error:`` line, and so does an eta ladder halved
+past the float range; a grid that cuts off prior tail mass pins its
+``warning:`` lines. One ``evidence`` gamma sits where a level's float prefix
+sum and its exact total differ by an ulp.
 """
 
 from __future__ import annotations
@@ -144,6 +146,11 @@ def _cases() -> list[dict]:
         "name": "evidence-tied-gamma-above-one",
         "args": ["evidence", "--model", "tied.json", "--x", "0", "--gamma", "1.5"],
     })
+    # the float prefix sum of t0..t3 at x0 reads this gamma; their exact total is one ulp below
+    cases.append({
+        "name": "evidence-tied-gamma-prefix-sum",
+        "args": ["evidence", "--model", "tied.json", "--x", "0", "--gamma", "0.9473684210526316"],
+    })
     # a Latin-1 outcome label: the file is not UTF-8, so it is not JSON text
     latin1 = {**_models()["tied"][0], "x": ["x\xe9", "x1"]}
     (HERE / "latin1.json").write_bytes(json.dumps(latin1, ensure_ascii=False).encode("latin-1") + b"\n")
@@ -251,6 +258,18 @@ def _cases() -> list[dict]:
         "name": "limits-eta-table",
         "args": ["limits", "eta", "--config", "sandwich_table.json", "--precision", "full"],
     })
+    # 1,100 halvings of the largest prior mass 0.5 leave the float range
+    underflow = {
+        "table": {"prior": [0.5, 0.25, 0.25], "posterior": [0.1, 0.2, 0.7]},
+        "eta_steps": 1100,
+        "gamma": 0.7,
+    }
+    (HERE / "eta_underflow.json").write_text(json.dumps(underflow, indent=2) + "\n")
+    for experiment in ("eta", "sandwich"):
+        cases.append({
+            "name": f"limits-{experiment}-eta-underflow",
+            "args": ["limits", experiment, "--config", "eta_underflow.json", "--precision", "full"],
+        })
 
     region = {
         "prior": {"family": "lognormal", "mu": 0.1, "sigma2": 0.3},
