@@ -28,14 +28,13 @@ import numpy as np
 from ._sums import fsums
 from .errors import (
     BadEtaError,
-    BadGammaError,
     IndexOutOfRangeError,
     RiskCrossCheckError,
     RuleSpaceTooLargeError,
     ValidationError,
     ZeroPriorMassError,
 )
-from .evidence import RegionReport, _descending_levels, _ratios, _superlevel_region
+from .evidence import RegionReport, _check_gamma, _descending_levels, _ratios, _superlevel_region
 from .model import (
     FiniteModel,
     PsiMap,
@@ -203,20 +202,20 @@ def lpl_region(loss: Loss, posterior_masses, gamma: float, prior=None) -> Region
 
     The posterior risk of a value falls as its posterior over its
     denominator rises, so the region is a superlevel set of that ratio: the
-    cutoff is the largest ratio level whose superlevel set reaches content
-    gamma, and members satisfy ``ratio >= cutoff``. Under the ``rb`` loss
-    the ratio is the relative belief ratio, and the region is the credible
-    region of the same content by construction: one helper builds both.
+    cutoff is the largest ratio level whose superlevel set holds exact
+    content at least gamma, and members satisfy ``ratio >= cutoff``. Under
+    the ``rb`` loss the ratio is the relative belief ratio, and the region
+    is the ``sup-geq`` credible region of the same gamma by construction:
+    one helper builds both, with one domain for gamma.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise BadGammaError(f"gamma must be in [0, 1], got {gamma}")
     post = np.asarray(posterior_masses, dtype=float)
     if post.shape != (loss.n,):
         raise ValidationError(f"posterior length {post.shape} != loss size {loss.n}")
     if not np.all(np.isfinite(post)):
         raise ValidationError("posterior masses must be finite")
+    _check_gamma(gamma, post)
     ratios = _ratios(post, loss.values)
-    return _superlevel_region(ratios, _descending_levels(ratios, post), post, gamma, prior)
+    return _superlevel_region(ratios, _descending_levels(ratios, post), post, gamma, prior=prior)
 
 
 def unbiasedness_gap(model: FiniteModel, psi: PsiMap, h, rule: DecisionRule) -> float:

@@ -104,10 +104,6 @@ class TieAtMaximizerError(ValidationError):
     """The evidence maximizer is not unique, so the limit target is undefined."""
 
 
-class NoAttainableGammaError(ValidationError):
-    """No attainable posterior content matches the requested level."""
-
-
 class TooManyCellsError(ValidationError):
     """A ladder, reference or cross-check grid would have more cells than the cap."""
 

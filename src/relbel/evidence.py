@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import accumulate
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -221,14 +222,13 @@ def plausible_region(t: EvidenceTable) -> RegionReport:
 
 
 def _descending_levels(ratios: np.ndarray, posterior: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Unique ratio values descending with cumulative posterior content.
+    """Unique ratio values descending with the float prefix sums of their contents.
 
     Returns ``(levels, content, order, ends)``: ``order`` is the stable
     ratio-descending element order, the elements with ratio at least
     ``levels[i]`` are ``order[: ends[i] + 1]``, and ``content[i]`` is their
-    float prefix sum (a recursive sum), so ratios that order the elements
-    alike give bitwise equal contents. The content of nonnegative masses
-    is ascending. All four arrays are read-only.
+    float prefix sum, not their exact total: only the basis of the error
+    bound in :func:`_level_search`. All four arrays are read-only.
     """
     order = np.argsort(-ratios, kind="stable")
     sorted_r = ratios[order]
@@ -240,95 +240,95 @@ def _descending_levels(ratios: np.ndarray, posterior: np.ndarray) -> tuple[np.nd
     return out
 
 
+def _level_search(descending: tuple, posterior: np.ndarray, gamma: float, strict: bool) -> float:
+    """The cutoff of the region whose exact content first reaches ``gamma``.
+
+    Bisects the positive ratio levels, whose exact contents (``fsums`` of
+    ``order[: ends[i] + 1]``) grow as the level falls, for the first content
+    at least ``gamma``, or above it when ``strict``. That level is the cutoff
+    of the members ``ratio >= cutoff``, or, strict, ``ratio > cutoff``, which
+    hold at most ``gamma``. At ``gamma >= 1``, or when no level qualifies,
+    the members are the values with posterior mass (``ratio > 0``).
+
+    A probe first reads the float prefix sum ``c = content[i]`` of ``k``
+    non-negative terms, within ``e = 2 k u c + 2**-900`` of their exact total
+    ``S`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    section 4.2: the factor 2 covers rounding while ``k`` is far below
+    ``2**46``, the absolute term underflow). Rounding is monotone, so when
+    ``fl(c - e)`` and ``fl(c + e)`` agree on ``gamma``, so does ``fl(S)``;
+    otherwise the exact total of the prefix, the region's reported content,
+    decides.
+    """
+    levels, content, order, ends = descending
+    reaches = float(gamma).__lt__ if strict else float(gamma).__le__  # s > gamma, s >= gamma
+
+    def qualifies(i: int) -> bool:
+        k, c = ends.item(i) + 1, content.item(i)
+        e = c * (2.0 * k * _U) + _TINY
+        low, high = reaches(c - e), reaches(c + e)
+        return low if low == high else reaches(float(fsums(posterior[order[:k]])))
+
+    positive = len(levels)
+    if levels.item(-1) <= 0.0:  # levels without posterior mass come last
+        positive = bisect_left(range(positive), True, key=lambda i: levels.item(i) <= 0.0)
+    found = positive if gamma >= 1.0 else bisect_left(range(positive), True, key=qualifies)
+    if strict:  # found is the level after the last positive one, if any, when none qualifies
+        return levels.item(found) if found < len(levels) else -math.inf
+    return levels.item(min(found, positive - 1)) if positive else math.inf
+
+
 def _superlevel_region(
-    ratios: np.ndarray, descending: tuple, posterior: np.ndarray, gamma: float, prior=None
+    ratios: np.ndarray, descending: tuple, posterior, gamma: float, strict=False, prior=None
 ) -> RegionReport:
-    """Members with ``ratio >= cutoff``, the largest level whose content reaches gamma.
+    """The region of :func:`_level_search`'s cutoff, members a sorted index array.
 
     ``descending`` is :func:`_descending_levels` of ``ratios`` and
-    ``posterior``, sorted by the caller: once per table for ``sup-geq``
-    credible regions, which pass rb, and once per call for lowest-posterior-
-    loss regions, which pass posterior over the loss's denominators. The two
-    are one computation under the ``rb`` loss. The members are a sorted
-    index array.
+    ``posterior``: sorted once per table for credible regions, which pass
+    rb, and once per call for lowest-posterior-loss regions, which pass
+    posterior over the loss's denominators; under the ``rb`` loss the two
+    are one computation.
     """
-    levels, content = descending[:2]
-    hit = np.flatnonzero(content >= gamma)
-    # float shortfall at gamma=1 falls back to full support
-    cutoff = float(levels[hit[0]] if len(hit) else levels[-1])
-    return _region(np.flatnonzero(ratios >= cutoff), cutoff, posterior, prior)
+    cutoff = _level_search(descending, posterior, gamma, strict)
+    members = np.flatnonzero(ratios > cutoff if strict else ratios >= cutoff)
+    return _region(members, cutoff, posterior, prior)
+
+
+def _check_gamma(gamma: float, posterior: np.ndarray) -> None:
+    """Admit ``gamma`` in [0, 1] or, above 1, up to the ``fsums`` total of ``posterior``."""
+    if not (0.0 <= gamma <= 1.0 or 1.0 < gamma <= float(fsums(posterior))):
+        raise BadGammaError(f"gamma must be in [0, 1], got {gamma}")
 
 
 def attainable_gammas(t: EvidenceTable) -> np.ndarray:
-    """Posterior contents exactly attainable by rb-cutoff regions, ascending (read-only)."""
-    return t.descending[1]
+    """The exact posterior content of each positive rb level's region, ascending (read-only).
 
-
-def _quantile_cutoff(t: EvidenceTable, gamma: float) -> float:
-    """The smallest rb level whose strict-superlevel mass is at most ``gamma``.
-
-    The mass is the exact ``fsums`` total of the members ``rb > level``,
-    as in :func:`plausible_region`, so the tie at ``gamma`` equal to the
-    plausible region's content is exact. It grows as the level falls, so
-    the level is bisected over the descending levels: the mass above
-    ``levels[i]`` is the total of the prefix ``order[:k]``, ``k = ends[i -
-    1] + 1``, whose float prefix sum ``c = content[i - 1]`` is at hand.
-
-    For ``k`` non-negative terms summed in order, ``|c - S| <= g S`` with
-    ``g = gamma_{k-1}`` (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., section 4.2), so ``|c - S| <= e = 2 k u c +
-    2**-900``: the factor 2 covers ``g / (1 - g)`` and the rounding of
-    ``e`` while ``k`` is far below ``2**46``, and the absolute term covers
-    underflow. Rounding is monotone, so ``fl(S)`` lies between
-    ``fl(c - e)`` and ``fl(c + e)``: a probe is decided without an exact
-    sum when ``fl(c - e) > gamma`` (too much mass) or ``fl(c + e) <=
-    gamma`` (small enough). Any other probe takes the exact total of the
-    prefix, which has the bits of the masked total because ``fsums`` does
-    not depend on order.
+    A mass ``n / 2**j`` times ``2**1074`` is the integer ``n << (1074 - j)``,
+    so one running integer sum holds every exact prefix total, and integer
+    division rounds it correctly, to the bits of ``fsums``.
     """
-    levels, content, order, ends = t.descending
-
-    def too_much(i: int) -> bool:
-        k = int(ends[i - 1]) + 1
-        c = float(content[i - 1])
-        e = c * (2.0 * k * _U) + _TINY
-        if c - e > gamma:
-            return True
-        if c + e <= gamma:
-            return False
-        return float(fsums(t.posterior[order[:k]])) > gamma
-
-    # levels[0] has nothing above it; levels[i] is the cutoff when levels[i + 1] holds too much
-    return float(levels[bisect_left(range(1, len(levels)), True, key=too_much)])
+    levels, _, order, ends = t.descending
+    masses = map(float.as_integer_ratio, t.posterior[order].tolist())
+    running = list(accumulate(n << (1075 - d.bit_length()) for n, d in masses))
+    out = np.array([running[k] / 2**1074 for k in ends[levels > 0.0].tolist()], dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def credible_region(t: EvidenceTable, gamma: float, convention: str = "sup-geq") -> RegionReport:
-    """Highest-relative-belief region with posterior content at least gamma.
+    """Highest-relative-belief region at posterior content gamma.
 
-    ``sup-geq`` (default): cutoff is the largest rb level whose superlevel
-    set reaches content gamma; members satisfy ``rb >= cutoff``.
-    ``quantile-gt``: cutoff is the (1 - gamma) posterior quantile of the rb
-    values; members satisfy ``rb > cutoff``, so at ``gamma`` equal to the
-    plausible region's posterior content the region is exactly the
-    plausible region.
-
-    ``gamma`` lies in [0, 1] or, above 1, at most the table's total
-    posterior content: an fsum content, the plausible region's included,
-    can pass 1 by an ulp of the posterior normalization, and no region's
-    content exceeds the total.
+    ``sup-geq`` (default): members satisfy ``rb >= cutoff``, the largest rb
+    level whose superlevel set holds exact content at least gamma.
+    ``quantile-gt``: members satisfy ``rb > cutoff``, the (1 - gamma)
+    posterior quantile of rb, and hold at most gamma, so at the plausible
+    region's content they are the plausible region. ``gamma`` may pass 1
+    up to the table's total content, as an fsum content can by an ulp.
     """
-    if not (0.0 <= gamma <= 1.0 or 1.0 < gamma <= float(fsums(t.posterior))):
-        raise BadGammaError(f"gamma must be in [0, 1], got {gamma}")
-    if convention == "sup-geq":
-        return _superlevel_region(t.rb, t.descending, t.posterior, gamma, t.prior)
-    if convention == "quantile-gt":
-        if gamma >= 1.0:
-            # cells without posterior mass (rb = 0) stay out, as from the plausible region
-            cutoff = 0.0 if np.any(t.rb == 0.0) else -math.inf
-        else:
-            cutoff = _quantile_cutoff(t, gamma)
-        return _region(np.flatnonzero(t.rb > cutoff), cutoff, t.posterior, t.prior)
-    raise ValidationError(f"unknown credible-region convention {convention!r}")
+    _check_gamma(gamma, t.posterior)
+    if convention not in ("sup-geq", "quantile-gt"):
+        raise ValidationError(f"unknown credible-region convention {convention!r}")
+    strict = convention == "quantile-gt"
+    return _superlevel_region(t.rb, t.descending, t.posterior, gamma, strict, t.prior)
 
 
 def strength(t: EvidenceTable, psi0: int) -> float:

@@ -18,6 +18,8 @@ load scipy.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -36,6 +38,7 @@ from .errors import (
 )
 
 TAIL_WARN = 0.01
+_PACKAGE = os.path.dirname(__file__) + os.sep  # the relbel source directory
 # Most cells any ladder, reference or cross-check grid may have: 16 times the
 # 65,536-cell reference of a 512-cell, 4-step region run with a 16-fold
 # refinement, and small enough that quadrature on it takes a few hundred MB,
@@ -142,10 +145,14 @@ def _normalize(grid: Grid1D, raw: np.ndarray, warn_tail: float | None) -> Gridde
         raise AllZeroMassError("density places no mass on the grid range")
     tail = 1.0 - total
     if warn_tail is not None and tail > warn_tail:
+        # the warning names the first caller outside this package, however deep the call
+        level, frame = 1, sys._getframe()
+        while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"{tail:.3g} of the distribution lies outside [{grid.lo}, {grid.hi}); "
             "masses were renormalized",
-            stacklevel=3,
+            stacklevel=level,
         )
     masses = raw / total
     masses.setflags(write=False)

@@ -15,7 +15,7 @@ action or credible region moves toward its evidence-based limit:
 * :func:`region_limit` - credible regions of the discretized problem
   against a much finer reference standing in for the continuous region.
 * :func:`lpl_sandwich` - lowest-posterior-loss regions squeezed between
-  credible regions at the attained content and the next attainable one.
+  credible regions at the attained content and the next larger one.
 * :func:`invariance_demo` - a monotone change of variable moves the
   density-mode cell but not the evidence-maximizing cell.
 """
@@ -31,7 +31,6 @@ import numpy as np
 from ._sums import fsums
 from .decision import lpl_region, make_loss
 from .errors import (
-    NoAttainableGammaError,
     SeparationViolatedError,
     TieAtMaximizerError,
     ValidationError,
@@ -39,7 +38,7 @@ from .errors import (
 from .evidence import (
     EvidenceTable,
     _ratios,
-    attainable_gammas,
+    _superlevel_region,
     credible_region,
     rb_estimate,
     rb_table,
@@ -66,12 +65,17 @@ class LimitTrace:
 
 
 def default_eta_ladder(prior, steps: int = 8) -> tuple[float, ...]:
-    """Geometric ladder eta_k = max prior mass / 2^k."""
+    """Geometric ladder eta_k = max prior mass / 2^k, k < ``steps``, of distinct positive floats."""
     top = float(np.max(np.asarray(prior, dtype=float)))
     if top <= 0:
         raise ValidationError("prior has no positive mass")
     if steps < 1:
         raise ValidationError("need at least one ladder step")
+    # each cap rounds top / 2^k once, so only the last two can tie (at 5e-324) or reach 0
+    if not top * 0.5 ** (steps - 2) > top * 0.5 ** (steps - 1) > 0.0:
+        raise ValidationError(
+            f"{steps} eta steps halve the largest prior mass {top!r} past the float range"
+        )
     return tuple(top * 0.5**k for k in range(steps))
 
 
@@ -302,25 +306,19 @@ class SandwichReport:
 def lpl_sandwich(t: EvidenceTable, gamma: float, eta_ladder=None) -> SandwichReport:
     """Check the region sandwich on one finite (or truncated) evidence table.
 
-    Uses the smallest attainable posterior content at or above ``gamma``
-    for the lower credible region (reported), and the next attainable
-    content for the upper one; the lowest-posterior-loss region under the
-    capped loss must contain the former and sit inside the latter once the
-    cap is small.
+    The lower credible region is the ``sup-geq`` region at ``gamma``, and
+    its exact content is ``gamma_used``. The upper one is the region at the
+    next float above ``gamma_used``, with ``gamma_next`` its exact content,
+    or ``None`` (and the lower region again) when that region adds no
+    value. The lowest-posterior-loss region at ``gamma_used`` under the
+    capped loss must contain the lower region and sit inside the upper one
+    once the cap is small.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise NoAttainableGammaError(f"gamma must be in [0, 1], got {gamma}")
-    levels = attainable_gammas(t)
-    at_or_above = levels[levels >= gamma]
-    gamma_used = float(at_or_above[0]) if len(at_or_above) else float(levels[-1])
-    above = levels[levels > gamma_used]
-    gamma_next = float(above[0]) if len(above) else None
-
-    lower = credible_region(t, gamma_used, "sup-geq").members
-    if gamma_next is None:
-        upper = np.arange(len(t))
-    else:
-        upper = credible_region(t, gamma_next, "sup-geq").members
+    lower = credible_region(t, gamma)
+    gamma_used = lower.posterior_content
+    upper = _superlevel_region(t.rb, t.descending, t.posterior, math.nextafter(gamma_used, math.inf))
+    gamma_next = upper.posterior_content if len(upper.members) > len(lower.members) else None
+    lower, upper = lower.members, upper.members
 
     if eta_ladder is None:
         eta_ladder = default_eta_ladder(t.prior)

@@ -46,13 +46,15 @@ def random_model(rng, max_theta=6, max_x=6, max_psi=4, min_prior=0.01):
 
 
 @st.composite
-def finite_models(draw, max_theta=6, max_x=6, max_psi=4):
+def finite_models(draw, max_theta=6, max_x=6, max_psi=4, zeros=False):
     """Random validated model plus a surjective psi, drawn for hypothesis.
 
     Some theta values may carry zero prior mass, though every psi value
     keeps positive mass and every outcome stays possible. Likelihood rows
     are Dirichlet draws, small integers (which make tied actions) or
-    entries spread over twelve decades.
+    entries spread over twelve decades. With ``zeros``, rows may also be
+    small integers with zeros, so a psi value can get no posterior mass at
+    an outcome (a relative belief ratio of 0).
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_theta = draw(st.integers(2, max_theta))
@@ -63,9 +65,13 @@ def finite_models(draw, max_theta=6, max_x=6, max_psi=4):
     zero = rng.random(n_theta) < draw(st.sampled_from([0.0, 0.3, 0.6]))
     zero[:n_psi] = False
     prior[zero] = 0.0
-    rows = draw(st.sampled_from(["dirichlet", "integers", "decades"]))
+    rows = draw(st.sampled_from(["dirichlet", "integers", "decades"] + ["zeros"] * zeros))
     if rows == "integers":
         likelihood = rng.integers(1, 4, size=(n_theta, n_x)).astype(float)
+    elif rows == "zeros":
+        likelihood = rng.integers(0, 4, size=(n_theta, n_x)).astype(float)
+        likelihood[0] = 1.0  # theta 0 keeps its prior mass, so every outcome stays possible
+        likelihood[likelihood.sum(axis=1) == 0.0, 0] = 1.0
     else:
         likelihood = rng.dirichlet(np.ones(n_x), size=n_theta)
         if rows == "decades":

@@ -674,10 +674,9 @@ class TestLplRegion:
             post = psi_marginal(posterior(model, x).posterior, psi)
             t = rb_table(pi_psi, post)
             loss = make_loss("rb", t.prior)
-            for gamma in attainable_gammas(t):
-                g = min(float(gamma), 1.0)  # cumulative content can round past 1
-                lpl = lpl_region(loss, t.posterior, g, prior=t.prior)
-                cred = credible_region(t, g, "sup-geq")
+            for gamma in attainable_gammas(t).tolist():
+                lpl = lpl_region(loss, t.posterior, gamma, prior=t.prior)
+                cred = credible_region(t, gamma, "sup-geq")
                 assert lpl.member_indices == cred.member_indices
 
     def test_gamma_one_full_support(self):

@@ -1,6 +1,8 @@
 import math
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from relbel.decision import lpl_region, make_loss
 from relbel.errors import (
     BadGammaError,
     NumericalGuardError,
@@ -24,12 +27,13 @@ from relbel.evidence import (
     rb_table,
     strength,
     table_from_gridded,
+    table_from_model,
 )
 import relbel.evidence as evidence_mod
 from relbel._sums import fsums
 from relbel.grids import _normalize, build_grid, masses_from_cdf
 from relbel.model import posterior, prior_predictive, psi_marginal
-from conftest import random_model
+from conftest import finite_models, random_model
 
 
 def example_table():
@@ -351,6 +355,25 @@ def bisected_quantile_cutoff(t, gamma):
     return float(levels[bisect_left(range(len(levels) - 1), True, key=small_enough)])
 
 
+def quantile_oracle(t, gamma):
+    """:func:`bisected_quantile_cutoff` below the table's total; from the total
+    on, its ``gamma = 1`` cutoff, which leaves the values with posterior mass."""
+    return bisected_quantile_cutoff(t, gamma if gamma < float(fsums(t.posterior)) else 1.0)
+
+
+def bisected_superlevel_cutoff(t, gamma):
+    """The ``sup-geq`` cutoff by a bisection over the positive ``np.unique(t.rb)``
+    with one masked exact total per probe; from ``gamma = 1`` on, or when no
+    level holds ``gamma``, the least positive level."""
+    levels = np.unique(t.rb[t.rb > 0.0])[::-1]
+
+    def enough(j):
+        return gamma < 1.0 and float(fsums(t.posterior[t.rb >= levels[j]])) >= gamma
+
+    found = bisect_left(range(len(levels)), True, key=enough)
+    return float(levels[min(found, len(levels) - 1)])
+
+
 def quantile_gammas(t, drawn, every=1):
     """Gammas where the cutoff is decided by a hair: every ``every``-th
     attainable content and the floats either side of it, the plausible
@@ -363,15 +386,15 @@ def quantile_gammas(t, drawn, every=1):
 
 
 class TestQuantileCutoffMatchesBisection:
-    """The cutoff bisected over float prefix sums has the bits of the masked
-    exact-total bisection it replaced."""
+    """The cutoffs bisected with the prefix-sum bound have the bits of a
+    masked exact-total bisection."""
 
     @settings(max_examples=300, deadline=None)
     @given(zero_prior_tables(), st.lists(st.floats(0.0, 1.0), max_size=4))
     def test_bitwise_on_ties_and_zero_posterior_cells(self, case, drawn):
         t = case[3]
         for g in quantile_gammas(t, drawn):
-            want = bisected_quantile_cutoff(t, g)
+            want = quantile_oracle(t, g)
             reg = credible_region(t, g, "quantile-gt")
             assert reg.cutoff.hex() == want.hex()
             assert reg.member_indices == frozenset(np.flatnonzero(t.rb > want).tolist())
@@ -388,12 +411,15 @@ class TestQuantileCutoffMatchesBisection:
         monkeypatch.setattr(
             evidence_mod, "fsums", lambda a, *args: probes.append(len(a)) or exact(a, *args)
         )
+        oracles = {"sup-geq": bisected_superlevel_cutoff, "quantile-gt": quantile_oracle}
         for g in quantile_gammas(t, rng.uniform(0.0, 1.0, size=20).tolist(), every=max(n // 40, 1)):
-            probes.clear()
-            reg = credible_region(t, g, "quantile-gt")
-            assert reg.cutoff.hex() == bisected_quantile_cutoff(t, g).hex()
-            # the region's two contents and at most one exact probe
-            assert len(probes) <= 3
+            for convention, oracle in oracles.items():
+                want = oracle(t, g)
+                probes.clear()
+                reg = credible_region(t, g, convention)
+                assert reg.cutoff.hex() == want.hex()
+                # the region's two contents and at most one exact probe
+                assert len(probes) <= 3
 
 
 @st.composite
@@ -416,12 +442,12 @@ def ratio_tables(draw):
 
 
 def per_call_levels(ratios, posterior):
-    """Descending levels and their contents, sorted afresh on every call."""
+    """Positive ratio levels descending and their exact contents, sorted afresh on every call."""
     order = np.argsort(-ratios, kind="stable")
     sorted_r = ratios[order]
-    cum = np.cumsum(posterior[order])
     ends = np.append(np.flatnonzero(sorted_r[1:] != sorted_r[:-1]), len(sorted_r) - 1)
-    return sorted_r[ends], cum[ends]
+    ends = ends[sorted_r[ends] > 0.0]
+    return sorted_r[ends], np.array([math.fsum(posterior[order[: k + 1]].tolist()) for k in ends])
 
 
 class TestOneDescendingOrder:
@@ -452,17 +478,14 @@ class TestOneDescendingOrder:
     @given(ratio_tables(), st.lists(st.floats(0.0, 1.0), max_size=4))
     def test_bitwise_against_a_per_call_sort(self, t, drawn):
         levels, content = per_call_levels(t.rb, t.posterior)
-        assert attainable_gammas(t).tobytes() == np.sort(content).tobytes()
+        assert attainable_gammas(t).tobytes() == content.tobytes()
         for g in quantile_gammas(t, drawn):
-            hit = np.flatnonzero(content >= g)
+            hit = np.flatnonzero(content >= g) if g < 1.0 else []
             sup_geq = float(levels[hit[0]] if len(hit) else levels[-1])
             expected = {
                 "sup-geq": (sup_geq, np.flatnonzero(t.rb >= sup_geq)),
-                # the masked exact-total bisection stands in for the sorted prefix sums
-                "quantile-gt": (
-                    bisected_quantile_cutoff(t, g),
-                    np.flatnonzero(t.rb > bisected_quantile_cutoff(t, g)),
-                ),
+                # the masked exact-total bisection stands in for the sorted exact contents
+                "quantile-gt": (quantile_oracle(t, g), np.flatnonzero(t.rb > quantile_oracle(t, g))),
             }
             for convention, (cutoff, members) in expected.items():
                 reg = credible_region(t, g, convention)
@@ -472,3 +495,103 @@ class TestOneDescendingOrder:
                 assert reg.member_indices == frozenset(members.tolist())
                 assert reg.posterior_content.hex() == math.fsum(t.posterior[members].tolist()).hex()
                 assert reg.prior_content.hex() == math.fsum(t.prior[members].tolist()).hex()
+
+
+def in_domain(t, gammas):
+    """The gammas a region of ``t`` accepts: [0, 1], and above 1 up to the exact total."""
+    top = max(1.0, float(fsums(t.posterior)))
+    return [g for g in gammas if 0.0 <= g <= top]
+
+
+class TestOneExactContentPerRegion:
+    """Both conventions and lowest-loss regions decide on the exact content they report."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(zero_prior_tables().map(lambda case: case[3]), ratio_tables()),
+        st.lists(st.floats(0.0, 1.0), max_size=4),
+    )
+    def test_level_is_the_first_exact_content_past_gamma(self, t, shares):
+        levels, content = per_call_levels(t.rb, t.posterior)
+        total = float(fsums(t.posterior))
+        positive = np.flatnonzero(t.rb > 0.0).tolist()
+        loss = make_loss("rb", t.prior)
+        # gammas in [0, total], each level's exact content, and its float prefix sum beside it
+        drawn = [u * total for u in shares] + content.tolist() + t.descending[1].tolist() + [1.0]
+        for g in in_domain(t, drawn):
+            sup = credible_region(t, g, "sup-geq")
+            qgt = credible_region(t, g, "quantile-gt")
+            lpl = lpl_region(loss, t.posterior, g, prior=t.prior)
+            assert lpl.members.tolist() == sup.members.tolist()
+            assert lpl.posterior_content == sup.posterior_content
+            if g >= 1.0:
+                assert sup.members.tolist() == qgt.members.tolist() == positive
+                continue
+            # sup-geq: the first positive level whose exact content is at least gamma
+            j = int(np.count_nonzero(levels > sup.cutoff))
+            assert sup.members.tolist() == np.flatnonzero(t.rb >= levels[j]).tolist()
+            assert sup.posterior_content == content[j]
+            assert content[j] >= g or j == len(levels) - 1 and g > total
+            assert j == 0 or content[j - 1] < g
+            # quantile-gt: the levels above the first one whose exact content passes gamma
+            k = int(np.count_nonzero(levels > qgt.cutoff))
+            assert qgt.members.tolist() == np.flatnonzero(t.rb > qgt.cutoff).tolist()
+            assert qgt.posterior_content == (content[k - 1] if k else 0.0) <= g
+            if k < len(levels):
+                assert content[k] > g
+            else:
+                assert qgt.members.tolist() == positive
+
+
+SUBSET_CAP = 2**12
+
+
+def subset_contents(t):
+    """The exact posterior and prior content of every subset of the table's
+    values, as Fractions, indexed by bit mask over table positions."""
+    assert 2 ** len(t) <= SUBSET_CAP, "the subset oracle enumerates at most 2**12 sets"
+    sums = [(Fraction(0), Fraction(0))]
+    for post, prior in zip(t.posterior.tolist(), t.prior.tolist()):
+        sums += [(p + Fraction(post), q + Fraction(prior)) for p, q in sums]
+    return sums
+
+
+class TestOptimalProperties:
+    """The abstract's optimal properties, checked exactly against every subset."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        finite_models(max_theta=10, max_x=4, max_psi=10, zeros=True),
+        st.lists(st.floats(0.0, 1.0), max_size=3),
+    )
+    def test_regions_have_least_prior_content_and_plausible_most_gain(self, drawn, shares):
+        model, psi = drawn
+        for x in range(model.n_x):
+            t = table_from_model(model, x, psi)
+            sums = subset_contents(t)
+
+            def contents(members):
+                return sums[sum(1 << i for i in members.tolist())]
+
+            # least prior content among the sets holding at least a posterior content
+            by_post = sorted(sums, key=lambda pq: pq[0], reverse=True)
+            least = list(accumulate((q for _, q in by_post), min))
+            negated = [-p for p, _ in by_post]
+
+            _, content = per_call_levels(t.rb, t.posterior)
+            loss = make_loss("rb", t.prior)
+            total = float(fsums(t.posterior))
+            gammas = [0.0, 1.0, *content.tolist(), *(u * total for u in shares)]
+            for g in in_domain(t, gammas):
+                regions = [credible_region(t, g, c) for c in ("sup-geq", "quantile-gt")]
+                regions.append(lpl_region(loss, t.posterior, g, prior=t.prior))
+                for region in regions:
+                    post, prior = contents(region.members)
+                    assert least[bisect_right(negated, -post) - 1] == prior, (g, region.cutoff)
+
+            # the plausible region, with or without the values at rb = 1, gains the most
+            gain = max(p - q for p, q in sums)
+            plausible = plausible_region(t).members
+            for members in (plausible, np.union1d(plausible, np.flatnonzero(t.rb == 1.0))):
+                post, prior = contents(members)
+                assert post - prior == gain

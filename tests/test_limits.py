@@ -16,7 +16,7 @@ from relbel.errors import (
 )
 import relbel.grids as grids_mod
 from relbel.evidence import rb_table
-from relbel.grids import build_grid, family
+from relbel.grids import build_grid, discretize, family
 from relbel.limits import (
     CELL_CAP,
     default_eta_ladder,
@@ -48,6 +48,17 @@ def truncated_geometric_table(n_points=51, ratio=0.5, n_trials=20, successes=8):
 
 
 class TestEtaLimit:
+    @pytest.mark.parametrize("top, longest", [(0.5, 1074), (0.7, 1074), (1.0, 1075)])
+    def test_ladder_past_the_float_range_rejected(self, top, longest):
+        # the longest ladder ends at the least subnormal; 0.7 / 2**1074 rounds to it again
+        prior = [top, 1.0 - top]
+        ladder = default_eta_ladder(prior, longest)
+        assert ladder[-1] == 5e-324 and all(a > b for a, b in zip(ladder, ladder[1:]))
+        for steps in (longest + 1, 1100):
+            message = rf"^{steps} eta steps halve the largest prior mass {top!r} past the float range$"
+            with pytest.raises(ValidationError, match=message):
+                default_eta_ladder(prior, steps)
+
     def test_truncated_geometric_stabilizes_at_threshold(self):
         t = truncated_geometric_table()
         ladder = default_eta_ladder(t.prior, steps=40)
@@ -283,6 +294,17 @@ def continuum_problems(draw):
     return prior.pdf, lik, grid_ladder(build_grid(lo, hi, base), steps=5), target
 
 
+def test_tail_warning_names_the_calling_file():
+    # a normal(0, 1) prior on [-1.5, 2.0) leaves about 9% of its mass outside
+    grid = build_grid(-1.5, 2.0, 16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        discretize(NORMAL_PRIOR.pdf, grid)
+        lambda_limit(NORMAL_PRIOR.pdf, gaussian_location_likelihood(1.3, 0.5), [grid])
+    assert [w.category for w in caught] == [UserWarning, UserWarning]
+    assert [w.filename for w in caught] == [__file__, __file__]
+
+
 class TestLambdaContinuumTarget:
     # a grid may cut off prior tail mass, which warns by design
     @pytest.mark.filterwarnings("ignore:.*of the distribution lies outside")
@@ -391,9 +413,9 @@ class TestSandwich:
         assert all(rep.lower_holds) and all(rep.upper_holds)
 
     def test_invalid_gamma_rejected(self):
-        from relbel.errors import NoAttainableGammaError
+        from relbel.errors import BadGammaError
 
-        with pytest.raises(NoAttainableGammaError):
+        with pytest.raises(BadGammaError):
             lpl_sandwich(rb_table([0.5, 0.5], [0.2, 0.8]), 1.2)
 
     def test_double_limit_grid(self):
