@@ -21,10 +21,12 @@ design with and without ``--grid-check``, and ``limits`` runs every
 experiment on gridded configs, ``eta`` and ``sandwich`` also on tables.
 Inputs that once ran with a field ignored (an empty design file, ``--eta``
 under another loss, zero ladder steps, a misspelt prior or likelihood
-parameter) pin their one ``error:`` line, and so does an eta ladder halved
+parameter or top-level key) pin their one ``error:`` line, and so does an eta ladder halved
 past the float range; a grid that cuts off prior tail mass pins its
 ``warning:`` lines. One ``evidence`` gamma sits where a level's float prefix
-sum and its exact total differ by an ulp.
+sum and its exact total differ by an ulp. A sandwich table whose next region
+adds mass below half an ulp, and a ``classify known`` run whose two class
+likelihoods tie, pin how each reads the tie.
 """
 
 from __future__ import annotations
@@ -233,6 +235,11 @@ def _cases() -> list[dict]:
         "name": "classify-known",
         "args": ["classify", "known", "--psi0", "0.05", "--psi1", "0.8", "--epsilon", "0.01"],
     })
+    # equal class likelihoods at epsilon 0.5 tie both posterior-mode comparisons
+    cases.append({
+        "name": "classify-known-tie",
+        "args": ["classify", "known", "--psi0", "0.5", "--psi1", "0.5", "--epsilon", "0.5"],
+    })
     cases.append({
         "name": "classify-predict",
         "args": ["classify", "predict", "--alpha", "1", "--beta", "100", "--n", "10",
@@ -257,6 +264,13 @@ def _cases() -> list[dict]:
     cases.append({
         "name": "limits-eta-table",
         "args": ["limits", "eta", "--config", "sandwich_table.json", "--precision", "full"],
+    })
+    # the next region adds 1e-20, less than half an ulp of the lower region's content
+    roundoff = {"table": {"prior": [0.5, 0.5], "posterior": [1.0, 1e-20]}, "gamma": 0.9}
+    (HERE / "sandwich_roundoff.json").write_text(json.dumps(roundoff, indent=2) + "\n")
+    cases.append({
+        "name": "limits-sandwich-roundoff",
+        "args": ["limits", "sandwich", "--config", "sandwich_roundoff.json", "--precision", "full"],
     })
     # 1,100 halvings of the largest prior mass 0.5 leave the float range
     underflow = {
@@ -359,6 +373,13 @@ def _cases() -> list[dict]:
         # a normal(0, 1) prior on [-1.5, 2.0): a tail warning per grid, one line each
         "tail": {**normal, "grid": {"lo": -1.5, "hi": 2.0, "n_cells": 16}, "steps": 2},
     }
+    # a misspelt top-level key of a region config
+    typo = {**normal, "steps": 2, "refine_facter": 2}
+    (HERE / "limits_refine_facter.json").write_text(json.dumps(typo, indent=2) + "\n")
+    cases.append({
+        "name": "limits-region-refine-facter",
+        "args": ["limits", "region", "--config", "limits_refine_facter.json", "--precision", "full"],
+    })
     for name, config in ignored.items():
         path = f"limits_{name}.json"
         (HERE / path).write_text(json.dumps(config, indent=2) + "\n")
