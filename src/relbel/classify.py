@@ -60,7 +60,7 @@ def classify_known_eps(spec: TwoClassSpec, x: int) -> ClassifyResult:
         raise ValidationError(f"test result must be 0 or 1, got {x}")
     f0 = spec.psi0 if x == 1 else 1.0 - spec.psi0
     f1 = spec.psi1 if x == 1 else 1.0 - spec.psi1
-    map_label = 0 if f0 * (1.0 - spec.epsilon) > f1 * spec.epsilon else 1
+    map_label = 1 if f1 * spec.epsilon > f0 * (1.0 - spec.epsilon) else 0
     rb_label = 1 if f1 > f0 else 0
     return ClassifyResult(map_label=map_label, rb_label=rb_label)
 

@@ -446,6 +446,13 @@ def _trace_rows(trace) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+# the top-level keys of a limits config; "experiment" may name the command's argument
+_LIMITS_FIELDS = (
+    "experiment", "prior", "likelihood", "grid", "steps", "factor", "gamma", "refine_factor",
+    "target", "eta_steps", "table", "model", "x",
+)
+
+
 @main.command("limits")
 @click.argument("experiment", type=click.Choice(["eta", "lambda", "map", "region", "sandwich"]))
 @click.option("--config", type=_INPUT, required=True)
@@ -456,7 +463,7 @@ def limits_cmd(experiment, config, precision, output):
     from . import evidence, limits
     from .model import model_from_json
 
-    doc = _read_json(config, "limits config")
+    doc = _object(_read_json(config, "limits config"), "limits config", _LIMITS_FIELDS)
     if experiment in ("region", "sandwich"):
         gamma = _number(_require(doc, "gamma", f"{experiment} config"), "config field 'gamma'")
     if experiment == "eta":

@@ -213,6 +213,9 @@ def lpl_region(loss: Loss, posterior_masses, gamma: float, prior=None) -> Region
         raise ValidationError(f"posterior length {post.shape} != loss size {loss.n}")
     if not np.all(np.isfinite(post)):
         raise ValidationError("posterior masses must be finite")
+    # the level search's error bound holds for nonnegative terms only
+    if np.any(post < 0):
+        raise ValidationError("posterior masses must be nonnegative")
     _check_gamma(gamma, post)
     ratios = _ratios(post, loss.values)
     return _superlevel_region(ratios, _descending_levels(ratios, post), post, gamma, prior=prior)

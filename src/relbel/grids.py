@@ -1,7 +1,8 @@
 """Regular 1-D discretizations: cells and their masses.
 
 A grid splits ``[lo, hi)`` into equal-width half-open cells; a density is
-turned into cell masses by composite midpoint quadrature, or by exact CDF
+turned into cell masses by composite midpoint quadrature (a prior and a
+joint sharing their nodes in :func:`discretize_joint`), or by exact CDF
 differences (:func:`masses_from_cdf`). Mass lost outside the range is
 recorded as ``tail_mass``, never hidden.
 
@@ -38,6 +39,8 @@ from .errors import (
 )
 
 TAIL_WARN = 0.01
+# midpoint quadrature nodes per cell
+NODES_PER_CELL = 8
 _PACKAGE = os.path.dirname(__file__) + os.sep  # the relbel source directory
 # Most cells any ladder, reference or cross-check grid may have: 16 times the
 # 65,536-cell reference of a 512-cell, 4-step region run with a 16-fold
@@ -102,38 +105,54 @@ def refine(grid: Grid1D, factor: int) -> Grid1D:
     return Grid1D(grid.lo, grid.hi, grid.n_cells * int(factor))
 
 
-def discretize(
-    density: Callable[[np.ndarray], np.ndarray],
-    grid: Grid1D,
-    quadrature_points: int = 8,
-    warn_tail: float | None = TAIL_WARN,
-) -> GriddedDistribution:
+def discretize(density: Callable[[np.ndarray], np.ndarray], grid: Grid1D) -> GriddedDistribution:
     """Cell masses by composite midpoint quadrature of ``density``.
 
-    ``density`` must accept numpy arrays. ``tail_mass`` is 1 minus the
-    pre-normalization total, which is the discarded support only when the
-    density is normalized; pass ``warn_tail=None`` for unnormalized
-    integrands.
+    ``density`` must accept numpy arrays; it is evaluated once, at
+    ``NODES_PER_CELL`` midpoint nodes per cell. ``tail_mass`` is 1 minus the
+    pre-normalization total, and a warning fires above ``TAIL_WARN``.
     """
-    if not (float(quadrature_points).is_integer() and quadrature_points >= 1):
-        raise ValidationError(
-            f"quadrature_points must be an integer >= 1, got {quadrature_points}"
-        )
-    quadrature_points = int(quadrature_points)
-    w = grid.cell_width
-    offsets = (np.arange(quadrature_points) + 0.5) * (w / quadrature_points)
-    points = grid.edges[:-1, None] + offsets[None, :]
+    return _cell_masses(grid, _at_nodes(density, _nodes(grid), grid), TAIL_WARN)
+
+
+def discretize_joint(
+    prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D
+) -> tuple[GriddedDistribution, GriddedDistribution]:
+    """Prior and joint (prior times likelihood) cell masses at one set of nodes.
+
+    Each callable is evaluated once, on the node array of :func:`discretize`,
+    and the joint multiplies the two value arrays, so the masses are bitwise
+    ``discretize(prior_density)`` and ``discretize(prior_density * likelihood_at_x)``.
+    Only the prior warns about its tail: the joint integrates to m(x), not 1.
+    """
+    nodes = _nodes(grid)
+    prior_values = _at_nodes(prior_density, nodes, grid)
+    prior = _cell_masses(grid, prior_values, TAIL_WARN)
+    return prior, _cell_masses(grid, prior_values * _at_nodes(likelihood_at_x, nodes, grid), None)
+
+
+def _nodes(grid: Grid1D) -> np.ndarray:
+    """The midpoint quadrature nodes, one row of ``NODES_PER_CELL`` per cell."""
+    offsets = (np.arange(NODES_PER_CELL) + 0.5) * (grid.cell_width / NODES_PER_CELL)
+    return grid.edges[:-1, None] + offsets[None, :]
+
+
+def _at_nodes(fn: Callable, nodes: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """``fn`` at the nodes as floats; an ``OverflowError`` is a numerical guard."""
     try:
-        values = np.asarray(density(points), dtype=float)
+        return np.asarray(fn(nodes), dtype=float)
     except OverflowError:
         # a beta pdf with alpha < 1 overflows at subnormal points, as scipy's does
         raise DensityOverflowError(
             f"density overflows the float range on the grid [{grid.lo}, {grid.hi})"
         ) from None
+
+
+def _cell_masses(grid: Grid1D, values: np.ndarray, warn_tail: float | None) -> GriddedDistribution:
+    """Normalized cell masses from the density values at the nodes of ``grid``."""
     if np.any(values < 0):
         raise NegativeDensityError("density evaluated negative on the grid")
-    raw = values.mean(axis=1) * w
-    return _normalize(grid, raw, warn_tail)
+    return _normalize(grid, values.mean(axis=1) * grid.cell_width, warn_tail)
 
 
 def _normalize(grid: Grid1D, raw: np.ndarray, warn_tail: float | None) -> GriddedDistribution:

@@ -46,9 +46,7 @@ from .evidence import (
     table_from_model,
 )
 from .grids import CELL_CAP  # noqa: F401  (re-exported: the cap every ladder grid meets)
-from .grids import (
-    Grid1D, GriddedDistribution, _normalize, capped, discretize, masses_from_cdf, refine,
-)
+from .grids import Grid1D, _normalize, capped, discretize_joint, masses_from_cdf, refine
 from .model import FiniteModel, PsiMap
 
 FLAT_TOL = 1e-12
@@ -146,30 +144,9 @@ def eta_limit(source, x=None, psi: PsiMap | None = None, eta_ladder=None) -> Lim
     return _trace(eta_ladder, [kept[_capped_action(t, eta)] for eta in eta_ladder], kept[est.index])
 
 
-def _gridded_pair(
-    prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D
-) -> tuple[GriddedDistribution, GriddedDistribution]:
-    """Prior and joint cell masses from one prior-density pass.
-
-    Both ``discretize`` calls place the same quadrature nodes on ``grid``,
-    so the joint multiplies the prior values of the first call by the
-    likelihood and never evaluates the prior density again.
-    """
-    prior_at_nodes = []
-
-    def prior_once(p):
-        prior_at_nodes.append(np.asarray(prior_density(p)))
-        return prior_at_nodes[-1]
-
-    def joint(p):
-        return prior_at_nodes[-1] * np.asarray(likelihood_at_x(p))
-
-    return discretize(prior_once, grid), discretize(joint, grid, warn_tail=None)
-
-
 def _grid_table(prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D) -> EvidenceTable:
     """Evidence table of the discretized problem on one grid."""
-    return table_from_gridded(*_gridded_pair(prior_density, likelihood_at_x, grid))
+    return table_from_gridded(*discretize_joint(prior_density, likelihood_at_x, grid))
 
 
 def _checked_argmax(values: np.ndarray, what: str) -> int:
@@ -222,7 +199,7 @@ def map_limit_contrast(
     """Bayes actions under the plain cell-membership loss (posterior mode)."""
 
     def action_on(grid: Grid1D) -> float:
-        _, post_gd = _gridded_pair(prior_density, likelihood_at_x, grid)
+        _, post_gd = discretize_joint(prior_density, likelihood_at_x, grid)
         return float(grid.midpoints[_checked_argmax(post_gd.masses, "posterior cell mass")])
 
     return _grid_ladder_trace(grids, target, action_on)
@@ -309,16 +286,17 @@ def lpl_sandwich(t: EvidenceTable, gamma: float, eta_ladder=None) -> SandwichRep
     The lower credible region is the ``sup-geq`` region at ``gamma``, and
     its exact content is ``gamma_used``. The upper one is the region at the
     next float above ``gamma_used``, with ``gamma_next`` its exact content,
-    or ``None`` (and the lower region again) when that region adds no
-    value. The lowest-posterior-loss region at ``gamma_used`` under the
-    capped loss must contain the lower region and sit inside the upper one
-    once the cap is small.
+    or ``None`` (and the lower region again) when that content is not above
+    ``gamma_used``: the region adds no value, or its added mass rounds away.
+    The lowest-posterior-loss region at ``gamma_used`` under the capped loss
+    must contain the lower region and sit inside the upper one once the cap
+    is small.
     """
     lower = credible_region(t, gamma)
     gamma_used = lower.posterior_content
     upper = _superlevel_region(t.rb, t.descending, t.posterior, math.nextafter(gamma_used, math.inf))
-    gamma_next = upper.posterior_content if len(upper.members) > len(lower.members) else None
-    lower, upper = lower.members, upper.members
+    gamma_next = upper.posterior_content if upper.posterior_content > gamma_used else None
+    lower, upper = lower.members, (lower if gamma_next is None else upper).members
 
     if eta_ladder is None:
         eta_ladder = default_eta_ladder(t.prior)

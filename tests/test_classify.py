@@ -46,6 +46,15 @@ class TestKnownEps:
         assert classify_known_eps(below, 1).map_label == 0
         assert classify_known_eps(above, 1).map_label == 1
 
+    def test_exact_map_tie_labels_0(self):
+        # equal class posteriors at both results; at x = 1, 0.8 * 0.2 and 0.2 * 0.8 share their bits
+        tie = TwoClassSpec(0.5, 0.5, 0.5)
+        assert map_rule(tie) == rb_rule(tie) == (0, 0)
+        assert error_sum(tie, map_rule(tie)) == (0.0, 1.0, 1.0)
+        swapped = TwoClassSpec(0.2, 0.8, 0.2)
+        res = classify_known_eps(swapped, 1)
+        assert (res.map_label, res.rb_label) == (0, 1)
+
     def test_rb_label_invariant_to_eps(self):
         for eps in (0.001, 0.3, 0.999):
             spec = TwoClassSpec(0.05, 0.80, eps)

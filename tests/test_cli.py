@@ -538,10 +538,22 @@ class TestMalformedLimitsConfigs:
             ("lambda", {**g, "steps": 0}, "a grid ladder needs at least one step, got 0"),
             ("map", {**g, "steps": -3}, "a grid ladder needs at least one step, got -3"),
         ]
+        # a misspelt top-level key ran with the default it left in place (refine_factor 16)
+        takes = (
+            "it takes experiment, prior, likelihood, grid, steps, factor, gamma, refine_factor, "
+            "target, eta_steps, table, model, x"
+        )
+        table = {"table": {"prior": [0.5, 0.5], "posterior": [0.2, 0.8]}}
+        for experiment, doc, key in [
+            ("region", {**g, "refine_facter": 2}, "refine_facter"),
+            ("sandwich", {**table, "gama": 0.9}, "gama"),
+            ("eta", {**table, "comment": "a"}, "comment"),
+        ]:
+            cases.append((experiment, doc, f"limits config has unknown field {key!r}; {takes}"))
         for experiment, doc, message in cases:
             assert self.expect_2(runner, tmp_path, experiment, doc) == f"error: {message}\n"
-        # top-level keys stay free: a comment, or the experiment's name
-        res = invoke_limits(runner, tmp_path, "lambda", {**g, "comment": "ignored"})
+        # every documented key is read by some experiment; "experiment" names the command
+        res = invoke_limits(runner, tmp_path, "lambda", {**g, "experiment": "lambda"})
         assert res.exit_code == 0, res.output
 
     def test_grids_past_the_cell_cap(self, runner, tmp_path):

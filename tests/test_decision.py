@@ -690,6 +690,12 @@ class TestLplRegion:
         with pytest.raises(ValidationError, match="posterior masses must be finite"):
             lpl_region(loss, [bad, 0.8], 0.5)
 
+    def test_negative_posterior_mass_rejected(self):
+        # it gave members [1] with posterior content 1.5
+        loss = make_loss("rb", [0.5, 0.5])
+        with pytest.raises(ValidationError, match="posterior masses must be nonnegative"):
+            lpl_region(loss, [-0.5, 1.5], 0.5)
+
     def test_eta_loss_region_direct_evaluation(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 8))

@@ -32,7 +32,7 @@ from relbel.evidence import (
 import relbel.evidence as evidence_mod
 from relbel._sums import fsums
 from relbel.grids import _normalize, build_grid, masses_from_cdf
-from relbel.model import posterior, prior_predictive, psi_marginal
+from relbel.model import posterior, prior_predictive, psi_joint, psi_marginal
 from conftest import finite_models, random_model
 
 
@@ -595,3 +595,34 @@ class TestOptimalProperties:
             for members in (plausible, np.union1d(plausible, np.flatnonzero(t.rb == 1.0))):
                 post, prior = contents(members)
                 assert post - prior == gain
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        finite_models(max_theta=8, max_x=3, max_psi=4, zeros=True),
+        st.lists(st.floats(0.0, 1.0), max_size=3),
+    )
+    def test_regions_least_prior_probability_of_covering_a_false_value(self, drawn, shares):
+        """Summed over outcomes: the per-outcome sup-geq regions C(x) minimize
+        sum_x m(x) Pi(C(x)), the prior probability that C(x) covers a value drawn
+        from the prior independently of (psi, x), among the families of sets
+        B(x) with at least the regions' posterior content at every outcome.
+
+        The objective is a sum of per-outcome terms under per-outcome
+        constraints, so its least value over families is the sum of the
+        per-outcome least prior contents, each weighted by m(x).
+        """
+        model, psi = drawn
+        joint = [[Fraction(v) for v in row] for row in psi_joint(model, psi).tolist()]
+        tables = [table_from_model(model, x, psi) for x in range(model.n_x)]
+        sums = [subset_contents(t) for t in tables]
+        assert math.prod(len(s) for s in sums) <= SUBSET_CAP
+        for g in [0.0, 1.0, *shares]:
+            covered = least = Fraction(0)
+            for x, (t, subsets) in enumerate(zip(tables, sums)):
+                members = credible_region(t, g).members.tolist()
+                post, prior = subsets[sum(1 << i for i in members)]
+                # the joint mass of every (psi, x) pair weighs the prior content of C(x)
+                for row in joint:
+                    covered += row[x] * prior
+                    least += row[x] * min(q for p, q in subsets if p >= post)
+            assert covered == least, g
