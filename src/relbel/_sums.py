@@ -6,9 +6,11 @@ error-free vector extraction of Rump, Ogita and Oishi ("Accurate
 floating-point summation, part I: Faithful rounding", SIAM J. Sci.
 Comput. 31(1), 2008), vectorized over the slices. It keeps a slice's
 rounded total only when it can show that it is the correctly rounded exact
-total, which is what ``math.fsum`` returns, and falls back to ``math.fsum``
-on every other slice. Smaller arrays go to ``math.fsum`` slice by slice:
-the kernel's fixed cost is a few dozen numpy calls (on one CPU of a shared
+total, which is what ``math.fsum`` returns; a slice it cannot settle that
+way, a near-tie, gets an exact integer total from per-exponent buckets.
+Only non-finite values, out-of-range scales, overlong slices and zero
+totals go to ``math.fsum``. Smaller arrays go to ``math.fsum`` slice by
+slice: the kernel's fixed cost is a few dozen numpy calls (on one CPU of a shared
 2-vCPU host, about 0.1 ms for one slice of 4 to 4,096 values, where fsum
 takes 93 us at 2,048 values and 136 us at 3,072). Both routes give the
 same bits, so the crossover moves only time.
@@ -28,6 +30,10 @@ _HUGE = 2.0**1020
 _CROSSOVER = 2048  # arrays with fewer values are summed slice by slice with math.fsum
 _BLOCK = 2**15  # values per work buffer; the kernel's two buffers stay in L2
 _MAX_N = 2**26 - 2  # the longest slice the extraction lemma covers
+# frexp exponents of nonzero floats run from -1073 to 1024; a value's bucket
+# is its exponent plus _EXP0
+_EXP0 = 1074
+_BUCKETS = 2099
 
 
 def fsums(a, axis: int = 0) -> np.ndarray:
@@ -97,16 +103,24 @@ def _extracted_sums(x: np.ndarray, axis: int) -> np.ndarray:
     the exact total is ``tau + tau'`` and ``r`` is its correctly rounded
     value, ties to even as in fsum: exact ties settle here.
 
-    Fallback. Slices with a zero or unsettled ``r``, a NaN or infinite
-    value, or ``sigma`` outside ``[_TINY, _HUGE]`` go to ``math.fsum``,
-    which fixes the sign of zero totals and raises where it raises; as
-    ``sum |x| < sigma``, neither route overflows below ``_HUGE``.
+    Near-ties. A slice with a zero or unsettled ``r`` has an exact total
+    too close to a rounding midpoint (or to zero) for the bounds: telescoped
+    CDF masses land 1e-49 to 1e-114 from one. :func:`_bucket_total` totals
+    its values exactly as an integer times a power of two, and one int/int
+    division rounds that to the nearest float, ties to even, as fsum does.
+
+    Fallback. Slices with a NaN or infinite value, ``sigma`` outside
+    ``[_TINY, _HUGE]``, more than ``_MAX_N`` values or an exact total of
+    zero go to ``math.fsum``, which fixes the sign of zero totals and
+    raises where it raises; as ``sum |x| < sigma``, no route overflows
+    below ``_HUGE``.
 
     Work. Blocks of about ``_BLOCK`` values pass through two reused
     buffers, summed along ``axis`` in memory order: about seven numpy
     passes per value. On the host above, the 281 x 3,136 column totals of
     a finite-decide m(x) take 4.4-5.4 ms, and one slice of 2^20 values
-    4.4-4.9 ms.
+    4.4-4.9 ms. The buckets take about 2 ms for 262,144 values spread over
+    130 decades, where ``math.fsum`` takes 47 ms.
     """
     n, k = x.shape[axis], x.shape[1 - axis]
     total = np.zeros(k)
@@ -131,7 +145,12 @@ def _extracted_sums(x: np.ndarray, axis: int) -> np.ndarray:
             total[live[done]] = r[done]
             live = live[~done]
             sigmas.append(sigmas[-1] * (2.0**m * _U))
-    fallback[live] = True
+    for j in live.tolist():
+        exact = _bucket_total(x[:, j] if axis == 0 else x[j])
+        if exact:
+            total[j] = exact / (1 << (_EXP0 + 53))  # int / int rounds once, ties to even
+        else:
+            fallback[j] = True
     for j in np.flatnonzero(fallback).tolist():
         total[j] = math.fsum((x[:, j] if axis == 0 else x[j]).tolist())
     return total
@@ -163,6 +182,32 @@ def _extract(x: np.ndarray, axis: int, sigmas: list) -> tuple:
             exact[at] &= ~pb.any(axis)
     n = x.shape[axis]
     return taus, c, exact, (n if axis else min(rows, n) - 1 + -(-n // rows))
+
+
+def _bucket_total(v: np.ndarray) -> int:
+    """The exact total of the finite 1-D ``v``, times ``2**(_EXP0 + 53)``, as an int.
+
+    ``np.frexp`` writes each value as ``m 2**e`` with ``M = m 2**53`` an
+    integer below ``2**53`` in magnitude. M splits exactly into a high half
+    ``h = floor(M / 2**26)``, below ``2**27`` in magnitude, and a low half
+    ``M - h 2**26`` in ``[0, 2**26)``. ``np.bincount`` totals each half per
+    exponent in floats, block by block; at most ``_MAX_N`` values keep every
+    partial total an integer below ``2**53``, so all of them are exact.
+    """
+    high, low = np.zeros(_BUCKETS), np.zeros(_BUCKETS)
+    for i in range(0, len(v), _BLOCK):
+        m, e = np.frexp(v[i : i + _BLOCK])
+        m *= 2.0**53
+        h = m * 2.0**-26
+        np.floor(h, out=h)
+        m -= h * 2.0**26
+        e += _EXP0
+        high += np.bincount(e, weights=h, minlength=_BUCKETS)
+        low += np.bincount(e, weights=m, minlength=_BUCKETS)
+    total = 0
+    for b in np.flatnonzero((high != 0.0) | (low != 0.0)).tolist():
+        total += ((int(high[b]) << 26) + int(low[b])) << b
+    return total
 
 
 def _certified(r: np.ndarray, t: np.ndarray, bound: np.ndarray) -> np.ndarray:

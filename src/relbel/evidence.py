@@ -130,6 +130,8 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
     Entries with zero prior and zero posterior mass are dropped (counted in
     the result); zero prior with positive posterior is an input error. The
     kept masses are stored as given, checked to sum to 1 within NORM_TOL.
+    A read-only array (masses or labels) from which nothing drops is stored
+    itself, not copied: a grid's masses and midpoints are shared this way.
     """
     prior = np.asarray(prior, dtype=float)
     posterior = np.asarray(posterior, dtype=float)
@@ -151,11 +153,15 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
     keep = ~zero_prior
     kept_idx = np.flatnonzero(keep)
     kept_idx.setflags(write=False)
+
+    def kept(a: np.ndarray) -> np.ndarray:
+        return a if len(kept_idx) == len(a) and not a.flags.writeable else a[kept_idx]
+
     if isinstance(labels, np.ndarray):
-        labels = labels[kept_idx]
+        labels = kept(labels)
     elif labels is not None:
         labels = tuple(labels[i] for i in kept_idx.tolist())
-    prior, posterior = prior[keep], posterior[keep]
+    prior, posterior = kept(prior), kept(posterior)
     _unit(prior, "prior")
     _unit(posterior, "posterior")
     rb = _ratios(posterior, prior)

@@ -23,6 +23,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -53,7 +54,12 @@ _SQRT_2PI = np.sqrt(2 * np.pi)
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
-    """Equal-width partition of ``[lo, hi)`` into ``n_cells`` half-open cells."""
+    """Equal-width partition of ``[lo, hi)`` into ``n_cells`` half-open cells.
+
+    ``edges`` and ``midpoints`` are computed on first use and kept as
+    read-only arrays: every table, region and ladder on the grid reads the
+    same two arrays.
+    """
 
     lo: float
     hi: float
@@ -63,13 +69,18 @@ class Grid1D:
     def cell_width(self) -> float:
         return (self.hi - self.lo) / self.n_cells
 
-    @property
+    # cached_property writes the instance __dict__, which the frozen dataclass leaves open
+    @cached_property
     def edges(self) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * np.arange(self.n_cells + 1) / self.n_cells
+        edges = self.lo + (self.hi - self.lo) * np.arange(self.n_cells + 1) / self.n_cells
+        edges.setflags(write=False)
+        return edges
 
-    @property
+    @cached_property
     def midpoints(self) -> np.ndarray:
-        return self.lo + (np.arange(self.n_cells) + 0.5) * self.cell_width
+        midpoints = self.lo + (np.arange(self.n_cells) + 0.5) * self.cell_width
+        midpoints.setflags(write=False)
+        return midpoints
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +123,7 @@ def discretize(density: Callable[[np.ndarray], np.ndarray], grid: Grid1D) -> Gri
     ``NODES_PER_CELL`` midpoint nodes per cell. ``tail_mass`` is 1 minus the
     pre-normalization total, and a warning fires above ``TAIL_WARN``.
     """
-    return _cell_masses(grid, _at_nodes(density, _nodes(grid), grid), TAIL_WARN)
+    return _cell_masses(grid, _at_nodes(density, _nodes(grid), grid), warn_tail=True)
 
 
 def discretize_joint(
@@ -127,8 +138,9 @@ def discretize_joint(
     """
     nodes = _nodes(grid)
     prior_values = _at_nodes(prior_density, nodes, grid)
-    prior = _cell_masses(grid, prior_values, TAIL_WARN)
-    return prior, _cell_masses(grid, prior_values * _at_nodes(likelihood_at_x, nodes, grid), None)
+    prior = _cell_masses(grid, prior_values, warn_tail=True)
+    joint_values = prior_values * _at_nodes(likelihood_at_x, nodes, grid)
+    return prior, _cell_masses(grid, joint_values, warn_tail=False)
 
 
 def _nodes(grid: Grid1D) -> np.ndarray:
@@ -148,14 +160,14 @@ def _at_nodes(fn: Callable, nodes: np.ndarray, grid: Grid1D) -> np.ndarray:
         ) from None
 
 
-def _cell_masses(grid: Grid1D, values: np.ndarray, warn_tail: float | None) -> GriddedDistribution:
+def _cell_masses(grid: Grid1D, values: np.ndarray, warn_tail: bool) -> GriddedDistribution:
     """Normalized cell masses from the density values at the nodes of ``grid``."""
     if np.any(values < 0):
         raise NegativeDensityError("density evaluated negative on the grid")
     return _normalize(grid, values.mean(axis=1) * grid.cell_width, warn_tail)
 
 
-def _normalize(grid: Grid1D, raw: np.ndarray, warn_tail: float | None) -> GriddedDistribution:
+def _normalize(grid: Grid1D, raw: np.ndarray, warn_tail: bool) -> GriddedDistribution:
     # NaN passes every sign and total check below, so reject it first
     if not np.all(np.isfinite(raw)):
         raise ValidationError("density is not finite on the grid")
@@ -163,7 +175,16 @@ def _normalize(grid: Grid1D, raw: np.ndarray, warn_tail: float | None) -> Gridde
     if total <= 0.0:
         raise AllZeroMassError("density places no mass on the grid range")
     tail = 1.0 - total
-    if warn_tail is not None and tail > warn_tail:
+    if warn_tail:
+        _warn_tail(grid, tail)
+    masses = raw / total
+    masses.setflags(write=False)
+    return GriddedDistribution(grid=grid, masses=masses, tail_mass=tail)
+
+
+def _warn_tail(grid: Grid1D, tail: float) -> None:
+    """Warn that ``tail`` of a distribution was cut off by ``grid``, above ``TAIL_WARN``."""
+    if tail > TAIL_WARN:
         # the warning names the first caller outside this package, however deep the call
         level, frame = 1, sys._getframe()
         while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE):
@@ -173,9 +194,6 @@ def _normalize(grid: Grid1D, raw: np.ndarray, warn_tail: float | None) -> Gridde
             "masses were renormalized",
             stacklevel=level,
         )
-    masses = raw / total
-    masses.setflags(write=False)
-    return GriddedDistribution(grid=grid, masses=masses, tail_mass=tail)
 
 
 def normal_masses(mu: float, sigma2: float, grid: Grid1D) -> GriddedDistribution:
@@ -195,7 +213,7 @@ def normal_masses(mu: float, sigma2: float, grid: Grid1D) -> GriddedDistribution
     z = (grid.edges - mu) / math.sqrt(sigma2)
     k = int(np.count_nonzero(grid.midpoints <= mu))
     raw = np.concatenate((np.diff(ndtr(z[: k + 1])), -np.diff(ndtr(-z[k:]))))
-    return _normalize(grid, np.clip(raw, 0.0, None), warn_tail=None)
+    return _normalize(grid, np.clip(raw, 0.0, None), warn_tail=False)
 
 
 def masses_from_cdf(cdf: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:

@@ -18,11 +18,20 @@ action or credible region moves toward its evidence-based limit:
   credible regions at the attained content and the next larger one.
 * :func:`invariance_demo` - a monotone change of variable moves the
   density-mode cell but not the evidence-maximizing cell.
+
+The grid experiments share their discretizations: a grid's prior and joint
+cell masses, for one prior density and one likelihood callable, are laid
+once by :func:`grids.discretize_joint`, and its evidence table (with its
+cached order) is built once, whoever asks first. Running all four on one
+ladder with the same two callables costs one evaluation of each per grid.
+The store is keyed weakly by grid, so it goes with the ladder, and by the
+identity of the two callables, which must therefore be deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,11 +51,18 @@ from .evidence import (
     credible_region,
     rb_estimate,
     rb_table,
-    table_from_gridded,
     table_from_model,
 )
 from .grids import CELL_CAP  # noqa: F401  (re-exported: the cap every ladder grid meets)
-from .grids import Grid1D, _normalize, capped, discretize_joint, masses_from_cdf, refine
+from .grids import (
+    Grid1D,
+    _normalize,
+    _warn_tail,
+    capped,
+    discretize_joint,
+    masses_from_cdf,
+    refine,
+)
 from .model import FiniteModel, PsiMap
 
 FLAT_TOL = 1e-12
@@ -144,9 +160,51 @@ def eta_limit(source, x=None, psi: PsiMap | None = None, eta_ladder=None) -> Lim
     return _trace(eta_ladder, [kept[_capped_action(t, eta)] for eta in eta_ladder], kept[est.index])
 
 
+@dataclass(eq=False)
+class _Discretized:
+    """A (prior density, likelihood) pair's cell masses on one grid, and their table.
+
+    It refers to nothing that refers to the grid, so the grid's weak key frees it.
+    """
+
+    callables: tuple  # keeps the pair alive, so the ids in its key stay theirs
+    prior: np.ndarray
+    joint: np.ndarray
+    prior_tail: float
+    table: EvidenceTable | None = None
+
+
+# grid -> {(id(prior_density), id(likelihood_at_x)): _Discretized}: a ladder's
+# masses and tables are freed with the ladder
+_DISCRETIZED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _discretized(prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D) -> _Discretized:
+    """The pair's prior and joint cell masses on ``grid``, one :func:`discretize_joint` per grid.
+
+    A later call with the same grid and callables reads them, and warns
+    about the prior's tail as the first call did.
+    """
+    store = _DISCRETIZED.setdefault(grid, {})
+    key = (id(prior_density), id(likelihood_at_x))
+    found = store.get(key)
+    if found is None:
+        prior, joint = discretize_joint(prior_density, likelihood_at_x, grid)
+        found = store[key] = _Discretized(
+            (prior_density, likelihood_at_x), prior.masses, joint.masses, prior.tail_mass
+        )
+    else:
+        _warn_tail(grid, found.prior_tail)
+    return found
+
+
 def _grid_table(prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D) -> EvidenceTable:
-    """Evidence table of the discretized problem on one grid."""
-    return table_from_gridded(*discretize_joint(prior_density, likelihood_at_x, grid))
+    """Evidence table of the discretized problem on one grid, built once per grid and pair."""
+    found = _discretized(prior_density, likelihood_at_x, grid)
+    if found.table is None:
+        # table_from_gridded's table, from masses: a GriddedDistribution would refer to the grid
+        found.table = rb_table(found.prior, found.joint, labels=grid.midpoints)
+    return found.table
 
 
 def _checked_argmax(values: np.ndarray, what: str) -> int:
@@ -199,8 +257,8 @@ def map_limit_contrast(
     """Bayes actions under the plain cell-membership loss (posterior mode)."""
 
     def action_on(grid: Grid1D) -> float:
-        _, post_gd = discretize_joint(prior_density, likelihood_at_x, grid)
-        return float(grid.midpoints[_checked_argmax(post_gd.masses, "posterior cell mass")])
+        joint = _discretized(prior_density, likelihood_at_x, grid).joint
+        return float(grid.midpoints[_checked_argmax(joint, "posterior cell mass")])
 
     return _grid_ladder_trace(grids, target, action_on)
 
@@ -304,7 +362,7 @@ def lpl_sandwich(t: EvidenceTable, gamma: float, eta_ladder=None) -> SandwichRep
     d_regions, lower_holds, upper_holds = [], [], []
     for eta in eta_ladder:
         loss = make_loss("rb-eta", t.prior, eta=eta)
-        d = lpl_region(loss, t.posterior, gamma_used, prior=t.prior).members
+        d = lpl_region(loss, t.posterior, gamma_used).members
         d_regions.append(d)
         lower_holds.append(bool(np.isin(lower, d, assume_unique=True).all()))
         upper_holds.append(bool(np.isin(d, upper, assume_unique=True).all()))
@@ -371,7 +429,7 @@ def invariance_demo(
         raise ValidationError("transform must be strictly increasing on the grid")
 
     def cell_masses(cdf: Callable, e: np.ndarray) -> np.ndarray:
-        return _normalize(grid, masses_from_cdf(cdf, e), warn_tail=None).masses
+        return _normalize(grid, masses_from_cdf(cdf, e), warn_tail=False).masses
 
     prior_m, post_m = cell_masses(prior_cdf, edges), cell_masses(post_cdf, edges)
     prior_mi = cell_masses(prior_cdf_image, image_edges)

@@ -474,6 +474,18 @@ class TestOneDescendingOrder:
             with pytest.raises(ValueError):
                 a[0] = a[0]
 
+    def test_read_only_inputs_are_shared_and_writable_ones_copied(self):
+        grid = build_grid(-4.0, 4.0, 64)
+        prior = _normalize(grid, masses_from_cdf(stats.norm(0, 1).cdf, grid.edges), warn_tail=False)
+        post = _normalize(grid, masses_from_cdf(stats.norm(1, 0.5).cdf, grid.edges), warn_tail=False)
+        t = table_from_gridded(prior, post)
+        assert t.prior is prior.masses and t.posterior is post.masses and t.labels is grid.midpoints
+        # the caller's writable arrays stay writable, and the table keeps copies
+        p, q = np.array(prior.masses), np.array(post.masses)
+        t = rb_table(p, q)
+        assert p.flags.writeable and q.flags.writeable
+        assert t.prior is not p and t.prior.tobytes() == p.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(ratio_tables(), st.lists(st.floats(0.0, 1.0), max_size=4))
     def test_bitwise_against_a_per_call_sort(self, t, drawn):

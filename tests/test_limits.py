@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -242,6 +243,44 @@ class TestOneDensityPassPerGrid:
             prior_calls, lik_calls = [], []
             run(self.counted(NORMAL_PRIOR.pdf, prior_calls), self.counted(lik, lik_calls))
             assert prior_calls == lik_calls == want
+
+    def test_one_discretization_per_grid_across_experiments(self):
+        # a normal(0, 1) prior on [-1.5, 2.0) leaves about 9% of its mass outside
+        grids = grid_ladder(build_grid(-1.5, 2.0, 16), steps=3)
+        lik = gaussian_location_likelihood(1.3, 0.5)
+        experiments = (
+            lambda pdf, lk: region_limit(pdf, lk, 0.8, grids, refine_factor=4),
+            lambda pdf, lk: lambda_limit(pdf, lk, grids),
+            lambda pdf, lk: map_limit_contrast(pdf, lk, grids),
+            lambda pdf, lk: sandwich_double_limit(pdf, lk, 0.8, grids, eta_steps=3),
+        )
+        prior_calls, lik_calls = [], []
+        pdf, lk = self.counted(NORMAL_PRIOR.pdf, prior_calls), self.counted(lik, lik_calls)
+        results = []
+        for run in experiments:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results.append(run(pdf, lk))
+            # one tail warning per grid the experiment reads, the reference grid's included
+            assert {w.category for w in caught} == {UserWarning}
+            assert {w.filename for w in caught} == {__file__}
+            assert len(caught) == len(grids) + (run is experiments[0])
+        # the reference grid first, then each ladder grid once for all four experiments
+        want = [64 * 4 * 8] + [g.n_cells * 8 for g in grids]
+        assert prior_calls == lik_calls == want
+
+        # fresh callables discretize afresh and give the same bits
+        for run, got in zip(experiments, results):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                again = run(lambda p: NORMAL_PRIOR.pdf(p), lambda p: lik(p))
+            with np.printoptions(floatmode="unique", threshold=10**6):
+                assert repr(again) == repr(got)
+
+        # the tables go with the ladder: no cycle keeps a grid alive
+        finest = weakref.ref(grids[-1])
+        del grids, experiments, results
+        assert finest() is None
 
 
 class TestLambdaLimit:

@@ -8,6 +8,7 @@ out as columns and as rows, as well as through ``fsums``.
 import ast
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 import relbel._sums as sums_mod
 from relbel._sums import _CROSSOVER, _extracted_sums, fsums
+from relbel.grids import build_grid, normal_masses
 
 TINY_NORMAL = 2.2250738585072014e-308
 
@@ -261,18 +263,124 @@ class TestKnownCases:
         fsums(rng.random(100_000))
         assert calls == []
 
-    @pytest.mark.parametrize("shape", [(2**20, 1), (256, 4096)])
-    def test_kernel_work_below_a_quarter_of_the_input(self, shape):
-        # two reused block buffers and a few per-slice vectors, whatever the length
+    @pytest.mark.parametrize(
+        "shape, tie",
+        [
+            pytest.param((2**20, 1), False, id="shape0"),
+            pytest.param((256, 4096), False, id="shape1"),
+            pytest.param((2**20, 1), True, id="near-tie"),
+        ],
+    )
+    def test_kernel_work_below_a_quarter_of_the_input(self, monkeypatch, shape, tie):
+        # two reused block buffers and a few per-slice vectors, whatever the length;
+        # a near-tie slice adds block-sized mantissa buffers and two bucket vectors
         x = np.random.default_rng(5).random(shape)
+        if tie:
+            x[-4:, 0] = 0.0
+            x[-4:-1, 0] = near_tie(x[:, 0].tolist())[-3:]
+        bucketed, bucket_total = [], sums_mod._bucket_total
+        monkeypatch.setattr(sums_mod, "_bucket_total", lambda v: bucketed.append(v.size) or bucket_total(v))
         for total in (fsums, column_sums):
             tracemalloc.start()
             try:
-                total(x)
+                got = total(x)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < x.nbytes / 4, total
+            if tie:
+                assert float(got[0]).hex() == math.fsum(x[:, 0].tolist()).hex()
+        assert bucketed == ([x.size] * 2 if tie else [])
+
+
+def near_tie(values: list) -> list:
+    """``values`` and three more floats whose exact total lies 2**-700 above a rounding midpoint.
+
+    The values must total well inside the float range, with an exact
+    remainder against their rounded total (multiples of 2**-53 below 1 do).
+    """
+    rounded = math.fsum(values)
+    remainder = math.fsum(values + [-rounded])
+    return values + [-remainder, math.ulp(rounded) / 2.0, 2.0**-700]
+
+
+def telescoped_cdf_masses(mu: float, sigma2: float, half_width: float) -> np.ndarray:
+    """The raw cell masses of ``normal_masses`` on 2^16 cells of ``[-half_width, half_width)``."""
+    from scipy.special import ndtr
+
+    grid = build_grid(-half_width, half_width, 2**16)
+    z = (grid.edges - mu) / math.sqrt(sigma2)
+    k = int(np.count_nonzero(grid.midpoints <= mu))
+    raw = np.concatenate((np.diff(ndtr(z[: k + 1])), -np.diff(ndtr(-z[k:]))))
+    return np.clip(raw, 0.0, None)
+
+
+class TestNearTies:
+    """Slices the two extractions leave unsettled get exact totals from integer mantissas."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(len(v)) or fsum(v))
+        bucketed, bucket_total = [], sums_mod._bucket_total
+        monkeypatch.setattr(sums_mod, "_bucket_total", lambda v: bucketed.append(v.size) or bucket_total(v))
+        return calls, bucketed, fsum
+
+    # normal cell masses far off the grid's centre, down to about 1e-135, whose
+    # exact totals lie 1e-49 to 1e-114 from a rounding midpoint: (mu, sigma2,
+    # half width, whether the normalized masses are near a tie too)
+    @pytest.mark.parametrize(
+        "mu, sigma2, half_width, normalized_too",
+        [
+            (-1.1169751709614402, 0.11078490632451372, 24.68771243824749, True),
+            (0.07513103338088095, 0.03696945389975966, 23.276870013136943, True),
+            (-1.0, 0.1, 12.0, False),
+            (-0.5, 0.1, 12.0, False),
+            (0.25, 0.1, 12.0, False),
+        ],
+    )
+    def test_normal_masses_total_without_fsum(self, routes, mu, sigma2, half_width, normalized_too):
+        calls, bucketed, fsum = routes
+        raw = telescoped_cdf_masses(mu, sigma2, half_width)
+        grid = build_grid(-half_width, half_width, 2**16)
+        masses = normal_masses(mu, sigma2, grid).masses
+        assert bucketed == [raw.size]  # the normalizing total of the raw masses
+        for a in (raw, masses):
+            assert float(fsums(a)).hex() == fsum(a.tolist()).hex()
+        assert bucketed == [raw.size] * (3 if normalized_too else 2)
+        assert calls == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.builds(lambda m, e: m * 2.0**-e, st.floats(0.5, 1.0), st.integers(0, 700)),
+            min_size=1,
+            max_size=60,
+        ),
+        st.sampled_from([column_sums, row_sums]),
+        st.sampled_from([1, 3, sums_mod._BLOCK]),
+    )
+    def test_telescoped_differences_total_without_fsum(self, cdf, layout, block):
+        # differences of sorted floats from 0 to 1, as CDF masses are: each rounds
+        # once, so the exact total misses 1 by a sum of tiny rounding errors
+        calls, fsum = [], math.fsum
+        masses = np.diff(np.sort(np.array([0.0, 1.0, *cdf])))
+        with mock.patch.object(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v)):
+            with mock.patch.object(sums_mod, "_BLOCK", block):
+                got = float(layout(masses))
+        assert got.hex() == math.fsum(masses.tolist()).hex()
+        assert calls == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(np.float64, st.integers(0, 40), elements=st.floats(-1e300, 1e300) | subnormals),
+        st.sampled_from([1, 3, sums_mod._BLOCK]),
+    )
+    def test_bucket_total_is_exact(self, a, block):
+        with mock.patch.object(sums_mod, "_BLOCK", block):
+            got = sums_mod._bucket_total(a)
+        exact = sum(map(Fraction, a.tolist()), Fraction(0))
+        assert got == exact * 2 ** (sums_mod._EXP0 + 53)
 
 
 class TestBlocksAndLimits:
