@@ -26,7 +26,9 @@ past the float range; a grid that cuts off prior tail mass pins its
 ``warning:`` lines. One ``evidence`` gamma sits where a level's float prefix
 sum and its exact total differ by an ulp. A sandwich table whose next region
 adds mass below half an ulp, and a ``classify known`` run whose two class
-likelihoods tie, pin how each reads the tie.
+likelihoods tie, pin how each reads the tie. Two runs at gamma 1, an
+``evidence`` table and a ``limits region`` grid, each have values whose
+posterior mass rounds away in the total.
 """
 
 from __future__ import annotations
@@ -153,6 +155,20 @@ def _cases() -> list[dict]:
         "name": "evidence-tied-gamma-prefix-sum",
         "args": ["evidence", "--model", "tied.json", "--x", "0", "--gamma", "0.9473684210526316"],
     })
+    # at x0 value b's posterior mass 2e-20 rounds away: a's level alone has exact content 1
+    rounds_to_one = {
+        "theta": ["a", "b"],
+        "x": ["x0", "x1"],
+        "likelihood": [[0.5, 0.5], [1e-20, 1.0]],
+        "prior": [0.5, 0.5],
+    }
+    (HERE / "rounds_to_one.json").write_text(json.dumps(rounds_to_one) + "\n")
+    for convention in ("sup-geq", "quantile-gt"):
+        cases.append({
+            "name": f"evidence-rounds_to_one-{convention}-gamma-one",
+            "args": ["evidence", "--model", "rounds_to_one.json", "--x", "0", "--gamma", "1",
+                     "--convention", convention],
+        })
     # a Latin-1 outcome label: the file is not UTF-8, so it is not JSON text
     latin1 = {**_models()["tied"][0], "x": ["x\xe9", "x1"]}
     (HERE / "latin1.json").write_bytes(json.dumps(latin1, ensure_ascii=False).encode("latin-1") + b"\n")
@@ -297,6 +313,19 @@ def _cases() -> list[dict]:
     cases.append({
         "name": "limits-region-lognormal",
         "args": ["limits", "region", "--config", "region_lognormal.json", "--precision", "full"],
+    })
+    # gamma 1 on one grid whose far cells carry posterior mass that rounds away
+    gamma_one = {
+        "prior": {"family": "normal", "mu": 0.0, "sigma2": 1.0},
+        "likelihood": {"kind": "normal-location", "x": 1.5, "sigma2": 1.0},
+        "grid": {"lo": -6.0, "hi": 6.0, "n_cells": 128},
+        "steps": 1,
+        "gamma": 1.0,
+    }
+    (HERE / "region_gamma_one.json").write_text(json.dumps(gamma_one, indent=2) + "\n")
+    cases.append({
+        "name": "limits-region-gamma-one",
+        "args": ["limits", "region", "--config", "region_gamma_one.json", "--precision", "full"],
     })
 
     # a normal prior, and a beta prior on its own support; each sandwich at 4 caps per grid
