@@ -253,8 +253,8 @@ def _level_search(descending: tuple, posterior: np.ndarray, gamma: float, strict
     ``order[: ends[i] + 1]``) grow as the level falls, for the first content
     at least ``gamma``, or above it when ``strict``. That level is the cutoff
     of the members ``ratio >= cutoff``, or, strict, ``ratio > cutoff``, which
-    hold at most ``gamma``. At ``gamma >= 1``, or when no level qualifies,
-    the members are the values with posterior mass (``ratio > 0``).
+    hold at most ``gamma``; one rule for every ``gamma``, 1 included. When no
+    level qualifies, the members are the values with posterior mass (``ratio > 0``).
 
     A probe first reads the float prefix sum ``c = content[i]`` of ``k``
     non-negative terms, within ``e = 2 k u c + 2**-900`` of their exact total
@@ -277,7 +277,7 @@ def _level_search(descending: tuple, posterior: np.ndarray, gamma: float, strict
     positive = len(levels)
     if levels.item(-1) <= 0.0:  # levels without posterior mass come last
         positive = bisect_left(range(positive), True, key=lambda i: levels.item(i) <= 0.0)
-    found = positive if gamma >= 1.0 else bisect_left(range(positive), True, key=qualifies)
+    found = bisect_left(range(positive), True, key=qualifies)
     if strict:  # found is the level after the last positive one, if any, when none qualifies
         return levels.item(found) if found < len(levels) else -math.inf
     return levels.item(min(found, positive - 1)) if positive else math.inf
@@ -323,12 +323,12 @@ def attainable_gammas(t: EvidenceTable) -> np.ndarray:
 def credible_region(t: EvidenceTable, gamma: float, convention: str = "sup-geq") -> RegionReport:
     """Highest-relative-belief region at posterior content gamma.
 
-    ``sup-geq`` (default): members satisfy ``rb >= cutoff``, the largest rb
-    level whose superlevel set holds exact content at least gamma.
-    ``quantile-gt``: members satisfy ``rb > cutoff``, the (1 - gamma)
-    posterior quantile of rb, and hold at most gamma, so at the plausible
-    region's content they are the plausible region. ``gamma`` may pass 1
-    up to the table's total content, as an fsum content can by an ulp.
+    One rule at every gamma, 1 included: the cutoff is the largest rb level
+    whose superlevel set's exact content is at least gamma (``sup-geq``, the
+    default, members ``rb >= cutoff``) or above it (``quantile-gt``, members
+    ``rb > cutoff``, the (1 - gamma) posterior quantile: the plausible region
+    at its own content); with none, the values with posterior mass. ``gamma``
+    may pass 1 up to the table's total content, as an fsum content can by an ulp.
     """
     _check_gamma(gamma, t.posterior)
     if convention not in ("sup-geq", "quantile-gt"):

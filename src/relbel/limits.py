@@ -93,6 +93,15 @@ def default_eta_ladder(prior, steps: int = 8) -> tuple[float, ...]:
     return tuple(top * 0.5**k for k in range(steps))
 
 
+def _checked_ladder(prior, eta_ladder) -> tuple[float, ...]:
+    """``eta_ladder`` as floats, by default :func:`default_eta_ladder`; raises unless it is
+    non-empty, strictly decreasing and positive."""
+    ladder = default_eta_ladder(prior) if eta_ladder is None else tuple(map(float, eta_ladder))
+    if not (ladder and ladder[-1] > 0 and all(a > b for a, b in zip(ladder, ladder[1:]))):
+        raise ValidationError("eta ladder must be strictly decreasing and positive")
+    return ladder
+
+
 def grid_ladder(base: Grid1D, steps: int = 4, factor: int = 2) -> list[Grid1D]:
     """Successively ``factor``-refined grids starting from ``base``.
 
@@ -151,11 +160,7 @@ def eta_limit(source, x=None, psi: PsiMap | None = None, eta_ladder=None) -> Lim
     est = rb_estimate(t)
     if est.tie:
         raise TieAtMaximizerError("evidence maximizer is not unique")
-    if eta_ladder is None:
-        eta_ladder = default_eta_ladder(t.prior)
-    eta_ladder = tuple(float(e) for e in eta_ladder)
-    if any(e <= 0 for e in eta_ladder) or any(a <= b for a, b in zip(eta_ladder, eta_ladder[1:])):
-        raise ValidationError("eta ladder must be strictly decreasing and positive")
+    eta_ladder = _checked_ladder(t.prior, eta_ladder)
     kept = t.kept_indices.tolist()
     return _trace(eta_ladder, [kept[_capped_action(t, eta)] for eta in eta_ladder], kept[est.index])
 
@@ -329,26 +334,23 @@ class SandwichReport:
     @property
     def holds_from(self) -> int | None:
         """First ladder index from which both inclusions hold onward."""
-        ok = [lo and up for lo, up in zip(self.lower_holds, self.upper_holds)]
-        idx = None
-        for i in range(len(ok) - 1, -1, -1):
-            if not ok[i]:
-                break
-            idx = i
-        return idx
+        fails = [i for i, ok in enumerate(zip(self.lower_holds, self.upper_holds)) if not all(ok)]
+        first = fails[-1] + 1 if fails else 0
+        return first if first < len(self.lower_holds) else None
 
 
 def lpl_sandwich(t: EvidenceTable, gamma: float, eta_ladder=None) -> SandwichReport:
     """Check the region sandwich on one finite (or truncated) evidence table.
 
-    The lower credible region is the ``sup-geq`` region at ``gamma``, and
-    its exact content is ``gamma_used``. The upper one is the region at the
-    next float above ``gamma_used``, with ``gamma_next`` its exact content,
-    or ``None`` (and the lower region again) when that content is not above
-    ``gamma_used``: the region adds no value, or its added mass rounds away.
-    The lowest-posterior-loss region at ``gamma_used`` under the capped loss
-    must contain the lower region and sit inside the upper one once the cap
-    is small.
+    The lower credible region is the ``sup-geq`` region at ``gamma``, with
+    exact content ``gamma_used``, so it is ``credible_region(t, gamma_used)``
+    too. The upper one is the region at the next float above ``gamma_used``,
+    with ``gamma_next`` its exact content, or ``None`` (and the lower region
+    again) when that content is not above ``gamma_used``: the region adds no
+    value, or its added mass rounds away. The lowest-posterior-loss region at
+    ``gamma_used`` under the capped loss must contain the lower region and
+    sit inside the upper one once the cap is small; below the least prior
+    mass the capped loss is the ``rb`` loss, and it is the lower region.
     """
     lower = credible_region(t, gamma)
     gamma_used = lower.posterior_content
@@ -356,9 +358,7 @@ def lpl_sandwich(t: EvidenceTable, gamma: float, eta_ladder=None) -> SandwichRep
     gamma_next = upper.posterior_content if upper.posterior_content > gamma_used else None
     lower, upper = lower.members, (lower if gamma_next is None else upper).members
 
-    if eta_ladder is None:
-        eta_ladder = default_eta_ladder(t.prior)
-    eta_ladder = tuple(float(e) for e in eta_ladder)
+    eta_ladder = _checked_ladder(t.prior, eta_ladder)
     d_regions, lower_holds, upper_holds = [], [], []
     for eta in eta_ladder:
         loss = make_loss("rb-eta", t.prior, eta=eta)

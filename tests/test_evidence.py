@@ -342,12 +342,14 @@ class TestZeroPriorProperties:
         assert reg.member_indices == pl.member_indices
 
 
-def bisected_quantile_cutoff(t, gamma):
+def quantile_oracle(t, gamma):
     """The ``quantile-gt`` cutoff as first written: a bisection over
-    ``np.unique(t.rb)`` with one masked exact total per probe."""
-    if gamma >= 1.0:
-        return 0.0 if np.any(t.rb == 0.0) else -math.inf
+    ``np.unique(t.rb)`` with one masked exact total per probe; when the
+    table's exact total does not pass ``gamma``, no level does, and the
+    cutoff leaves the values with posterior mass."""
     levels = np.unique(t.rb)
+    if float(fsums(t.posterior)) <= gamma:
+        return 0.0 if levels[0] == 0.0 else -math.inf
 
     def small_enough(j):
         return float(fsums(t.posterior[t.rb > levels[j]])) <= gamma
@@ -355,20 +357,14 @@ def bisected_quantile_cutoff(t, gamma):
     return float(levels[bisect_left(range(len(levels) - 1), True, key=small_enough)])
 
 
-def quantile_oracle(t, gamma):
-    """:func:`bisected_quantile_cutoff` below the table's total; from the total
-    on, its ``gamma = 1`` cutoff, which leaves the values with posterior mass."""
-    return bisected_quantile_cutoff(t, gamma if gamma < float(fsums(t.posterior)) else 1.0)
-
-
 def bisected_superlevel_cutoff(t, gamma):
     """The ``sup-geq`` cutoff by a bisection over the positive ``np.unique(t.rb)``
-    with one masked exact total per probe; from ``gamma = 1`` on, or when no
-    level holds ``gamma``, the least positive level."""
+    with one masked exact total per probe; when no level holds ``gamma``, the
+    least positive level."""
     levels = np.unique(t.rb[t.rb > 0.0])[::-1]
 
     def enough(j):
-        return gamma < 1.0 and float(fsums(t.posterior[t.rb >= levels[j]])) >= gamma
+        return float(fsums(t.posterior[t.rb >= levels[j]])) >= gamma
 
     found = bisect_left(range(len(levels)), True, key=enough)
     return float(levels[min(found, len(levels) - 1)])
@@ -492,7 +488,7 @@ class TestOneDescendingOrder:
         levels, content = per_call_levels(t.rb, t.posterior)
         assert attainable_gammas(t).tobytes() == content.tobytes()
         for g in quantile_gammas(t, drawn):
-            hit = np.flatnonzero(content >= g) if g < 1.0 else []
+            hit = np.flatnonzero(content >= g)
             sup_geq = float(levels[hit[0]] if len(hit) else levels[-1])
             expected = {
                 "sup-geq": (sup_geq, np.flatnonzero(t.rb >= sup_geq)),
@@ -536,9 +532,6 @@ class TestOneExactContentPerRegion:
             lpl = lpl_region(loss, t.posterior, g, prior=t.prior)
             assert lpl.members.tolist() == sup.members.tolist()
             assert lpl.posterior_content == sup.posterior_content
-            if g >= 1.0:
-                assert sup.members.tolist() == qgt.members.tolist() == positive
-                continue
             # sup-geq: the first positive level whose exact content is at least gamma
             j = int(np.count_nonzero(levels > sup.cutoff))
             assert sup.members.tolist() == np.flatnonzero(t.rb >= levels[j]).tolist()

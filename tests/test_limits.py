@@ -17,7 +17,7 @@ from relbel.errors import (
     ValidationError,
 )
 import relbel.grids as grids_mod
-from relbel.evidence import rb_table, table_from_model
+from relbel.evidence import attainable_gammas, credible_region, rb_table, table_from_model
 from relbel.grids import build_grid, discretize, discretize_joint, family, refine
 from relbel.limits import (
     CELL_CAP,
@@ -151,6 +151,34 @@ class TestEtaLimit:
         # on a table of masses the indices are positions in the input lists
         t = rb_table([0.5, 0.0, 0.5], [0.2, 0.0, 0.8])
         assert eta_limit(t).target == 2
+
+
+class TestOneLadderCheck:
+    """``eta_limit`` and ``lpl_sandwich`` admit the same eta ladders."""
+
+    TABLE = rb_table([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])
+
+    def caps(self, experiment, ladder):
+        if experiment == "eta_limit":
+            return eta_limit(self.TABLE, eta_ladder=ladder).parameter_values
+        return lpl_sandwich(self.TABLE, 0.6, ladder).eta_values
+
+    @pytest.mark.parametrize("experiment", ["eta_limit", "lpl_sandwich"])
+    @pytest.mark.parametrize(
+        "ladder",
+        [(), (0.01, 0.4, 0.1, 0.1), (0.4, 0.1, 0.1), (0.4, 0.0), (0.4, -0.1), (0.4, math.nan)],
+        ids=["empty", "increasing", "repeated", "zero", "negative", "nan"],
+    )
+    def test_bad_ladder_rejected(self, experiment, ladder):
+        message = r"^eta ladder must be strictly decreasing and positive$"
+        with pytest.raises(ValidationError, match=message):
+            self.caps(experiment, ladder)
+
+    @pytest.mark.parametrize("experiment", ["eta_limit", "lpl_sandwich"])
+    def test_ladder_read_once_as_floats(self, experiment):
+        caps = self.caps(experiment, iter([1, 0.5]))
+        assert caps == (1.0, 0.5) and all(type(e) is float for e in caps)
+        assert self.caps(experiment, None) == default_eta_ladder(self.TABLE.prior)
 
 
 NORMAL_PRIOR = family("normal", mu=0.0, sigma2=1.0)
@@ -493,28 +521,62 @@ class TestRegionLimit:
         assert trace.discrepancies[0] <= post.masses[cell]
 
     def test_gamma_one_full_support(self):
+        # gamma 1 takes the first level whose exact content reaches 1, as any gamma
+        # does: the 9 cells of least ratio keep posterior mass that rounds away there
         lik = gaussian_location_likelihood(1.5, 1.0)
-        grids = [build_grid(-6, 6, 128)]
-        trace = region_limit(NORMAL_PRIOR.pdf, lik, 1.0, grids)
+        grid = build_grid(-6, 6, 128)
+        trace = region_limit(NORMAL_PRIOR.pdf, lik, 1.0, [grid])
         (region,) = trace.actions_or_regions
-        assert len(region) == 128
+        assert region.tolist() == list(range(9, 128))
+        _, post = discretize_joint(NORMAL_PRIOR.pdf, lik, grid)
+        assert math.fsum(post.masses[region].tolist()) == 1.0 and (post.masses[:9] > 0).all()
         assert trace.discrepancies[0] == pytest.approx(0.0, abs=1e-12)
 
 
-class TestSandwich:
-    def test_finite_model_exact_below_min_prior(self, rng):
-        for _ in range(25):
-            model, psi = random_model(rng)
-            from relbel.model import posterior, psi_marginal
+def model_tables(model, psi, decades, data):
+    """Each outcome's table of ``model`` and, beside a table of two or more
+    values, the same table with one drawn posterior mass shrunk by
+    ``10**-decades``, the mass it loses moved to another drawn value."""
+    for x in range(model.n_x):
+        t = table_from_model(model, x, psi)
+        yield t
+        if len(t) > 1:
+            j, i = data.draw(st.permutations(range(len(t))))[:2]
+            post = t.posterior.copy()
+            post[i] += post[j] - post[j] * 10.0**-decades
+            post[j] *= 10.0**-decades
+            yield rb_table(t.prior, post)
 
-            x = int(rng.integers(model.n_x))
-            prior = psi_marginal(model.prior, psi)
-            post = psi_marginal(posterior(model, x).posterior, psi)
-            gamma = float(rng.uniform(0.2, 0.95))
-            rep = lpl_sandwich(rb_table(prior, post), gamma)
-            for eta, lo, up in zip(rep.eta_values, rep.lower_holds, rep.upper_holds):
-                if eta <= prior.min():
+
+class TestSandwich:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            finite_models(zeros=True),
+            st.integers(0, 2**32 - 1).map(lambda seed: random_model(np.random.default_rng(seed))),
+        ),
+        st.integers(0, 24),
+        st.data(),
+    )
+    def test_lowest_loss_region_below_min_prior_is_the_lower_region(self, drawn, decades, data):
+        """Below the least prior mass the capped loss is the ``rb`` loss, so the
+        lowest-loss region at ``gamma_used`` is the lower region, which is the
+        credible region at ``gamma_used``, and both inclusions hold. On
+        :func:`model_tables` of drawn models, with and without zero masses."""
+        model, psi = drawn
+        for t in model_tables(model, psi, decades, data):
+            gamma = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(attainable_gammas(t))))
+            least = float(t.prior.min())
+            caps = [e for e in default_eta_ladder(t.prior) if e > least]
+            rep = lpl_sandwich(t, gamma, caps + [least, math.nextafter(least, 0.0)])
+            lower = rep.lower_region.tolist()
+            assert credible_region(t, rep.gamma_used).members.tolist() == lower
+            steps = zip(rep.eta_values, rep.d_regions, rep.lower_holds, rep.upper_holds)
+            for eta, d, lo, up in steps:
+                if eta <= least:
+                    assert d.tolist() == lower
                     assert lo and up
+            assert rep.holds_from is not None and rep.holds_from <= len(caps)
 
     def test_truncated_geometric_sandwich(self):
         t = truncated_geometric_table()
@@ -539,22 +601,13 @@ class TestSandwich:
     def test_gamma_next_is_none_or_above_gamma_used(self, drawn, decades, data):
         """On model tables, and on the same tables with one posterior mass shrunk by up to 1e-24."""
         model, psi = drawn
-        for x in range(model.n_x):
-            t = table_from_model(model, x, psi)
-            tables = [t]
-            if len(t) > 1:
-                j, i = data.draw(st.permutations(range(len(t))))[:2]
-                post = t.posterior.copy()
-                post[i] += post[j] - post[j] * 10.0**-decades
-                post[j] *= 10.0**-decades
-                tables.append(rb_table(t.prior, post))
-            for table in tables:
-                gamma = data.draw(st.floats(0.0, 1.0))
-                rep = lpl_sandwich(table, gamma, default_eta_ladder(table.prior, 2))
-                if rep.gamma_next is None:
-                    assert rep.upper_region.tolist() == rep.lower_region.tolist()
-                else:
-                    assert rep.gamma_next > rep.gamma_used
+        for table in model_tables(model, psi, decades, data):
+            gamma = data.draw(st.floats(0.0, 1.0))
+            rep = lpl_sandwich(table, gamma, default_eta_ladder(table.prior, 2))
+            if rep.gamma_next is None:
+                assert rep.upper_region.tolist() == rep.lower_region.tolist()
+            else:
+                assert rep.gamma_next > rep.gamma_used
 
     def test_invalid_gamma_rejected(self):
         from relbel.errors import BadGammaError
