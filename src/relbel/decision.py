@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 from ._sums import fsums
@@ -38,6 +39,7 @@ from .evidence import RegionReport, _check_gamma, _descending_levels, _ratios, _
 from .model import (
     FiniteModel,
     PsiMap,
+    _index_array,
     marginalize,
     posterior_table,
     psi_joint,
@@ -67,18 +69,42 @@ class Loss:
 
 @dataclass(frozen=True, eq=False)
 class DecisionRule:
-    """One action index per outcome index, with tie flags."""
+    """One action index per outcome index, with tie flags.
+
+    ``actions`` is ``action_per_x`` as a read-only int array, checked and
+    converted once, on first use; every risk of the rule reads it. It
+    assumes ``action_per_x`` does not change after that.
+    """
 
     action_per_x: tuple
     ties: tuple
 
+    # cached_property writes the instance __dict__, which the frozen dataclass leaves open
+    @cached_property
+    def actions(self) -> np.ndarray:
+        """The action index of each outcome; each risk checks it against its psi values.
+
+        Raises:
+            ValidationError: an entry is not a Python or numpy integer (a bool is not).
+            IndexOutOfRangeError: an entry is negative.
+        """
+        return _index_array(self.action_per_x, "rule action")
+
 
 @dataclass(frozen=True, eq=False)
 class RiskReport:
+    """A Bayes rule's prior risk and its per-outcome accounting.
+
+    ``posterior_risk_per_x`` holds one risk per outcome. ``decomposition``,
+    for the ``rb`` and ``rb-eta`` losses and ``None`` under ``map``, is a
+    read-only ``(n_x, 2)`` array: row x holds the exact total of the ratios
+    at outcome x and the ratio at its action, whose difference is the
+    posterior risk.
+    """
+
     prior_risk: float
     posterior_risk_per_x: np.ndarray
-    # per-outcome (sum of ratios, ratio at the action) for the rb and rb-eta losses
-    decomposition: tuple | None = None
+    decomposition: np.ndarray | None = None
 
 
 def make_loss(kind: str, prior, eta: float | None = None) -> Loss:
@@ -111,9 +137,9 @@ def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRul
     The action at each outcome is the first argmax of posterior over the
     loss's denominators, flagged as a tie when another value attains the
     same ratio. The posterior risk per outcome is the exact total of those
-    ratios without the action's, the decomposition pairs their exact total
-    with the action's ratio, and the prior risk is the exact total of
-    ``m(x)`` times posterior risk; all are summed by
+    ratios without the action's, row x of the decomposition array holds
+    their exact total and the action's ratio, and the prior risk is the
+    exact total of ``m(x)`` times posterior risk; all are summed by
     :func:`relbel._sums.fsums`, with ``math.fsum``'s bits.
     """
     if loss.n != psi.n_psi:
@@ -129,9 +155,13 @@ def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRul
     risks = fsums(off_action, axis=1)
     decomp = None
     if loss.kind != "map":
-        decomp = tuple(zip(fsums(ratios, axis=1).tolist(), at_action.tolist()))
+        decomp = np.column_stack((fsums(ratios, axis=1), at_action))
+        decomp.setflags(write=False)
+    rule = DecisionRule(action_per_x=tuple(actions.tolist()), ties=tuple(ties.tolist()))
+    actions.setflags(write=False)
+    vars(rule)["actions"] = actions  # the rule's cached array: argmax indices need no check
     return (
-        DecisionRule(action_per_x=tuple(actions.tolist()), ties=tuple(ties.tolist())),
+        rule,
         RiskReport(
             prior_risk=float(fsums(m * risks)),
             posterior_risk_per_x=risks,
@@ -141,11 +171,12 @@ def bayes_rule(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[DecisionRul
 
 
 def _rule_actions(model: FiniteModel, psi: PsiMap, rule: DecisionRule) -> np.ndarray:
-    """The rule's action indices, checked to cover every outcome with a psi index."""
-    acts = np.asarray(rule.action_per_x)
-    if acts.shape != (model.n_x,):
-        raise ValidationError(f"rule covers {acts.shape} outcomes, model has {model.n_x}")
-    if np.any(acts < 0) or np.any(acts >= psi.n_psi):
+    """The rule's cached action array, checked to cover every outcome with a psi index."""
+    n = len(rule.action_per_x)
+    if n != model.n_x:
+        raise ValidationError(f"rule covers {n} outcomes, model has {model.n_x}")
+    acts = rule.actions
+    if (acts >= psi.n_psi).any():
         raise IndexOutOfRangeError(f"rule action not in [0, {psi.n_psi})")
     return acts
 
@@ -248,11 +279,11 @@ def brute_force_bayes(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[tupl
 
     Scores come from the joint theta-space expectation of a dense
     ``[true, action]`` loss matrix, independent of the per-outcome
-    maximization in :func:`bayes_rule`. Rules are numbered as by
-    :func:`all_rules`, outcome 0 the most significant digit, and their risks
-    are built as a running outer sum over outcomes: the same additions in
-    the same order as summing each rule's per-outcome terms, so every score
-    has the bits of that rule-by-rule sum, and ties go to the lowest number.
+    maximization in :func:`bayes_rule`. A rule's number has its actions as
+    base-``n_psi`` digits, outcome 0 the most significant, and the risks are
+    built as a running outer sum over outcomes: the same additions in the
+    same order as summing each rule's per-outcome terms, so every score has
+    the bits of that rule-by-rule sum, and ties go to the lowest number.
     The cost is O(n_psi^n_x) additions and memory, guarded by ``RULE_CAP``
     on the number of rules, which also keeps the matrix tiny. A weight past
     the float range raises :class:`RatioOverflowError`.
@@ -262,23 +293,14 @@ def brute_force_bayes(model: FiniteModel, psi: PsiMap, loss: Loss) -> tuple[tupl
     # the oracle's own weights: one over each denominator, off the diagonal
     weights = _ratios(np.ones(n), loss.values)
     dense = np.where(np.eye(n, dtype=bool), 0.0, weights[:, None] * np.ones((1, n)))
-    psi_of_theta = np.asarray(psi.assignment)
     # W[x, a] = joint expectation of the loss when outcome x gets action a
-    W = model.joint.T @ dense[psi_of_theta]
+    W = model.joint.T @ dense[psi.indices]
     risks = W[0]
     for row in W[1:]:
         risks = (risks[:, None] + row).ravel()
     best = int(np.argmin(risks))
     digits = range(model.n_x - 1, -1, -1)
     return tuple(best // psi.n_psi**k % psi.n_psi for k in digits), float(risks[best])
-
-
-def all_rules(n_psi: int, n_x: int) -> np.ndarray:
-    """Every deterministic rule as an ``(n_rules, n_x)`` action array, outcome 0 most significant."""
-    n_rules = _rule_count(n_psi, n_x, RULE_CAP)
-    # every power fits in int64: none exceeds n_rules <= RULE_CAP
-    powers = n_psi ** np.arange(n_x - 1, -1, -1, dtype=np.int64)
-    return np.arange(n_rules, dtype=np.int64)[:, None] // powers % n_psi
 
 
 def _rule_count(n_psi: int, n_x: int, cap: int) -> int:

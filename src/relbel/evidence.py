@@ -101,7 +101,7 @@ class HypothesisReport:
 
 def _unit(v: np.ndarray, what: str) -> None:
     """Check that ``v`` holds nonnegative masses summing to 1 within NORM_TOL."""
-    if np.any(v < 0):
+    if (v < 0).any():
         raise ValidationError(f"{what} masses must be nonnegative")
     _unit_total(v, ValidationError, what)
 
@@ -130,8 +130,9 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
     Entries with zero prior and zero posterior mass are dropped (counted in
     the result); zero prior with positive posterior is an input error. The
     kept masses are stored as given, checked to sum to 1 within NORM_TOL.
-    A read-only array (masses or labels) from which nothing drops is stored
-    itself, not copied: a grid's masses and midpoints are shared this way.
+    A read-only array (masses or labels) or a labels tuple from which
+    nothing drops is stored itself, not copied: a grid's masses and
+    midpoints and a psi map's labels are shared this way.
     """
     prior = np.asarray(prior, dtype=float)
     posterior = np.asarray(posterior, dtype=float)
@@ -144,22 +145,22 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
 
     zero_prior = prior == 0.0
     bad = zero_prior & (posterior > 0.0)
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    if bad.any():
+        i = int(bad.argmax())
         raise ZeroPriorPositivePosteriorError(
             f"value {i if labels is None else labels[i]!r} has zero prior "
             f"but posterior mass {posterior[i]!r}"
         )
-    keep = ~zero_prior
-    kept_idx = np.flatnonzero(keep)
+    kept_idx = (~zero_prior).nonzero()[0]
     kept_idx.setflags(write=False)
+    all_kept = len(kept_idx) == len(prior)
 
     def kept(a: np.ndarray) -> np.ndarray:
-        return a if len(kept_idx) == len(a) and not a.flags.writeable else a[kept_idx]
+        return a if all_kept and not a.flags.writeable else a[kept_idx]
 
     if isinstance(labels, np.ndarray):
         labels = kept(labels)
-    elif labels is not None:
+    elif labels is not None and not (all_kept and isinstance(labels, tuple)):
         labels = tuple(labels[i] for i in kept_idx.tolist())
     prior, posterior = kept(prior), kept(posterior)
     _unit(prior, "prior")
@@ -172,7 +173,7 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
         prior=prior,
         posterior=posterior,
         rb=rb,
-        dropped_zero_prior=int(np.count_nonzero(zero_prior)),
+        dropped_zero_prior=len(zero_prior) - len(kept_idx),
         kept_indices=kept_idx,
     )
 
@@ -224,7 +225,7 @@ def _region(members: np.ndarray, cutoff: float, posterior: np.ndarray, prior=Non
 
 def plausible_region(t: EvidenceTable) -> RegionReport:
     """Values with strictly more posterior than prior mass (rb > 1)."""
-    return _region(np.flatnonzero(t.rb > 1.0), 1.0, t.posterior, t.prior)
+    return _region((t.rb > 1.0).nonzero()[0], 1.0, t.posterior, t.prior)
 
 
 def _descending_levels(ratios: np.ndarray, posterior: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -239,7 +240,7 @@ def _descending_levels(ratios: np.ndarray, posterior: np.ndarray) -> tuple[np.nd
     order = np.argsort(-ratios, kind="stable")
     sorted_r = ratios[order]
     cum = np.cumsum(posterior[order])
-    ends = np.append(np.flatnonzero(sorted_r[1:] != sorted_r[:-1]), len(sorted_r) - 1)
+    ends = np.append((sorted_r[1:] != sorted_r[:-1]).nonzero()[0], len(sorted_r) - 1)
     out = sorted_r[ends], cum[ends], order, ends
     for a in out:
         a.setflags(write=False)
@@ -295,7 +296,7 @@ def _superlevel_region(
     are one computation.
     """
     cutoff = _level_search(descending, posterior, gamma, strict)
-    members = np.flatnonzero(ratios > cutoff if strict else ratios >= cutoff)
+    members = (ratios > cutoff if strict else ratios >= cutoff).nonzero()[0]
     return _region(members, cutoff, posterior, prior)
 
 

@@ -89,7 +89,12 @@ class FiniteModel:
 
 @dataclass(frozen=True, eq=False)
 class PsiMap:
-    """Surjection from theta-indices onto a smaller set of psi values."""
+    """Surjection from theta-indices onto a smaller set of psi values.
+
+    ``indices`` is ``assignment`` as a read-only int array, checked and
+    converted once, on first use; every push-forward reads it. It assumes
+    ``assignment`` does not change after that.
+    """
 
     assignment: tuple
     psi_labels: tuple
@@ -97,6 +102,37 @@ class PsiMap:
     @property
     def n_psi(self) -> int:
         return len(self.psi_labels)
+
+    # cached_property writes the instance __dict__, which the frozen dataclass leaves open
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """The psi index of each theta index.
+
+        Raises:
+            ValidationError: an entry is not a Python or numpy integer (a bool is not).
+            IndexOutOfRangeError: an entry is not a psi index.
+        """
+        return _index_array(self.assignment, "psi assignment", self.n_psi)
+
+
+def _index_array(values, what: str, n: int = int(np.iinfo(np.intp).max)) -> np.ndarray:
+    """``values`` as a read-only int array, each entry an integer in [0, n).
+
+    Entries are checked by type, not converted: a bool or a float is
+    rejected, not read as 0, 1 or its integer part. The default ``n``, the
+    largest intp, is past every array length.
+
+    Raises:
+        ValidationError: an entry is not a Python or numpy integer (a bool is not).
+        IndexOutOfRangeError: an entry is not in [0, n).
+    """
+    if not all(issubclass(k, (int, np.integer)) and k is not bool for k in set(map(type, values))):
+        raise ValidationError(f"{what} entries must be integers")
+    if len(values) and not (min(values) >= 0 and max(values) < n):
+        raise IndexOutOfRangeError(f"{what} entry not in [0, {n})")
+    out = np.array(values, dtype=np.intp)
+    out.setflags(write=False)
+    return out
 
 
 def identity_psi(model: FiniteModel) -> PsiMap:
@@ -115,7 +151,7 @@ class PosteriorReport:
 def _unit_total(v: np.ndarray, err: type[ValidationError], what: str, total=None) -> float:
     """The exact sum of ``v`` (``total`` when already known), checked to be 1 within NORM_TOL."""
     # NaN fails neither the sign check nor the sum check, so test it here
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise err(f"{what} has a non-finite entry")
     if total is None:
         try:
@@ -213,20 +249,22 @@ def psi_marginal(masses: np.ndarray, psi: PsiMap) -> np.ndarray:
     ``masses`` is indexed by theta along its first axis: a vector over
     theta, or a table with one row per theta value. Entry ``j`` (row ``j``)
     of the result accumulates the theta entries (rows) of psi value ``j`` in
-    theta order, starting from zero.
+    theta order, starting from zero. The assignment is read as the map's
+    cached :attr:`PsiMap.indices`, checked on the map's first use only.
 
     Raises:
-        ValidationError: the assignment does not cover the theta axis.
+        ValidationError: the assignment does not cover the theta axis, or
+            an entry is not an integer (a bool is not); the length is
+            checked first.
         IndexOutOfRangeError: an assignment entry is not a psi index.
     """
     masses = np.asarray(masses, dtype=float)
-    a = np.asarray(psi.assignment)
-    if a.shape != masses.shape[:1]:
+    n = len(psi.assignment)
+    if (n,) != masses.shape[:1]:
         raise ValidationError(
-            f"psi assignment covers {a.size} theta values, masses have shape {masses.shape}"
+            f"psi assignment covers {n} theta values, masses have shape {masses.shape}"
         )
-    if np.any(a < 0) or np.any(a >= psi.n_psi):
-        raise IndexOutOfRangeError("psi assignment index out of range")
+    a = psi.indices
     if masses.ndim == 1:
         return np.bincount(a, weights=masses, minlength=psi.n_psi)
     # one row per theta value, in theta order, as bincount adds the 1-D entries
@@ -263,8 +301,9 @@ def posterior_table(model: FiniteModel, psi: PsiMap) -> tuple[np.ndarray, np.nda
         ImpossibleObservationError: some outcome has zero prior-predictive mass.
     """
     m = model.predictive
-    if np.any(m <= 0.0):
-        x = int(np.argmax(m <= 0.0))
+    impossible = m <= 0.0
+    if impossible.any():
+        x = int(impossible.argmax())
         raise ImpossibleObservationError(
             f"outcome {model.x_labels[x]!r} has zero prior-predictive mass"
         )

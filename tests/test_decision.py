@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relbel.decision as decision_mod
+import relbel.evidence as evidence_mod
 import relbel.model as model_mod
 from relbel._sums import fsums
 from relbel.decision import (
     LOSS_KINDS,
-    all_rules,
     bayes_rule,
     brute_force_bayes,
     conditional_error_probs,
@@ -169,6 +169,49 @@ class TestPosteriorRisk:
         assert rule.action_per_x[0] == 1
         assert report.posterior_risk_per_x[0] == pytest.approx(0.2, abs=1e-15)
         assert report.decomposition is None
+
+
+class TestRiskReportArrays:
+    @pytest.mark.parametrize("kind", ["rb", "rb-eta"])
+    def test_decomposition_is_one_read_only_array(self, kind, rng):
+        for _ in range(10):
+            model, psi = random_model(rng)
+            pi_psi = psi_marginal(model.prior, psi)
+            loss = make_loss(kind, pi_psi, eta=0.5 * float(pi_psi.max()) if kind == "rb-eta" else None)
+            rule, report = bayes_rule(model, psi, loss)
+            d = report.decomposition
+            assert d.dtype == np.float64 and d.shape == (model.n_x, 2) and not d.flags.writeable
+            ratios = evidence_mod._ratios(posterior_table(model, psi)[0], loss.values)
+            at_action = ratios[np.arange(model.n_x), np.array(rule.action_per_x)]
+            assert d.tobytes() == np.column_stack((fsums(ratios, axis=1), at_action)).tobytes()
+
+    def test_rule_actions_are_the_argmax_array(self, rng):
+        model, psi = random_model(rng)
+        rule, _ = bayes_rule(model, psi, make_loss("map", psi_marginal(model.prior, psi)))
+        acts = rule.actions
+        assert acts.dtype == np.intp and not acts.flags.writeable
+        assert acts.tolist() == list(rule.action_per_x)
+
+    def test_few_python_objects_per_call(self):
+        # the decomposition as n_x Python pairs left about 4,000 net GC-tracked containers
+        rng = np.random.default_rng(41)
+        n_theta, n_x = 30, 4000
+        lik = rng.dirichlet(np.ones(n_x), size=n_theta)
+        labels = tuple(f"t{i}" for i in range(n_theta)), tuple(f"x{i}" for i in range(n_x))
+        model = validate(FiniteModel(*labels, lik, rng.dirichlet(np.ones(n_theta))))
+        psi = identity_psi(model)
+        loss = make_loss("rb", model.prior)
+        bayes_rule(model, psi, loss)  # fills the model's caches
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            result = bayes_rule(model, psi, loss)
+            moved = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert result[1].decomposition.shape == (n_x, 2)
+        assert moved < 100
 
 
 def example1_model():
@@ -324,6 +367,14 @@ class TestDenseOracle:
                     level = ok[0] if ok else levels[-1]
                     expected = set(np.flatnonzero(risks <= level).tolist())
                     assert lpl_region(loss, post, float(gamma)).member_indices == expected
+
+
+def all_rules(n_psi: int, n_x: int) -> np.ndarray:
+    """Every deterministic rule as an ``(n_rules, n_x)`` action array, outcome 0 most significant."""
+    n_rules = decision_mod._rule_count(n_psi, n_x, decision_mod.RULE_CAP)
+    # every power fits in int64: none exceeds n_rules <= RULE_CAP
+    powers = n_psi ** np.arange(n_x - 1, -1, -1, dtype=np.int64)
+    return np.arange(n_rules, dtype=np.int64)[:, None] // powers % n_psi
 
 
 def materialized_brute_force(model, psi, loss):
@@ -593,6 +644,17 @@ def three_theta_two_outcomes():
     )
 
 
+def three_theta_three_outcomes():
+    return validate(
+        FiniteModel(
+            ("a", "b", "c"),
+            ("x0", "x1", "x2"),
+            np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]),
+            np.array([0.2, 0.3, 0.5]),
+        )
+    )
+
+
 class TestEmptyFibre:
     """Under map a psi value without prior mass weighs 0 in the risk and its cross-check."""
 
@@ -663,6 +725,73 @@ class TestInputChecks:
             conditional_error_probs(model, psi, rule)
         with pytest.raises(IndexOutOfRangeError):
             unbiasedness_gap(model, psi, loss.values, rule)
+
+
+    @pytest.mark.parametrize(
+        "actions",
+        [
+            pytest.param((0, 1, 2.5), id="fraction"),
+            pytest.param((0.0, 1.0, 2.0), id="whole-floats"),
+            pytest.param((True, False, True), id="bools"),
+            pytest.param((1, True, 0), id="int-and-bool"),
+            pytest.param((np.True_, 0, 1), id="numpy-bool"),
+        ],
+    )
+    def test_non_integer_actions_rejected(self, actions):
+        # prior_risk and unbiasedness_gap raised a raw IndexError, and conditional_error_probs
+        # counted 2.5 as always wrong and read bools as 0 and 1
+        model = three_theta_three_outcomes()
+        psi = identity_psi(model)
+        loss = make_loss("rb", model.prior)
+        rule = DecisionRule(actions, (False,) * 3)
+        calls = (
+            lambda: prior_risk(model, psi, loss, rule),
+            lambda: conditional_error_probs(model, psi, rule),
+            lambda: unbiasedness_gap(model, psi, loss.values, rule),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="rule action entries must be integers"):
+                call()
+
+    def test_numpy_integer_actions_accepted(self):
+        model = three_theta_three_outcomes()
+        psi = identity_psi(model)
+        loss = make_loss("rb", model.prior)
+        plain = DecisionRule((0, 2, 1), (False,) * 3)
+        numpy_ints = DecisionRule((np.int64(0), np.uint8(2), np.int32(1)), (False,) * 3)
+        assert prior_risk(model, psi, loss, numpy_ints) == prior_risk(model, psi, loss, plain)
+        got, want = (conditional_error_probs(model, psi, r) for r in (numpy_ints, plain))
+        assert got.tobytes() == want.tobytes()
+
+    def test_actions_checked_once_into_a_read_only_array(self, monkeypatch):
+        model = three_theta_three_outcomes()
+        psi = identity_psi(model)
+        loss = make_loss("rb", model.prior)
+        rule = DecisionRule((0, 2, 1), (False,) * 3)
+        built = []
+        real = model_mod._index_array
+        monkeypatch.setattr(decision_mod, "_index_array", lambda *a: built.append(a) or real(*a))
+        prior_risk(model, psi, loss, rule)
+        conditional_error_probs(model, psi, rule)
+        unbiasedness_gap(model, psi, loss.values, rule)
+        assert len(built) == 1
+        acts = rule.actions
+        assert acts is rule.actions and acts.dtype == np.intp and not acts.flags.writeable
+        assert acts.tolist() == [0, 2, 1]
+
+    def test_wrong_length_rule_rejected_first(self):
+        model = three_theta_three_outcomes()
+        rule = DecisionRule((0, 1.5), (False, False))
+        with pytest.raises(ValidationError, match="rule covers 2 outcomes, model has 3"):
+            conditional_error_probs(model, identity_psi(model), rule)
+
+    @pytest.mark.parametrize("assignment", [(True, False, True), (0, 1.0, 1)])
+    def test_brute_force_rejects_non_integer_psi(self, assignment):
+        # bools were read as 0 and 1, floats raised a raw IndexError
+        model = three_theta_three_outcomes()
+        psi = PsiMap(assignment, ("A", "B"))
+        with pytest.raises(ValidationError, match="psi assignment entries must be integers"):
+            brute_force_bayes(model, psi, make_loss("map", np.array([0.5, 0.5])))
 
 
 class TestLplRegion:
@@ -804,7 +933,7 @@ def decide_all(model, psi, copy=lambda m: m):
             rule.ties,
             report.prior_risk.hex(),
             report.posterior_risk_per_x.tobytes(),
-            np.array(report.decomposition or ()).tobytes(),
+            None if report.decomposition is None else report.decomposition.tobytes(),
             prior_risk(copy(model), psi, loss, rule).hex(),
             unbiasedness_gap(copy(model), psi, loss.values, rule).hex(),
         ]

@@ -32,7 +32,15 @@ from relbel.evidence import (
 import relbel.evidence as evidence_mod
 from relbel._sums import fsums
 from relbel.grids import _normalize, build_grid, masses_from_cdf
-from relbel.model import posterior, prior_predictive, psi_joint, psi_marginal
+from relbel.model import (
+    FiniteModel,
+    PsiMap,
+    posterior,
+    prior_predictive,
+    psi_joint,
+    psi_marginal,
+    validate,
+)
 from conftest import finite_models, random_model
 
 
@@ -75,6 +83,20 @@ class TestRbTable:
     def test_mismatched_lengths(self):
         with pytest.raises(ValidationError):
             rb_table([0.5, 0.5], [1.0])
+
+    def test_labels_tuple_kept_when_nothing_drops(self):
+        labels = ("a", "b", "c")
+        assert rb_table([0.2, 0.3, 0.5], [0.1, 0.1, 0.8], labels=labels).labels is labels
+        assert rb_table([0.5, 0.0, 0.5], [0.2, 0.0, 0.8], labels=labels).labels == ("a", "c")
+        assert rb_table([0.5, 0.5], [0.2, 0.8], labels=["a", "b"]).labels == ("a", "b")
+
+    @pytest.mark.parametrize("assignment", [(True, False, True), (0, 1.0, 1), (np.True_, 0, 1)])
+    def test_table_from_model_rejects_non_integer_psi(self, assignment):
+        # bools were read as 0 and 1, floats raised a raw TypeError
+        lik = np.array([[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])
+        model = validate(FiniteModel(("a", "b", "c"), ("x0", "x1"), lik, np.array([0.2, 0.3, 0.5])))
+        with pytest.raises(ValidationError, match="psi assignment entries must be integers"):
+            table_from_model(model, 0, PsiMap(assignment, ("A", "B")))
 
     def test_non_finite_masses_rejected(self):
         for prior, post in (([0.5, 0.5], [np.nan, 1.0]), ([np.nan, 0.5], [0.5, 0.5])):

@@ -12,6 +12,7 @@ from relbel.errors import (
     PriorNotNormalizedError,
     ValidationError,
 )
+import relbel.model as model_mod
 from relbel.model import (
     FiniteModel,
     PsiMap,
@@ -276,6 +277,75 @@ class TestPsiMarginal:
             for v in (masses, np.ones((3, 2))):
                 with pytest.raises(IndexOutOfRangeError):
                     psi_marginal(v, bad)
+
+
+def three_theta_model():
+    return validate(
+        FiniteModel(
+            ("a", "b", "c"),
+            ("x0", "x1"),
+            np.array([[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]]),
+            np.array([0.2, 0.3, 0.5]),
+        )
+    )
+
+
+# each maps 3 theta values onto 2 psi values, or would if its entries were read as integers
+NON_INTEGER_ASSIGNMENTS = [
+    pytest.param((True, False, True), id="bools"),
+    pytest.param((1, True, 0), id="int-and-bool"),
+    pytest.param((np.True_, 0, 1), id="numpy-bool"),
+    pytest.param((0.0, 1.0, 1.0), id="whole-floats"),
+    pytest.param((0, 1, 1.5), id="fraction"),
+    pytest.param((0, "1", 1), id="string"),
+]
+
+
+class TestPsiIndices:
+    @pytest.mark.parametrize("assignment", NON_INTEGER_ASSIGNMENTS)
+    def test_non_integer_entries_rejected(self, assignment):
+        # a bool was read as 0 or 1, and the table push-forward added each True theta row to
+        # every psi row, so posterior rows summed to 1.06-1.64; a float raised a raw
+        # TypeError or IndexError
+        m = three_theta_model()
+        psi = PsiMap(assignment, ("A", "B"))
+        calls = (
+            lambda: psi_marginal(m.prior, psi),
+            lambda: psi_marginal(m.joint, psi),
+            lambda: posterior_table(m, psi),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="psi assignment entries must be integers"):
+                call()
+
+    def test_length_is_checked_before_the_entries(self):
+        for bad in (PsiMap((True, 0), ("A", "B")), PsiMap((0, 5), ("A", "B"))):
+            with pytest.raises(ValidationError, match="covers"):
+                psi_marginal(np.array([0.2, 0.3, 0.5]), bad)
+
+    def test_numpy_integers_accepted(self):
+        m = three_theta_model()
+        psi = PsiMap((np.int64(0), np.uint8(1), np.int32(1)), ("A", "B"))
+        plain = PsiMap((0, 1, 1), ("A", "B"))
+        for v in (m.prior, m.joint):
+            assert psi_marginal(v, psi).tobytes() == psi_marginal(v, plain).tobytes()
+
+    def test_checked_once_into_a_read_only_array(self, monkeypatch):
+        m = three_theta_model()
+        psi = PsiMap((0, 1, 1), ("A", "B"))
+        built = []
+        real = model_mod._index_array
+        monkeypatch.setattr(model_mod, "_index_array", lambda *a: built.append(a) or real(*a))
+        for v in (m.prior, m.joint, m.prior):
+            psi_marginal(v, psi)
+        assert len(built) == 1
+        a = psi.indices
+        assert a is psi.indices and a.dtype == np.intp and not a.flags.writeable
+        assert a.tolist() == [0, 1, 1]
+
+    def test_out_of_range_entries_named(self):
+        with pytest.raises(IndexOutOfRangeError, match=r"psi assignment entry not in \[0, 2\)"):
+            PsiMap((0, 2, 1), ("A", "B")).indices
 
 
 class TestMarginalize:
