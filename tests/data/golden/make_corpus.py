@@ -28,7 +28,9 @@ sum and its exact total differ by an ulp. A sandwich table whose next region
 adds mass below half an ulp, and a ``classify known`` run whose two class
 likelihoods tie, pin how each reads the tie. Two runs at gamma 1, an
 ``evidence`` table and a ``limits region`` grid, each have values whose
-posterior mass rounds away in the total.
+posterior mass rounds away in the total. A model document with masses given
+as strings and a bool, one with a misspelt psi block, and a grid ladder whose
+best evidence cell's ratio overflows pin how each is read.
 """
 
 from __future__ import annotations
@@ -247,6 +249,23 @@ def _cases() -> list[dict]:
     }
     (HERE / "empty_fibre.json").write_text(json.dumps(empty_fibre) + "\n")
     cases.append({"name": "model-empty_fibre", "args": ["model", "--model", "empty_fibre.json"]})
+    # masses given as a bool and as numeric strings, which a float conversion would read
+    string_masses = {
+        "theta": ["a", "b"],
+        "x": ["u", "v"],
+        "likelihood": [[True, False], ["0.25", "0.75"]],
+        "prior": ["0.5", 0.5],
+    }
+    (HERE / "string_masses.json").write_text(json.dumps(string_masses) + "\n")
+    cases.append({
+        "name": "model-string_masses-x",
+        "args": ["model", "--model", "string_masses.json", "--x", "0"],
+    })
+    # a misspelt psi block
+    psy = {**_models()["psi_map"][0]}
+    psy["psy"] = psy.pop("psi")
+    (HERE / "psy_typo.json").write_text(json.dumps(psy) + "\n")
+    cases.append({"name": "model-psy_typo", "args": ["model", "--model", "psy_typo.json"]})
     cases.append({
         "name": "classify-known",
         "args": ["classify", "known", "--psi0", "0.05", "--psi1", "0.8", "--epsilon", "0.01"],
@@ -361,6 +380,20 @@ def _cases() -> list[dict]:
                 "name": f"limits-{experiment}-{path.removesuffix('.json').split('_')[1]}",
                 "args": ["limits", experiment, "--config", path, "--precision", "full"],
             })
+
+    # a sharp likelihood far in the prior's tail: the best evidence cell's ratio overflows
+    overflow = {
+        "prior": {"family": "normal", "mu": 0.0, "sigma2": 1.0},
+        "likelihood": {"kind": "normal-location", "x": 38.0, "sigma2": 0.0001},
+        "grid": {"lo": -5.0, "hi": 40.0, "n_cells": 512},
+        "steps": 2,
+    }
+    (HERE / "limits_overflow.json").write_text(json.dumps(overflow, indent=2) + "\n")
+    for experiment in ("lambda", "map"):
+        cases.append({
+            "name": f"limits-{experiment}-overflow",
+            "args": ["limits", experiment, "--config", "limits_overflow.json", "--precision", "full"],
+        })
 
     for precision in ("default", "full"):
         cases.append({
