@@ -28,7 +28,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import IndexOutOfRangeError, NumericalGuardError, ValidationError
+from .errors import IndexOutOfRangeError, NumericalGuardError, ValidationError, _json_object
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -38,18 +38,6 @@ def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ValidationError(f"{where} is missing the {key!r} field")
     return doc[key]
-
-
-def _object(value, where: str, fields: tuple = ()) -> dict:
-    """``value`` as a JSON object; given ``fields``, one that sets no other field."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"{where} must be a JSON object, got {type(value).__name__}")
-    unknown = [k for k in value if k not in fields] if fields else []
-    if unknown:
-        raise ValidationError(
-            f"{where} has unknown field {unknown[0]!r:.40}; it takes {', '.join(fields)}"
-        )
-    return value
 
 
 def _number(value, what: str) -> float:
@@ -75,7 +63,7 @@ def _read_json(path: str, what: str) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
-    return _object(doc, what)
+    return _json_object(doc, what)
 
 
 def _emit(text: str, output: str | None):
@@ -374,7 +362,7 @@ def regress_cmd(design, response, sigma2, tau2, w_path, grid_check, output):
 def _density_from_config(doc):
     from . import grids
 
-    doc = _object(doc, "density config")
+    doc = _json_object(doc, "density config")
     name = _require(doc, "family", "density config")
     params = {k: _number(v, f"density field {k!r}") for k, v in doc.items() if k != "family"}
     return grids.family(name, **params)
@@ -383,7 +371,7 @@ def _density_from_config(doc):
 def _likelihood_from_config(doc):
     from . import limits
 
-    doc = _object(doc, "likelihood config", ("kind", "x", "sigma2"))
+    doc = _json_object(doc, "likelihood config", ("kind", "x", "sigma2"))
     kind = doc.get("kind", "normal-location")
     x = _number(_require(doc, "x", "likelihood config"), "likelihood config field 'x'")
     sigma2 = _number(doc.get("sigma2", 1.0), "likelihood config field 'sigma2'")
@@ -397,7 +385,7 @@ def _likelihood_from_config(doc):
 def _grid_from_config(doc):
     from . import grids
 
-    doc = _object(doc, "grid config", ("lo", "hi", "n_cells"))
+    doc = _json_object(doc, "grid config", ("lo", "hi", "n_cells"))
     return grids.build_grid(
         _number(_require(doc, "lo", "grid config"), "grid config field 'lo'"),
         _number(_require(doc, "hi", "grid config"), "grid config field 'hi'"),
@@ -427,7 +415,7 @@ def _table_from_config(doc: dict):
     """The evidence table of a ``table`` block's prior and posterior masses."""
     from . import evidence
 
-    tbl = _object(doc["table"], "table config")
+    tbl = _json_object(doc["table"], "table config")
     masses = []
     for key in ("prior", "posterior"):
         values = _require(tbl, key, "table config")
@@ -463,7 +451,7 @@ def limits_cmd(experiment, config, precision, output):
     from . import evidence, limits
     from .model import model_from_json
 
-    doc = _object(_read_json(config, "limits config"), "limits config", _LIMITS_FIELDS)
+    doc = _json_object(_read_json(config, "limits config"), "limits config", _LIMITS_FIELDS)
     if experiment in ("region", "sandwich"):
         gamma = _number(_require(doc, "gamma", f"{experiment} config"), "config field 'gamma'")
     if experiment == "eta":
@@ -471,7 +459,7 @@ def limits_cmd(experiment, config, precision, output):
             t = _table_from_config(doc)
         else:
             block = _require(doc, "model", "eta config")
-            model, psi = model_from_json(_object(block, "eta config field 'model'"))
+            model, psi = model_from_json(_json_object(block, "eta config field 'model'"))
             x = _count(_require(doc, "x", "eta config"), "eta config field 'x'")
             t = evidence.table_from_model(model, x, psi)
         ladder = limits.default_eta_ladder(t.prior, **_counts(doc, steps="eta_steps"))

@@ -3,6 +3,8 @@
 Two families matter to callers: :class:`ValidationError` means the inputs
 were rejected (CLI exit code 2), :class:`NumericalGuardError` means a
 computation refused to return a meaningless value (CLI exit code 3).
+:func:`_json_object` is the one check of a JSON object's fields, for model
+documents and limits configs alike.
 """
 
 
@@ -16,6 +18,18 @@ class ValidationError(RelBelError):
 
 class NumericalGuardError(RelBelError):
     """A numerical safeguard tripped; the result would be unreliable."""
+
+
+def _json_object(value, where: str, fields: tuple = ()) -> dict:
+    """``value`` as a JSON object; given ``fields``, one that sets no other field."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(value).__name__}")
+    unknown = [k for k in value if k not in fields] if fields else []
+    if unknown:
+        raise ValidationError(
+            f"{where} has unknown field {unknown[0]!r:.40}; it takes {', '.join(fields)}"
+        )
+    return value
 
 
 # --- model validation -------------------------------------------------------

@@ -19,13 +19,14 @@ action or credible region moves toward its evidence-based limit:
 * :func:`invariance_demo` - a monotone change of variable moves the
   density-mode cell but not the evidence-maximizing cell.
 
-The grid experiments share their discretizations: a grid's prior and joint
-cell masses, for one prior density and one likelihood callable, are laid
-once by :func:`grids.discretize_joint`, and its evidence table (with its
-cached order) is built once, whoever asks first. Running all four on one
-ladder with the same two callables costs one evaluation of each per grid.
-The store is keyed weakly by grid, so it goes with the ladder, and by the
-identity of the two callables, which must therefore be deterministic.
+The grid experiments share one evidence table per grid: whichever asks
+first discretizes the grid with :func:`grids.discretize_joint` and tables
+its masses, and every later one reads that table and its cached order.
+Running all four on one ladder with the same two callables costs one
+evaluation of each per grid. A grid keeps the table of one (prior density,
+likelihood) pair at a time, known by the identity of the two callables,
+which must therefore be deterministic; another pair replaces it. The store
+is keyed weakly by grid, so the table goes with the ladder.
 """
 
 from __future__ import annotations
@@ -165,51 +166,35 @@ def eta_limit(source, x=None, psi: PsiMap | None = None, eta_ladder=None) -> Lim
     return _trace(eta_ladder, [kept[_capped_action(t, eta)] for eta in eta_ladder], kept[est.index])
 
 
-@dataclass(eq=False)
-class _Discretized:
-    """A (prior density, likelihood) pair's cell masses on one grid, and their table.
-
-    It refers to nothing that refers to the grid, so the grid's weak key frees it.
-    """
-
-    callables: tuple  # keeps the pair alive, so the ids in its key stay theirs
-    prior: np.ndarray
-    joint: np.ndarray
-    prior_tail: float
-    table: EvidenceTable | None = None
-
-
-# grid -> {(id(prior_density), id(likelihood_at_x)): _Discretized}: a ladder's
-# masses and tables are freed with the ladder
-_DISCRETIZED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _discretized(prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D) -> _Discretized:
-    """The pair's prior and joint cell masses on ``grid``, one :func:`discretize_joint` per grid.
-
-    A later call with the same grid and callables reads them, and warns
-    about the prior's tail as the first call did.
-    """
-    store = _DISCRETIZED.setdefault(grid, {})
-    key = (id(prior_density), id(likelihood_at_x))
-    found = store.get(key)
-    if found is None:
-        prior, joint = discretize_joint(prior_density, likelihood_at_x, grid)
-        found = store[key] = _Discretized(
-            (prior_density, likelihood_at_x), prior.masses, joint.masses, prior.tail_mass
-        )
-    else:
-        _warn_tail(grid, found.prior_tail)
-    return found
+# grid -> (prior_density, likelihood_at_x, table, prior tail mass) of the last pair
+# tabled on the grid; the entry refers to nothing that refers to the grid, so it
+# goes with the ladder
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _grid_table(prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D) -> EvidenceTable:
-    """Evidence table of the discretized problem on one grid, built once per grid and pair."""
-    found = _discretized(prior_density, likelihood_at_x, grid)
-    if found.table is None:
-        # table_from_gridded's table, from masses: a GriddedDistribution would refer to the grid
-        found.table = rb_table(found.prior, found.joint, labels=grid.midpoints)
-    return found.table
+    """Evidence table of the discretized problem on one grid, built once per grid and pair.
+
+    Each grid keeps the table of the last pair asked: a later call with the
+    same two callables reads it, and warns about the prior's tail as the
+    first call did; a call with another pair replaces it.
+    """
+    found = _TABLES.get(grid)
+    if found is not None and found[0] is prior_density and found[1] is likelihood_at_x:
+        _warn_tail(grid, found[3])
+        return found[2]
+    prior, joint = discretize_joint(prior_density, likelihood_at_x, grid)
+    # table_from_gridded's table, from masses: a GriddedDistribution would refer to the grid
+    table = rb_table(prior.masses, joint.masses, labels=grid.midpoints)
+    _TABLES[grid] = (prior_density, likelihood_at_x, table, prior.tail_mass)
+    return table
+
+
+def _cell_posterior(t: EvidenceTable, n_cells: int) -> np.ndarray:
+    """Posterior mass of each of a grid's ``n_cells`` cells: zero where ``t`` dropped the cell."""
+    post = np.zeros(n_cells)
+    post[t.kept_indices] = t.posterior
+    return post
 
 
 def _checked_argmax(values: np.ndarray, what: str) -> int:
@@ -259,11 +244,15 @@ def map_limit_contrast(
     grids: Sequence[Grid1D],
     target: float | None = None,
 ) -> LimitTrace:
-    """Bayes actions under the plain cell-membership loss (posterior mode)."""
+    """Bayes actions under the plain cell-membership loss (posterior mode).
+
+    The cell posteriors are read from the grid's evidence table, so a
+    problem that :func:`lambda_limit` cannot table raises here too.
+    """
 
     def action_on(grid: Grid1D) -> float:
-        joint = _discretized(prior_density, likelihood_at_x, grid).joint
-        return float(grid.midpoints[_checked_argmax(joint, "posterior cell mass")])
+        post = _cell_posterior(_grid_table(prior_density, likelihood_at_x, grid), grid.n_cells)
+        return float(grid.midpoints[_checked_argmax(post, "posterior cell mass")])
 
     return _grid_ladder_trace(grids, target, action_on)
 
@@ -297,8 +286,7 @@ def region_limit(
             raise ValidationError("ladder grids must nest into the reference grid")
     t_ref = _grid_table(prior_density, likelihood_at_x, ref_grid)
     ref_mask = _region_mask(t_ref, gamma, ref_grid.n_cells)
-    ref_post = np.zeros(ref_grid.n_cells)
-    ref_post[t_ref.kept_indices] = t_ref.posterior
+    ref_post = _cell_posterior(t_ref, ref_grid.n_cells)
 
     regions, discrepancies = [], []
     for grid in grids:
@@ -330,13 +318,6 @@ class SandwichReport:
     d_regions: tuple
     lower_holds: tuple
     upper_holds: tuple
-
-    @property
-    def holds_from(self) -> int | None:
-        """First ladder index from which both inclusions hold onward."""
-        fails = [i for i, ok in enumerate(zip(self.lower_holds, self.upper_holds)) if not all(ok)]
-        first = fails[-1] + 1 if fails else 0
-        return first if first < len(self.lower_holds) else None
 
 
 def lpl_sandwich(t: EvidenceTable, gamma: float, eta_ladder=None) -> SandwichReport:

@@ -18,7 +18,6 @@ so sharing a model across threads stays safe.
 
 from __future__ import annotations
 
-import numbers
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +32,7 @@ from .errors import (
     NonStochasticRowError,
     PriorNotNormalizedError,
     ValidationError,
+    _json_object,
 )
 
 # Inputs whose sums deviate from 1 by more than this are rejected; anything
@@ -355,48 +355,57 @@ def _label_list(value, what: str) -> tuple:
     return tuple(value)
 
 
+_MODEL_FIELDS = ("theta", "x", "likelihood", "prior", "psi")
+
+
 def model_from_json(doc: dict) -> tuple[FiniteModel, PsiMap | None]:
     """Build a validated model (and optional PsiMap) from a parsed JSON document.
 
     The document is an object with keys ``theta``, ``x``, ``likelihood``,
-    ``prior`` and optionally ``psi: {labels, assignment}``.
+    ``prior`` and optionally ``psi: {labels, assignment}``, and no other
+    key. Each likelihood and prior entry is a JSON number: a bool or a
+    string is rejected, not read as 0, 1 or its numeric value.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError(f"model document must be a JSON object, got {type(doc).__name__}")
+    _json_object(doc, "model document", _MODEL_FIELDS)
     for key in ("theta", "x", "likelihood", "prior"):
         if key not in doc:
             raise ValidationError(f"model document is missing {key!r}")
-    try:
-        likelihood = np.asarray(doc["likelihood"], dtype=float)
-        prior = np.asarray(doc["prior"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"likelihood and prior must be numeric arrays: {exc}") from exc
+    masses = []
+    for key in ("likelihood", "prior"):
+        try:
+            # a ragged list's rows, and a non-number's own entry, are entries of another type
+            entries = np.asarray(doc[key], dtype=object)
+            odd = set(map(type, entries.flat)) - {int, float}
+            if odd:
+                raise TypeError(f"{key!r} has an entry of type {min(t.__name__ for t in odd)}")
+            masses.append(entries.astype(float))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"likelihood and prior must be numeric arrays: {exc}") from exc
     model = validate(
         FiniteModel(
             theta_labels=_label_list(doc["theta"], "model field 'theta'"),
             x_labels=_label_list(doc["x"], "model field 'x'"),
-            likelihood=likelihood,
-            prior=prior,
+            likelihood=masses[0],
+            prior=masses[1],
         )
     )
     psi = None
-    if "psi" in doc and doc["psi"] is not None:
+    if doc.get("psi") is not None:
         spec = doc["psi"]
         if not isinstance(spec, dict) or not {"labels", "assignment"} <= spec.keys():
             raise ValidationError("psi block needs both 'labels' and 'assignment'")
+        _json_object(spec, "psi block", ("labels", "assignment"))
         assignment = spec["assignment"]
-        if not isinstance(assignment, (list, tuple)) or not all(
-            isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in assignment
-        ):
-            raise ValidationError("psi assignment must list integer indices")
-        psi = PsiMap(tuple(int(i) for i in assignment), _label_list(spec["labels"], "psi labels"))
-        if len(psi.assignment) != model.n_theta:
+        if not isinstance(assignment, (list, tuple)):
+            raise ValidationError(f"psi assignment must be a list, got {type(assignment).__name__}")
+        if len(assignment) != model.n_theta:
             raise ValidationError(
-                f"psi assignment has {len(psi.assignment)} entries, "
+                f"psi assignment has {len(assignment)} entries, "
                 f"model has {model.n_theta} theta values"
             )
-        seen = set(psi.assignment)
-        if seen != set(range(psi.n_psi)):
+        psi = PsiMap(tuple(assignment), _label_list(spec["labels"], "psi labels"))
+        # checks each entry for an integer psi index, once for every later use of the map
+        if set(psi.indices.tolist()) != set(range(psi.n_psi)):
             raise ValidationError("psi assignment is not surjective onto its labels")
     return model, psi
 

@@ -113,7 +113,45 @@ class TestMalformedModelFiles:
 
     def test_non_integer_assignment(self, runner, tmp_path):
         doc = {**MODEL_DOC, "psi": {"labels": ["A", "B"], "assignment": ["z", 0]}}
-        assert "integer indices" in self.invoke(runner, tmp_path, doc)
+        assert "entries must be integers" in self.invoke(runner, tmp_path, doc)
+
+    def test_masses_must_be_json_numbers(self, runner, tmp_path):
+        # a float conversion reads a bool as 0 or 1 and parses a numeric string
+        cases = [
+            ({"likelihood": [[True, False], ["0.25", "0.75"]], "prior": ["0.5", 0.5]}, "bool"),
+            ({"likelihood": [[0.8, 0.2], [0.2, "0.8"]]}, "str"),
+            ({"prior": [0.5, True]}, "bool"),
+            ({"prior": [0.5, None]}, "NoneType"),
+        ]
+        for fields, kind in cases:
+            for command in (("model", "--x", "0"), ("evidence", "--x", "0"), ("decide",)):
+                msg = self.invoke(runner, tmp_path, {**MODEL_DOC, **fields}, command)
+                assert msg.startswith("error: likelihood and prior must be numeric arrays")
+                assert f"entry of type {kind}" in msg
+        # an integer past the float range is no finite number either
+        msg = self.invoke(runner, tmp_path, {**MODEL_DOC, "prior": [10**400, 0.5]})
+        assert "numeric arrays: int too large" in msg
+
+    def test_assignment_entry_not_a_psi_index(self, runner, tmp_path):
+        doc = {**MODEL_DOC, "psi": {"labels": ["A", "B"], "assignment": [0, 2]}}
+        assert "psi assignment entry not in [0, 2)" in self.invoke(runner, tmp_path, doc)
+
+    def test_unknown_fields(self, runner, tmp_path):
+        psi = {"labels": ["A", "B"], "assignment": [0, 1]}
+        msg = self.invoke(runner, tmp_path, {**MODEL_DOC, "psy": psi})
+        assert msg == (
+            "error: model document has unknown field 'psy'; "
+            "it takes theta, x, likelihood, prior, psi\n"
+        )
+        msg = self.invoke(runner, tmp_path, {**MODEL_DOC, "psi": {**psi, "label": ["A", "B"]}})
+        assert msg == "error: psi block has unknown field 'label'; it takes labels, assignment\n"
+
+    def test_null_psi_is_the_identity(self, runner, tmp_path):
+        path = tmp_path / "m.json"
+        for doc in (MODEL_DOC, {**MODEL_DOC, "psi": None}):
+            path.write_text(json.dumps(doc))
+            res = runner.invoke(main, ["evidence", "--model", str(path), "--x", "0"])
+            assert res.exit_code == 0 and json.loads(res.stdout)["labels"] == ["t1", "t2"]
 
     def test_row_sum_past_float_range(self, runner, tmp_path):
         doc = {**MODEL_DOC, "likelihood": [[1e308, 1e308], [0.2, 0.8]]}
@@ -139,7 +177,7 @@ class TestMalformedModelFiles:
         doc = {**MODEL_DOC, "psi": {"labels": "AB", "assignment": [0, 1]}}
         assert "psi labels" in self.invoke(runner, tmp_path, doc)
         doc = {**MODEL_DOC, "psi": {"labels": ["A", "B"], "assignment": "01"}}
-        assert "integer indices" in self.invoke(runner, tmp_path, doc)
+        assert "must be a list" in self.invoke(runner, tmp_path, doc)
 
     def test_nan_likelihood_rejected(self, runner, tmp_path):
         # JSON has no NaN, but Python's reader accepts the literal
@@ -506,6 +544,11 @@ class TestMalformedLimitsConfigs:
         ]
         for experiment, doc, where in cases:
             assert where in self.expect_2(runner, tmp_path, experiment, doc)
+
+    def test_eta_model_block_is_a_strict_model_document(self, runner, tmp_path):
+        for model, field in (({**MODEL_DOC, "psy": None}, "'psy'"), ({**MODEL_DOC, "X": 0}, "'X'")):
+            msg = self.expect_2(runner, tmp_path, "eta", {"model": model, "x": 0})
+            assert msg.startswith(f"error: model document has unknown field {field}")
 
     def test_non_numeric_fields(self, runner, tmp_path):
         g = GRID_CONFIG

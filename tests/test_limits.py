@@ -11,6 +11,7 @@ from scipy.special import ndtr
 
 from relbel.errors import (
     AllZeroMassError,
+    RatioOverflowError,
     SeparationViolatedError,
     TieAtMaximizerError,
     TooManyCellsError,
@@ -310,6 +311,20 @@ class TestOneDensityPassPerGrid:
         del grids, experiments, results
         assert finest() is None
 
+    def test_another_pair_releases_the_first(self):
+        # a grid keeps one pair's table: a second pair replaces the first
+        grids = grid_ladder(build_grid(-6, 6, 32), steps=2)
+        lik = gaussian_location_likelihood(1.3, 0.5)
+
+        def first(p):
+            return NORMAL_PRIOR.pdf(p)
+
+        gone = weakref.ref(first)
+        lambda_limit(first, lik, grids)
+        lambda_limit(lambda p: NORMAL_PRIOR.pdf(p), lik, grids)
+        del first
+        assert gone() is None
+
 
 class TestLambdaLimit:
     def test_gaussian_ratio_argmax_match(self):
@@ -407,6 +422,15 @@ class TestMapLimitContrast:
         assert rb_trace.discrepancies[-1] <= finest
         gap = abs(map_trace.actions_or_regions[-1] - rb_trace.actions_or_regions[-1])
         assert gap > 10 * finest
+
+    def test_ratio_overflow_raises_as_in_lambda_limit(self):
+        # a sharp likelihood far in the prior's tail: the best evidence cell's
+        # ratio overflows, and both experiments read the same table
+        lik = gaussian_location_likelihood(38.0, 0.0001)
+        grids = grid_ladder(build_grid(-5.0, 40.0, 512), steps=2)
+        for run in (map_limit_contrast, lambda_limit):
+            with pytest.raises(RatioOverflowError, match="overflows the float range"):
+                run(NORMAL_PRIOR.pdf, lik, grids)
 
     def test_refinement_consistency(self):
         lik = gaussian_location_likelihood(1.5, 1.0)
@@ -548,6 +572,13 @@ def model_tables(model, psi, decades, data):
             yield rb_table(t.prior, post)
 
 
+def holds_from(rep) -> int | None:
+    """First ladder index of a sandwich report from which both inclusions hold onward."""
+    fails = [i for i, ok in enumerate(zip(rep.lower_holds, rep.upper_holds)) if not all(ok)]
+    first = fails[-1] + 1 if fails else 0
+    return first if first < len(rep.lower_holds) else None
+
+
 class TestSandwich:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -576,12 +607,12 @@ class TestSandwich:
                 if eta <= least:
                     assert d.tolist() == lower
                     assert lo and up
-            assert rep.holds_from is not None and rep.holds_from <= len(caps)
+            assert holds_from(rep) is not None and holds_from(rep) <= len(caps)
 
     def test_truncated_geometric_sandwich(self):
         t = truncated_geometric_table()
         rep = lpl_sandwich(t, 0.8, default_eta_ladder(t.prior, 40))
-        assert rep.holds_from is not None
+        assert holds_from(rep) is not None
         assert rep.gamma_next is None or rep.gamma_next > rep.gamma_used
         assert rep.gamma_used >= 0.8
 
@@ -624,7 +655,7 @@ class TestSandwich:
         reports = sandwich_double_limit(NORMAL_PRIOR.pdf, lik, 0.9, grids, eta_steps=34)
         assert len(reports) == 4
         for _, rep in reports:
-            assert rep.holds_from is not None
+            assert holds_from(rep) is not None
             # once the cap is below every cell's prior mass the capped loss
             # reduces to the plain reciprocal-prior loss, so the lowest-loss
             # region equals the lower credible region exactly
