@@ -373,7 +373,7 @@ def model_from_json(doc: dict) -> tuple[FiniteModel, PsiMap | None]:
     masses = []
     for key in ("likelihood", "prior"):
         try:
-            # a ragged list's rows, and a non-number's own entry, are entries of another type
+            # the rows of a ragged list come out as entries of type list, and fail here too
             entries = np.asarray(doc[key], dtype=object)
             odd = set(map(type, entries.flat)) - {int, float}
             if odd:
