@@ -30,7 +30,8 @@ likelihoods tie, pin how each reads the tie. Two runs at gamma 1, an
 ``evidence`` table and a ``limits region`` grid, each have values whose
 posterior mass rounds away in the total. A model document with masses given
 as strings and a bool, one with a misspelt psi block, and a grid ladder whose
-best evidence cell's ratio overflows pin how each is read.
+best evidence cell's ratio overflows pin how each is read. A uniform prior
+narrower than its grid runs ``limits region`` and ``limits lambda``.
 """
 
 from __future__ import annotations
@@ -346,6 +347,21 @@ def _cases() -> list[dict]:
         "name": "limits-region-gamma-one",
         "args": ["limits", "region", "--config", "region_gamma_one.json", "--precision", "full"],
     })
+    # a uniform prior on [-1, 3]: the grid's cells outside it carry no prior mass and drop
+    uniform = {
+        "prior": {"family": "uniform", "a": -1.0, "b": 3.0},
+        "likelihood": {"kind": "normal-location", "x": 0.5, "sigma2": 1.0},
+        "grid": {"lo": -2.0, "hi": 4.0, "n_cells": 96},
+        "steps": 3,
+        "gamma": 0.9,
+        "refine_factor": 4,
+    }
+    (HERE / "limits_uniform.json").write_text(json.dumps(uniform, indent=2) + "\n")
+    for experiment in ("region", "lambda"):
+        cases.append({
+            "name": f"limits-{experiment}-uniform",
+            "args": ["limits", experiment, "--config", "limits_uniform.json", "--precision", "full"],
+        })
 
     # a normal prior, and a beta prior on its own support; each sandwich at 4 caps per grid
     configs = {
