@@ -1,18 +1,18 @@
 """Regular 1-D discretizations: cells and their masses.
 
-A grid splits ``[lo, hi)`` into equal-width half-open cells; a density is
-turned into cell masses by composite midpoint quadrature (a prior and a
-joint sharing their nodes in :func:`discretize_joint`), or by exact CDF
-differences (:func:`masses_from_cdf`). Mass lost outside the range is
-recorded as ``tail_mass``, never hidden.
+A grid splits ``[lo, hi)`` into equal-width half-open cells of finite
+total width; a density is turned into cell masses by composite midpoint
+quadrature (a prior and a joint sharing their nodes in
+:func:`discretize_joint`), or by exact differences of a caller's CDF
+(:func:`masses_from_cdf`). Mass lost outside the range is recorded as
+``tail_mass``, never hidden.
 
-The built-in density families are closed forms on ``scipy.special`` ufuncs,
-written so that every pdf and cdf value has the bits of the matching frozen
-``scipy.stats`` distribution; the module does not import ``scipy.stats``,
-whose import costs more than the rest of a CLI run. ``scipy.special`` itself
-is imported only where a special function runs: by a beta family, by the
-normal and lognormal cdfs, and by :func:`normal_masses`. The finite commands,
-and gridded runs that only evaluate normal, lognormal or uniform pdfs, never
+The built-in density families are pdfs only, closed forms written so that
+every value has the bits of the matching frozen ``scipy.stats`` pdf; the
+module does not import ``scipy.stats``, whose import costs more than the rest
+of a CLI run. ``scipy.special`` itself is imported only where a special
+function runs: by a beta family and by :func:`normal_masses`. The finite
+commands, and gridded runs on normal, lognormal or uniform priors, never
 load scipy.
 """
 
@@ -93,8 +93,9 @@ class GriddedDistribution:
 
 
 def build_grid(lo: float, hi: float, n_cells: int) -> Grid1D:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise BadRangeError(f"need finite lo < hi, got [{lo}, {hi}]")
+    # the width is not finite if lo or hi is not, or if it overflows
+    if not math.isfinite(float(hi) - float(lo)) or lo >= hi:
+        raise BadRangeError(f"need lo < hi and a finite width hi - lo, got [{lo}, {hi}]")
     if n_cells < 1:
         raise ZeroCellsError(f"n_cells must be >= 1, got {n_cells}")
     return Grid1D(float(lo), float(hi), int(n_cells))
@@ -150,9 +151,14 @@ def _nodes(grid: Grid1D) -> np.ndarray:
 
 
 def _at_nodes(fn: Callable, nodes: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """``fn`` at the nodes as floats; an ``OverflowError`` is a numerical guard."""
+    """``fn`` at the nodes as floats; an ``OverflowError`` is a numerical guard.
+
+    An intermediate that overflows to inf is taken at its limit (exp(-inf) is
+    0, so a far node's density is 0); an inf value fails :func:`_normalize`.
+    """
     try:
-        return np.asarray(fn(nodes), dtype=float)
+        with np.errstate(over="ignore"):
+            return np.asarray(fn(nodes), dtype=float)
     except OverflowError:
         # a beta pdf with alpha < 1 overflows at subnormal points, as scipy's does
         raise DensityOverflowError(
@@ -233,11 +239,10 @@ def masses_from_cdf(cdf: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) 
 
 @dataclass(frozen=True, eq=False)
 class DensityFamily:
-    """A named 1-D density with vectorized pdf and cdf."""
+    """A named 1-D density with a vectorized pdf."""
 
     name: str
     pdf: Callable[[np.ndarray], np.ndarray]
-    cdf: Callable[[np.ndarray], np.ndarray]
 
 
 _FAMILY_PARAMS = {
@@ -256,20 +261,16 @@ def _pdf_on(z, lo: float, hi: float, inner) -> np.ndarray:
     return np.where((z < lo) | (z > hi), 0.0, inner)[()]
 
 
-def _cdf_on(z, lo: float, hi: float, inner) -> np.ndarray:
-    """``inner`` inside the open support ``(lo, hi)`` of ``z``, 0 or 1 beyond it."""
-    return np.where(z <= lo, 0.0, np.where(z >= hi, 1.0, inner))[()]
-
-
 def family(name: str, **params: float) -> DensityFamily:
     """Built-in families: normal(mu, sigma2), beta(alpha, beta),
     uniform(a, b), lognormal(mu, sigma2).
 
-    Each pdf and cdf takes arrays and returns the bits of the frozen
+    Each pdf takes arrays and returns the bits of the pdf of the frozen
     ``scipy.stats`` distribution with the same parameters (``norm``,
     ``beta``, ``uniform``, ``lognorm``): the same standardization, the same
-    ``scipy.special`` kernels, 0 (and 1 for a cdf) beyond the support, and
-    NaN for NaN input. A parameter the family does not take is an error.
+    ``scipy.special`` kernels, 0 beyond the support, and NaN for NaN input.
+    A parameter the family does not take is an error, and so is a lognormal
+    ``mu`` whose scale ``exp(mu)`` is not a positive finite float.
     """
     takes = _FAMILY_PARAMS.get(name) if isinstance(name, str) else None
     if takes is None:
@@ -286,26 +287,16 @@ def family(name: str, **params: float) -> DensityFamily:
         def pdf(x):
             z = (np.asarray(x, dtype=float) - mu) / sd
             return np.exp(-(z * z) / 2.0) / _SQRT_2PI / sd
-
-        def cdf(x):
-            from scipy.special import ndtr
-
-            return ndtr((np.asarray(x, dtype=float) - mu) / sd)
     elif name == "beta":
         a, b = params.get("alpha", 1.0), params.get("beta", 1.0)
         if a <= 0 or b <= 0:
             raise ValidationError("beta needs alpha > 0 and beta > 0")
-        from scipy.special import betainc
         from scipy.special._ufuncs import _beta_pdf  # the kernel of scipy.stats.beta.pdf
 
         def pdf(x):
             x = np.asarray(x, dtype=float)
             with np.errstate(over="ignore"):
                 return _pdf_on(x, 0.0, 1.0, _beta_pdf(x, a, b))
-
-        def cdf(x):
-            x = np.asarray(x, dtype=float)
-            return _cdf_on(x, 0.0, 1.0, betainc(a, b, x))
     elif name == "uniform":
         a, b = params.get("a", 0.0), params.get("b", 1.0)
         if a >= b:
@@ -315,16 +306,17 @@ def family(name: str, **params: float) -> DensityFamily:
         def pdf(x):
             z = (np.asarray(x, dtype=float) - a) / width
             return _pdf_on(z, 0.0, 1.0, np.where(np.isnan(z), np.nan, 1.0 / width))
-
-        def cdf(x):
-            z = (np.asarray(x, dtype=float) - a) / width
-            return _cdf_on(z, 0.0, 1.0, z)
     else:  # lognormal
         mu, sigma2 = params.get("mu", 0.0), params.get("sigma2", 1.0)
         if sigma2 <= 0:
             raise ValidationError("lognormal needs sigma2 > 0")
-        # math.exp, not np.exp: the two differ by an ulp for some mu
-        s, scale = math.sqrt(sigma2), math.exp(mu)
+        s = math.sqrt(sigma2)
+        try:  # math.exp, not np.exp: the two differ by an ulp for some mu
+            scale = math.exp(mu)
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValidationError(f"lognormal needs a positive finite exp(mu), got mu = {mu}")
 
         def pdf(x):
             z = np.asarray(x, dtype=float) / scale
@@ -333,11 +325,4 @@ def family(name: str, **params: float) -> DensityFamily:
                 log_pdf = -(log_z * log_z) / (2 * (s * s)) - np.log(s * z * _SQRT_2PI)
             # at z = 0 the log pdf above is NaN; scipy takes it as -inf there
             return np.where(z <= 0.0, 0.0, np.exp(log_pdf) / scale)[()]
-
-        def cdf(x):
-            from scipy.special import ndtr
-
-            z = np.asarray(x, dtype=float) / scale
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return _cdf_on(z, 0.0, math.inf, ndtr(np.log(z) / s))
-    return DensityFamily(name=name, pdf=pdf, cdf=cdf)
+    return DensityFamily(name=name, pdf=pdf)

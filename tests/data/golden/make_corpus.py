@@ -31,7 +31,10 @@ likelihoods tie, pin how each reads the tie. Two runs at gamma 1, an
 posterior mass rounds away in the total. A model document with masses given
 as strings and a bool, one with a misspelt psi block, and a grid ladder whose
 best evidence cell's ratio overflows pin how each is read. A uniform prior
-narrower than its grid runs ``limits region`` and ``limits lambda``.
+narrower than its grid runs ``limits region`` and ``limits lambda``. Gridded
+inputs past the float range (a lognormal ``exp(mu)`` that overflows or is 0, a
+grid width that overflows, node values that overflow) pin their one ``error:``
+line.
 """
 
 from __future__ import annotations
@@ -458,7 +461,23 @@ def _cases() -> list[dict]:
         "name": "limits-region-refine-facter",
         "args": ["limits", "region", "--config", "limits_refine_facter.json", "--precision", "full"],
     })
-    for name, config in ignored.items():
+    # inputs past the float range: a lognormal scale exp(mu) that overflows or is 0, a
+    # grid whose width overflows, and node values that overflow to their limit 0
+    lognormal = {**region, "likelihood": {**region["likelihood"], "x": 0.5}}
+    past_range = {
+        **{
+            name: {**lognormal, "prior": {"family": "lognormal", "mu": mu, "sigma2": 1.0}}
+            for name, mu in (("lognormal_mu800", 800.0), ("lognormal_mu_minus800", -800.0))
+        },
+        "grid_width_overflow": {**normal, "grid": {"lo": -1e308, "hi": 1e308, "n_cells": 64}},
+        "likelihood_x_overflow": {**normal, "likelihood": {**normal["likelihood"], "x": 1e308}},
+        "likelihood_sigma2_subnormal": {
+            **normal, "likelihood": {**normal["likelihood"], "sigma2": 1e-320}
+        },
+        "prior_sigma2_subnormal": {**normal, "prior": {**normal["prior"], "sigma2": 1e-320}},
+        "grid_far": {**normal, "grid": {"lo": 1e300, "hi": 1e301, "n_cells": 32}},
+    }
+    for name, config in {**ignored, **past_range}.items():
         path = f"limits_{name}.json"
         (HERE / path).write_text(json.dumps(config, indent=2) + "\n")
         cases.append({

@@ -629,6 +629,46 @@ class TestMalformedLimitsConfigs:
         assert as_float.output == as_int.output
 
 
+class TestGriddedInputsPastTheFloatRange:
+    """Every gridded experiment ends such an input with one ``error:`` line and no numpy warning."""
+
+    def expect_one_error(self, runner, tmp_path, doc, message):
+        for experiment in ("lambda", "map", "region", "sandwich"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                res = invoke_limits(runner, tmp_path, experiment, doc)
+            assert res.exit_code == 2, (experiment, res.output)
+            assert res.stdout == "" and res.stderr == f"error: {message}\n", experiment
+
+    def test_lognormal_scale_past_the_float_range(self, runner, tmp_path):
+        # exp(800) overflows; exp(-800) is 0
+        doc = {
+            **GRID_CONFIG,
+            "likelihood": {"kind": "normal-location-log", "x": 0.5, "sigma2": 1.0},
+            "grid": {"lo": 0.0, "hi": 5.0, "n_cells": 64},
+        }
+        for mu in (800.0, -800.0):
+            doc["prior"] = {"family": "lognormal", "mu": mu, "sigma2": 1.0}
+            message = f"lognormal needs a positive finite exp(mu), got mu = {mu}"
+            self.expect_one_error(runner, tmp_path, doc, message)
+
+    def test_grid_width_past_the_float_range(self, runner, tmp_path):
+        doc = {**GRID_CONFIG, "grid": {"lo": -1e308, "hi": 1e308, "n_cells": 64}}
+        message = "need lo < hi and a finite width hi - lo, got [-1e+308, 1e+308]"
+        self.expect_one_error(runner, tmp_path, doc, message)
+
+    def test_node_values_that_overflow_take_their_limit(self, runner, tmp_path):
+        # each overflows to inf inside an exponent, where exp(-inf) is 0 at every node
+        g = GRID_CONFIG
+        for doc in (
+            {**g, "likelihood": {**g["likelihood"], "x": 1e308}},
+            {**g, "likelihood": {**g["likelihood"], "sigma2": 1e-320}},
+            {**g, "prior": {**g["prior"], "sigma2": 1e-320}},
+            {**g, "grid": {"lo": 1e300, "hi": 1e301, "n_cells": 16}},
+        ):
+            self.expect_one_error(runner, tmp_path, doc, "density places no mass on the grid range")
+
+
 def test_beta_density_overflow_exits_3(runner, tmp_path):
     # the beta(0.5, 2) pdf overflows the float range at subnormal points
     doc = {
