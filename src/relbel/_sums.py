@@ -6,14 +6,15 @@ error-free vector extraction of Rump, Ogita and Oishi ("Accurate
 floating-point summation, part I: Faithful rounding", SIAM J. Sci.
 Comput. 31(1), 2008), vectorized over the slices. It keeps a slice's
 rounded total only when it can show that it is the correctly rounded exact
-total, which is what ``math.fsum`` returns; a slice it cannot settle that
-way, a near-tie, gets an exact integer total from per-exponent buckets.
-Only non-finite values, out-of-range scales, overlong slices and zero
-totals go to ``math.fsum``. Smaller arrays go to ``math.fsum`` slice by
-slice: the kernel's fixed cost is a few dozen numpy calls (on one CPU of a shared
-2-vCPU host, about 0.1 ms for one slice of 4 to 4,096 values, where fsum
-takes 93 us at 2,048 values and 136 us at 3,072). Both routes give the
-same bits, so the crossover moves only time.
+total, which is what ``math.fsum`` returns. A slice it cannot settle that
+way takes the route its length would take on its own: ``math.fsum`` below
+``_CROSSOVER`` values, an exact integer total from per-exponent buckets at
+or above it. Non-finite values, out-of-range scales, overlong slices and
+zero totals go to ``math.fsum`` too. Smaller arrays go to ``math.fsum``
+slice by slice: the kernel's fixed cost is a few dozen numpy calls (on one
+CPU of a shared 2-vCPU host, about 0.1 ms for one slice of 4 to 4,096
+values, where fsum takes 93 us at 2,048 values and 136 us at 3,072). Every
+route gives the same bits, so the crossover moves only time.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import math
 import numpy as np
 
 _U = 2.0**-53  # unit roundoff of binary64 round-to-nearest
-# Below _TINY a second extraction's grid or error bound could underflow; at
-# or below _HUGE no partial sum of fsum or of the kernel can overflow.
+# At or above _TINY the extraction's error bound B stays a normal float, so
+# its rounding is relative; at or below _HUGE no partial sum of fsum or of
+# the kernel can overflow.
 _TINY = 2.0**-800
 _HUGE = 2.0**1020
 _CROSSOVER = 2048  # arrays with fewer values are summed slice by slice with math.fsum
@@ -94,20 +96,14 @@ def _extracted_sums(x: np.ndarray, axis: int) -> np.ndarray:
     monotone and that half gap is a float, so comparing the rounded
     ``|t| + B`` decides the exact inequality.
 
-    Second extraction. The remainders of a slice that does not certify fit
-    ``sigma' = 2**M u sigma`` by the same lemma, so one more pass over
-    those slices alone splits them into ``tau'`` and remainders totalled
-    in ``c'``. With ``tau + tau' = s + e`` by TwoSum, the same test runs on
-    ``s + fl(e + c')`` with ``sigma'`` in B, whose ``2 u |c|`` term also
-    covers the rounding of ``e + c'``. When every second remainder is zero
-    the exact total is ``tau + tau'`` and ``r`` is its correctly rounded
-    value, ties to even as in fsum: exact ties settle here.
-
-    Near-ties. A slice with a zero or unsettled ``r`` has an exact total
-    too close to a rounding midpoint (or to zero) for the bounds: telescoped
-    CDF masses land 1e-49 to 1e-114 from one. :func:`_bucket_total` totals
-    its values exactly as an integer times a power of two, and one int/int
-    division rounds that to the nearest float, ties to even, as fsum does.
+    Unsettled slices. A slice with a zero or uncertified ``r`` has an exact
+    total too close to a rounding midpoint (exact ties included) or to zero
+    for the bound: telescoped CDF masses land 1e-49 to 1e-114 from one.
+    Below ``_CROSSOVER`` values it goes to ``math.fsum``, which totals a
+    short slice in about a microsecond. At or above, :func:`_bucket_total`
+    totals its values exactly as an integer times a power of two, and one
+    int/int division rounds that to the nearest float, ties to even, as
+    fsum does.
 
     Fallback. Slices with a NaN or infinite value, ``sigma`` outside
     ``[_TINY, _HUGE]``, more than ``_MAX_N`` values or an exact total of
@@ -123,65 +119,48 @@ def _extracted_sums(x: np.ndarray, axis: int) -> np.ndarray:
     130 decades, where ``math.fsum`` takes 47 ms.
     """
     n, k = x.shape[axis], x.shape[1 - axis]
-    total = np.zeros(k)
-    if n == 0:
-        return total
+    if n == 0 or k == 0:
+        return np.zeros(k)
     m = (n + 1).bit_length()  # the least M with 2**M >= n + 2
     with np.errstate(all="ignore"):
         biggest = np.maximum(x.max(axis), -x.min(axis))
         sigma = np.ldexp(1.0, np.frexp(biggest)[1] + m)
+        tau, c, depth = _extract(x, axis, sigma)
+        total, t = _two_sum(tau, c)
+        bound = sigma * (2.0 * depth * n * _U * _U) + np.abs(c) * (2.0 * _U)
+        # every slice is extracted, but the lemma and the bound hold only for
+        # finite slices in range
         fallback = ~(np.isfinite(biggest) & (sigma >= _TINY) & (sigma <= _HUGE) & (n <= _MAX_N))
-        live, sigmas = np.flatnonzero(~fallback), [sigma]  # live: slices not yet settled
-        for _ in range(2):  # one extraction, then a second for the slices it left
-            if len(live) == 0:
-                break
-            part = x if len(live) == k else np.take(x, live, axis=1 - axis)
-            taus, c, exact, depth = _extract(part, axis, [s[live] for s in sigmas])
-            s, e = _two_sum(*taus) if len(taus) == 2 else (taus[0], 0.0)
-            c += e
-            r, t = _two_sum(s, c)
-            bound = sigmas[-1][live] * (2.0 * depth * n * _U * _U) + np.abs(c) * (2.0 * _U)
-            done = (r != 0.0) & (exact | _certified(r, t, bound))
-            total[live[done]] = r[done]
-            live = live[~done]
-            sigmas.append(sigmas[-1] * (2.0**m * _U))
-    for j in live.tolist():
-        exact = _bucket_total(x[:, j] if axis == 0 else x[j])
-        if exact:
-            total[j] = exact / (1 << (_EXP0 + 53))  # int / int rounds once, ties to even
-        else:
-            fallback[j] = True
-    for j in np.flatnonzero(fallback).tolist():
-        total[j] = math.fsum((x[:, j] if axis == 0 else x[j]).tolist())
+        settled = ~fallback & (total != 0.0) & _certified(total, t, bound)
+    for j in np.flatnonzero(~settled).tolist():
+        v = x[:, j] if axis == 0 else x[j]
+        exact = _bucket_total(v) if n >= _CROSSOVER and not fallback[j] else 0
+        # int / int rounds once, ties to even
+        total[j] = exact / (1 << (_EXP0 + 53)) if exact else math.fsum(v.tolist())
     return total
 
 
-def _extract(x: np.ndarray, axis: int, sigmas: list) -> tuple:
-    """Split every slice of ``x`` against each of ``sigmas`` in turn, block by block.
+def _extract(x: np.ndarray, axis: int, sigma: np.ndarray) -> tuple:
+    """Split every slice of ``x`` against its ``sigma``, block by block.
 
-    Returns each level's float total of extracted parts (exact), the float
-    total of the last remainders, whether all of those are zero (checked
-    from two levels on) and D, the most additions a remainder passes through.
+    Returns the float total of each slice's extracted parts (exact), the
+    float total of its remainders and D, the most additions a remainder
+    passes through.
     """
     rows = max(1, _BLOCK // x.shape[1])
     q = np.empty((min(rows, x.shape[0]), x.shape[1]))
     p = np.empty_like(q)
-    k = x.shape[1 - axis]
-    taus, c, exact = np.zeros((len(sigmas), k)), np.zeros(k), np.full(k, len(sigmas) > 1)
+    tau, c = np.zeros((2, x.shape[1 - axis]))
     for i in range(0, x.shape[0], rows):
         xb = x[i : i + rows]
         qb, pb = q[: len(xb)], p[: len(xb)]
         at = slice(None) if axis == 0 else slice(i, i + rows)
-        for tau, sigma in zip(taus, sigmas):
-            sigma = sigma if axis == 0 else sigma[at, None]
-            np.subtract(np.add(sigma, xb, out=qb), sigma, out=qb)
-            xb = np.subtract(xb, qb, out=pb)
-            tau[at] += qb.sum(axis)
-        c[at] += pb.sum(axis)
-        if len(sigmas) > 1:
-            exact[at] &= ~pb.any(axis)
+        s = sigma if axis == 0 else sigma[at, None]
+        np.subtract(np.add(s, xb, out=qb), s, out=qb)
+        tau[at] += qb.sum(axis)
+        c[at] += np.subtract(xb, qb, out=pb).sum(axis)
     n = x.shape[axis]
-    return taus, c, exact, (n if axis else min(rows, n) - 1 + -(-n // rows))
+    return tau, c, (n if axis else min(rows, n) - 1 + -(-n // rows))
 
 
 def _bucket_total(v: np.ndarray) -> int:

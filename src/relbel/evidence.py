@@ -258,13 +258,13 @@ def _level_search(descending: tuple, posterior: np.ndarray, gamma: float, strict
     level qualifies, the members are the values with posterior mass (``ratio > 0``).
 
     A probe first reads the float prefix sum ``c = content[i]`` of ``k``
-    non-negative terms, within ``e = 2 k u c + 2**-900`` of their exact total
-    ``S`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    section 4.2: the factor 2 covers rounding while ``k`` is far below
-    ``2**46``, the absolute term underflow). Rounding is monotone, so when
-    ``fl(c - e)`` and ``fl(c + e)`` agree on ``gamma``, so does ``fl(S)``;
-    otherwise the exact total of the prefix, the region's reported content,
-    decides.
+    non-negative terms, within ``e = 2 k u c + 2**-800`` (``_TINY``) of
+    their exact total ``S`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 4.2: the factor 2 covers rounding while
+    ``k`` is far below ``2**46``, the absolute term underflow). Rounding is
+    monotone, so when ``fl(c - e)`` and ``fl(c + e)`` agree on ``gamma``, so
+    does ``fl(S)``; otherwise the exact total of the prefix, the region's
+    reported content, decides.
     """
     levels, content, order, ends = descending
     reaches = float(gamma).__lt__ if strict else float(gamma).__le__  # s > gamma, s >= gamma

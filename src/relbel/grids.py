@@ -94,10 +94,15 @@ class GriddedDistribution:
 
 def build_grid(lo: float, hi: float, n_cells: int) -> Grid1D:
     # the width is not finite if lo or hi is not, or if it overflows
-    if not math.isfinite(float(hi) - float(lo)) or lo >= hi:
+    width = float(hi) - float(lo)
+    if not math.isfinite(width) or lo >= hi:
         raise BadRangeError(f"need lo < hi and a finite width hi - lo, got [{lo}, {hi}]")
     if n_cells < 1:
         raise ZeroCellsError(f"n_cells must be >= 1, got {n_cells}")
+    # the edges offset lo by the width times each cell index; a count too large to
+    # be a float is far past the cell cap, which rejects it before any edge is laid
+    if n_cells < 2**1023 and not math.isfinite(width * n_cells):
+        raise BadRangeError(f"the edges of [{lo}, {hi}) in {n_cells} cells pass the float range")
     return Grid1D(float(lo), float(hi), int(n_cells))
 
 
@@ -114,7 +119,7 @@ def refine(grid: Grid1D, factor: int) -> Grid1D:
     """Same range, ``factor`` times as many cells; old cells nest exactly."""
     if int(factor) != factor or factor < 2:
         raise ValidationError(f"refinement factor must be an integer >= 2, got {factor}")
-    return Grid1D(grid.lo, grid.hi, grid.n_cells * int(factor))
+    return build_grid(grid.lo, grid.hi, grid.n_cells * int(factor))
 
 
 def discretize(density: Callable[[np.ndarray], np.ndarray], grid: Grid1D) -> GriddedDistribution:
@@ -170,7 +175,13 @@ def _cell_masses(grid: Grid1D, values: np.ndarray, warn_tail: bool) -> GriddedDi
     """Normalized cell masses from the density values at the nodes of ``grid``."""
     if np.any(values < 0):
         raise NegativeDensityError("density evaluated negative on the grid")
-    return _normalize(grid, values.mean(axis=1) * grid.cell_width, warn_tail)
+    with np.errstate(over="ignore"):
+        means = values.sum(axis=1) / NODES_PER_CELL  # the bits of values.mean(axis=1)
+    # where finite node values total past the float range, total their eighths
+    # instead: dividing values that large by NODES_PER_CELL is exact
+    far = np.isinf(means)
+    means[far] = (values[far] / NODES_PER_CELL).sum(axis=1)
+    return _normalize(grid, means * grid.cell_width, warn_tail)
 
 
 def _normalize(grid: Grid1D, raw: np.ndarray, warn_tail: bool) -> GriddedDistribution:

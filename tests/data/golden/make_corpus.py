@@ -31,10 +31,11 @@ likelihoods tie, pin how each reads the tie. Two runs at gamma 1, an
 posterior mass rounds away in the total. A model document with masses given
 as strings and a bool, one with a misspelt psi block, and a grid ladder whose
 best evidence cell's ratio overflows pin how each is read. A uniform prior
-narrower than its grid runs ``limits region`` and ``limits lambda``. Gridded
-inputs past the float range (a lognormal ``exp(mu)`` that overflows or is 0, a
-grid width that overflows, node values that overflow) pin their one ``error:``
-line.
+narrower than its grid runs ``limits region`` and ``limits lambda``, and so
+does one whose node values total past the float range. Gridded inputs past the
+float range (a lognormal ``exp(mu)`` that overflows or is 0, a grid width or
+last edge offset that overflows, node values that overflow) pin their one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -359,12 +360,18 @@ def _cases() -> list[dict]:
         "gamma": 0.9,
         "refine_factor": 4,
     }
+    # a uniform(0, 1e-308) prior on its own support: each node's pdf is 1e308, so a
+    # cell's node values total past the float range, though every cell mass is 0.25
+    narrow = {**uniform, "prior": {"family": "uniform", "a": 0.0, "b": 1e-308},
+              "grid": {"lo": 0.0, "hi": 1e-308, "n_cells": 4}}
     (HERE / "limits_uniform.json").write_text(json.dumps(uniform, indent=2) + "\n")
-    for experiment in ("region", "lambda"):
-        cases.append({
-            "name": f"limits-{experiment}-uniform",
-            "args": ["limits", experiment, "--config", "limits_uniform.json", "--precision", "full"],
-        })
+    (HERE / "limits_uniform_narrow.json").write_text(json.dumps(narrow, indent=2) + "\n")
+    for name in ("uniform", "uniform_narrow"):
+        for experiment in ("region", "lambda"):
+            cases.append({
+                "name": f"limits-{experiment}-{name.replace('_', '-')}",
+                "args": ["limits", experiment, "--config", f"limits_{name}.json", "--precision", "full"],
+            })
 
     # a normal prior, and a beta prior on its own support; each sandwich at 4 caps per grid
     configs = {
@@ -470,6 +477,8 @@ def _cases() -> list[dict]:
             for name, mu in (("lognormal_mu800", 800.0), ("lognormal_mu_minus800", -800.0))
         },
         "grid_width_overflow": {**normal, "grid": {"lo": -1e308, "hi": 1e308, "n_cells": 64}},
+        # the width is finite, but the last edge's offset, the width times 32, is not
+        "grid_edges_overflow": {**normal, "grid": {"lo": -8e307, "hi": 6.0, "n_cells": 32}},
         "likelihood_x_overflow": {**normal, "likelihood": {**normal["likelihood"], "x": 1e308}},
         "likelihood_sigma2_subnormal": {
             **normal, "likelihood": {**normal["likelihood"], "sigma2": 1e-320}

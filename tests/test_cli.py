@@ -657,6 +657,14 @@ class TestGriddedInputsPastTheFloatRange:
         message = "need lo < hi and a finite width hi - lo, got [-1e+308, 1e+308]"
         self.expect_one_error(runner, tmp_path, doc, message)
 
+    def test_grid_edges_past_the_float_range(self, runner, tmp_path):
+        # a finite width whose cells, on the base grid or on the second ladder grid,
+        # offset the last edge past the float range
+        for lo, n_cells, overflowing in ((-8e307, 32, 32), (-5e306, 32, 64)):
+            doc = {**GRID_CONFIG, "grid": {"lo": lo, "hi": 0.0, "n_cells": n_cells}}
+            message = f"the edges of [{lo}, 0.0) in {overflowing} cells pass the float range"
+            self.expect_one_error(runner, tmp_path, doc, message)
+
     def test_node_values_that_overflow_take_their_limit(self, runner, tmp_path):
         # each overflows to inf inside an exponent, where exp(-inf) is 0 at every node
         g = GRID_CONFIG

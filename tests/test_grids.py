@@ -13,11 +13,13 @@ from relbel.errors import (
     BadRangeError,
     DensityOverflowError,
     NegativeDensityError,
+    TooManyCellsError,
     ValidationError,
     ZeroCellsError,
 )
 from relbel.grids import (
     build_grid,
+    capped,
     _normalize,
     discretize,
     discretize_joint,
@@ -51,7 +53,23 @@ class TestBuildGrid:
         for lo, hi in ((-1e308, 1e308), (-(10**308), 10**308)):
             with pytest.raises(BadRangeError, match="finite width"):
                 build_grid(lo, hi, 64)
-        assert build_grid(-1e308, 0.0, 64).cell_width == 1e308 / 64
+        # a width near the top of the range, whose 64 cells keep every edge a float
+        assert build_grid(-(2.0**1017), 0.0, 64).cell_width == 2.0**1011
+
+    def test_edges_must_stay_finite(self):
+        # the width 8e307 is finite, but the last edge's offset, the width times 32, is not
+        with pytest.raises(BadRangeError, match="pass the float range"):
+            build_grid(-8e307, 6.0, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isfinite(build_grid(-8e307, 6.0, 2).edges).all()
+        # a ladder step that doubles the cells past the float range is caught as well
+        base = build_grid(-5e306, 0.0, 32)
+        with pytest.raises(BadRangeError, match="pass the float range"):
+            refine(base, 2)
+        # a count too large for a float meets the cell cap instead
+        with pytest.raises(TooManyCellsError, match="more than the cap"):
+            capped(build_grid(-1.0, 1.0, 10**400), "the grid")
 
     def test_refine_factor_three_nests(self):
         g = build_grid(0, 1, 4)
@@ -99,6 +117,15 @@ class TestDiscretize:
                 discretize_joint(np.ones_like, lambda p: np.exp(-0.5 * (1e308 - p) ** 2), g)
             with pytest.raises(ValidationError, match="not finite"):
                 discretize(lambda p: np.full_like(p, 1e308) * 10.0, g)
+
+    def test_node_values_totalling_past_the_float_range(self):
+        # a uniform(0, 1e-308) pdf is 1e308 at every node: eight of them total past
+        # the float range, but each of the four cells holds a quarter of the mass
+        pdf = family("uniform", a=0.0, b=1e-308).pdf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            gd = discretize(pdf, build_grid(0.0, 1e-308, 4))
+        assert gd.masses.tolist() == [0.25] * 4
 
     def test_density_overflow_is_a_numerical_guard(self):
         # the beta(0.5, 2) pdf overflows at subnormal points; family() keeps scipy's error

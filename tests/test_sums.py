@@ -161,6 +161,16 @@ class TestMatchesFsum:
         check_all_axes(a)
 
 
+@pytest.fixture
+def routes(monkeypatch):
+    """The lengths of the slices that reach ``math.fsum`` and ``_bucket_total``, and fsum itself."""
+    calls, fsum = [], math.fsum
+    monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(len(v)) or fsum(v))
+    bucketed, bucket_total = [], sums_mod._bucket_total
+    monkeypatch.setattr(sums_mod, "_bucket_total", lambda v: bucketed.append(v.size) or bucket_total(v))
+    return calls, bucketed, fsum
+
+
 class TestKnownCases:
     def test_midpoint_under_a_power_of_two(self):
         # the exact total is just below 1 - 2**-54, so it rounds down to 1 - 2**-53;
@@ -200,7 +210,6 @@ class TestKnownCases:
         monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v))
         got = fsums(rows, axis=1)
         assert got.tobytes() == np.array(expected).tobytes()
-        # the exact ties among them settle at the second extraction
         assert calls == []
 
     @pytest.mark.parametrize("layout", [column_sums, row_sums])
@@ -212,16 +221,38 @@ class TestKnownCases:
         assert float(layout(a)) == math.fsum(a.tolist()) == 1.0 + 2.0**-52
 
     @pytest.mark.parametrize("layout", [column_sums, row_sums])
-    def test_exact_ties_settle_without_fsum(self, monkeypatch, layout):
-        # each total lies exactly halfway between two floats and rounds to the even one
+    def test_exact_ties_take_the_route_of_their_length(self, routes, layout):
+        # each total lies exactly halfway between two floats and rounds to the even one;
+        # no bound certifies a tie, so a slice below the crossover goes to fsum and a
+        # slice at or above it to the buckets, zeros padding it to length
+        calls, bucketed, fsum = routes
         cases = [[1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [-1.0, -(2.0**-53)]]
-        expected = [math.fsum(c) for c in cases]
+        expected = [fsum(c) for c in cases]
         assert expected == [1.0, 1.0 + 2.0**-51, -1.0]
-        calls, fsum = [], math.fsum
-        monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v))
-        got = layout(np.array(cases).T)
-        assert got.tobytes() == np.array(expected).tobytes()
-        assert calls == []
+        for n in (2, _CROSSOVER - 1, _CROSSOVER):
+            a = np.zeros((n, len(cases)))
+            a[:2] = np.array(cases).T
+            assert layout(a).tobytes() == np.array(expected).tobytes()
+        assert calls == [2] * 3 + [_CROSSOVER - 1] * 3
+        assert bucketed == [_CROSSOVER] * 3
+
+    @pytest.mark.parametrize("layout", [column_sums, row_sums])
+    def test_one_extraction_per_call(self, monkeypatch, routes, layout):
+        # a certified slice, an exact tie, a NaN and a zero total: one extraction of
+        # all four settles the first, and fsum takes the other three
+        calls, bucketed, fsum = routes
+        extracted, extract = [], sums_mod._extract
+        monkeypatch.setattr(sums_mod, "_extract", lambda x, *rest: extracted.append(x.size) or extract(x, *rest))
+        a = np.zeros((40, 4))
+        a[:, 0] = np.arange(1.0, 41.0) / 7.0
+        a[:2, 1] = [1.0, 2.0**-53]
+        a[5, 2] = math.nan
+        got = layout(a)
+        expected = [fsum(c) for c in a.T.tolist()]
+        assert got[[0, 1, 3]].tobytes() == np.array(expected)[[0, 1, 3]].tobytes()
+        assert math.isnan(got[2])
+        assert extracted == [a.size]
+        assert calls == [40] * 3 and bucketed == []
 
     def test_intermediate_overflow_raises(self):
         for total in SUMMERS:
@@ -316,15 +347,7 @@ def telescoped_cdf_masses(mu: float, sigma2: float, half_width: float) -> np.nda
 
 
 class TestNearTies:
-    """Slices the two extractions leave unsettled get exact totals from integer mantissas."""
-
-    @pytest.fixture
-    def routes(self, monkeypatch):
-        calls, fsum = [], math.fsum
-        monkeypatch.setattr(sums_mod.math, "fsum", lambda v: calls.append(len(v)) or fsum(v))
-        bucketed, bucket_total = [], sums_mod._bucket_total
-        monkeypatch.setattr(sums_mod, "_bucket_total", lambda v: bucketed.append(v.size) or bucket_total(v))
-        return calls, bucketed, fsum
+    """Slices the extraction leaves unsettled: fsum below the crossover, integer mantissas at or above."""
 
     # normal cell masses far off the grid's centre, down to about 1e-135, whose
     # exact totals lie 1e-49 to 1e-114 from a rounding midpoint: (mu, sigma2,
@@ -360,16 +383,27 @@ class TestNearTies:
         st.sampled_from([column_sums, row_sums]),
         st.sampled_from([1, 3, sums_mod._BLOCK]),
     )
-    def test_telescoped_differences_total_without_fsum(self, cdf, layout, block):
+    def test_telescoped_differences_take_the_route_of_their_length(self, cdf, layout, block):
         # differences of sorted floats from 0 to 1, as CDF masses are: each rounds
-        # once, so the exact total misses 1 by a sum of tiny rounding errors
-        calls, fsum = [], math.fsum
+        # once, so the exact total misses 1 by a sum of tiny rounding errors; zeros
+        # pad the slice to the crossover, where an unsettled slice meets the buckets
         masses = np.diff(np.sort(np.array([0.0, 1.0, *cdf])))
-        with mock.patch.object(sums_mod.math, "fsum", lambda v: calls.append(v) or fsum(v)):
-            with mock.patch.object(sums_mod, "_BLOCK", block):
-                got = float(layout(masses))
-        assert got.hex() == math.fsum(masses.tolist()).hex()
-        assert calls == []
+        expected = math.fsum(masses.tolist()).hex()
+        for n in (masses.size, _CROSSOVER):
+            calls, bucketed, fsum, bucket_total = [], [], math.fsum, sums_mod._bucket_total
+            padded = np.zeros(n)
+            padded[: masses.size] = masses
+            with (
+                mock.patch.object(sums_mod.math, "fsum", lambda v: calls.append(len(v)) or fsum(v)),
+                mock.patch.object(
+                    sums_mod, "_bucket_total", lambda v: bucketed.append(v.size) or bucket_total(v)
+                ),
+                mock.patch.object(sums_mod, "_BLOCK", block),
+            ):
+                got = float(layout(padded))
+            assert got.hex() == expected
+            taken, other = (calls, bucketed) if n < _CROSSOVER else (bucketed, calls)
+            assert taken in ([], [n]) and other == []
 
     @settings(max_examples=200, deadline=None)
     @given(
