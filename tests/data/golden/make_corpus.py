@@ -23,7 +23,8 @@ Inputs that once ran with a field ignored (an empty design file, ``--eta``
 under another loss, zero ladder steps, a misspelt prior or likelihood
 parameter or top-level key) pin their one ``error:`` line, and so does an eta ladder halved
 past the float range; a grid that cuts off prior tail mass pins its
-``warning:`` lines. One ``evidence`` gamma sits where a level's float prefix
+``warning:`` lines, and with a likelihood past the float range pins its
+warning before its ``error:`` line. One ``evidence`` gamma sits where a level's float prefix
 sum and its exact total differ by an ulp. A sandwich table whose next region
 adds mass below half an ulp, and a ``classify known`` run whose two class
 likelihoods tie, pin how each reads the tie. Two runs at gamma 1, an
@@ -492,6 +493,15 @@ def _cases() -> list[dict]:
         cases.append({
             "name": f"limits-lambda-{name.replace('_', '-')}",
             "args": ["limits", "lambda", "--config", path, "--precision", "full"],
+        })
+    # the tail grid with a likelihood past the float range: the prior's tail warning
+    # comes first, then the joint's error
+    tail_error = {**ignored["tail"], "likelihood": past_range["likelihood_x_overflow"]["likelihood"]}
+    (HERE / "limits_tail_x_overflow.json").write_text(json.dumps(tail_error, indent=2) + "\n")
+    for experiment in ("lambda", "region"):
+        cases.append({
+            "name": f"limits-{experiment}-tail-x-overflow",
+            "args": ["limits", experiment, "--config", "limits_tail_x_overflow.json", "--precision", "full"],
         })
     return cases
 
