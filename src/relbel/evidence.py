@@ -31,7 +31,6 @@ from .errors import (
     ValidationError,
     ZeroPriorPositivePosteriorError,
 )
-from .grids import GriddedDistribution
 from .model import FiniteModel, PsiMap, _unit_total, identity_psi, posterior, psi_marginal
 
 
@@ -178,10 +177,13 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
     )
 
 
-def table_from_gridded(
-    prior_gd: GriddedDistribution, posterior_gd: GriddedDistribution
-) -> EvidenceTable:
-    """Evidence table over grid cells, labeled by cell midpoints."""
+def table_from_gridded(prior_gd, posterior_gd) -> EvidenceTable:
+    """Evidence table over grid cells, labeled by cell midpoints.
+
+    ``prior_gd`` and ``posterior_gd`` are :class:`relbel.grids.GriddedDistribution`
+    masses on one grid; only their ``grid`` and ``masses`` are read, so this
+    module does not import :mod:`relbel.grids`.
+    """
     if prior_gd.grid is not posterior_gd.grid and (
         prior_gd.grid.lo != posterior_gd.grid.lo
         or prior_gd.grid.hi != posterior_gd.grid.hi

@@ -129,7 +129,9 @@ def discretize(density: Callable[[np.ndarray], np.ndarray], grid: Grid1D) -> Gri
     ``NODES_PER_CELL`` midpoint nodes per cell. ``tail_mass`` is 1 minus the
     pre-normalization total, and a warning fires above ``TAIL_WARN``.
     """
-    return _cell_masses(grid, _at_nodes(density, _nodes(grid), grid), warn_tail=True)
+    gd = _cell_masses(grid, _at_nodes(density, _nodes(grid), grid))
+    _warn_tail(grid, gd.tail_mass)
+    return gd
 
 
 def discretize_joint(
@@ -140,13 +142,16 @@ def discretize_joint(
     Each callable is evaluated once, on the node array of :func:`discretize`,
     and the joint multiplies the two value arrays, so the masses are bitwise
     ``discretize(prior_density)`` and ``discretize(prior_density * likelihood_at_x)``.
-    Only the prior warns about its tail: the joint integrates to m(x), not 1.
+    Only the prior warns about its tail (the joint integrates to m(x), not 1),
+    and it warns before the likelihood is evaluated.
     """
     nodes = _nodes(grid)
     prior_values = _at_nodes(prior_density, nodes, grid)
-    prior = _cell_masses(grid, prior_values, warn_tail=True)
+    prior = _cell_masses(grid, prior_values)
+    # before the likelihood runs, so the warning precedes any error of the joint
+    _warn_tail(grid, prior.tail_mass)
     joint_values = prior_values * _at_nodes(likelihood_at_x, nodes, grid)
-    return prior, _cell_masses(grid, joint_values, warn_tail=False)
+    return prior, _cell_masses(grid, joint_values)
 
 
 def _nodes(grid: Grid1D) -> np.ndarray:
@@ -171,7 +176,7 @@ def _at_nodes(fn: Callable, nodes: np.ndarray, grid: Grid1D) -> np.ndarray:
         ) from None
 
 
-def _cell_masses(grid: Grid1D, values: np.ndarray, warn_tail: bool) -> GriddedDistribution:
+def _cell_masses(grid: Grid1D, values: np.ndarray) -> GriddedDistribution:
     """Normalized cell masses from the density values at the nodes of ``grid``."""
     if np.any(values < 0):
         raise NegativeDensityError("density evaluated negative on the grid")
@@ -181,22 +186,20 @@ def _cell_masses(grid: Grid1D, values: np.ndarray, warn_tail: bool) -> GriddedDi
     # instead: dividing values that large by NODES_PER_CELL is exact
     far = np.isinf(means)
     means[far] = (values[far] / NODES_PER_CELL).sum(axis=1)
-    return _normalize(grid, means * grid.cell_width, warn_tail)
+    return _normalize(grid, means * grid.cell_width)
 
 
-def _normalize(grid: Grid1D, raw: np.ndarray, warn_tail: bool) -> GriddedDistribution:
+def _normalize(grid: Grid1D, raw: np.ndarray) -> GriddedDistribution:
+    """Masses ``raw`` over their total, with ``tail_mass`` 1 minus that total; never warns."""
     # NaN passes every sign and total check below, so reject it first
     if not np.all(np.isfinite(raw)):
         raise ValidationError("density is not finite on the grid")
     total = float(fsums(raw))
     if total <= 0.0:
         raise AllZeroMassError("density places no mass on the grid range")
-    tail = 1.0 - total
-    if warn_tail:
-        _warn_tail(grid, tail)
     masses = raw / total
     masses.setflags(write=False)
-    return GriddedDistribution(grid=grid, masses=masses, tail_mass=tail)
+    return GriddedDistribution(grid=grid, masses=masses, tail_mass=1.0 - total)
 
 
 def _warn_tail(grid: Grid1D, tail: float) -> None:
@@ -230,7 +233,7 @@ def normal_masses(mu: float, sigma2: float, grid: Grid1D) -> GriddedDistribution
     z = (grid.edges - mu) / math.sqrt(sigma2)
     k = int(np.count_nonzero(grid.midpoints <= mu))
     raw = np.concatenate((np.diff(ndtr(z[: k + 1])), -np.diff(ndtr(-z[k:]))))
-    return _normalize(grid, np.clip(raw, 0.0, None), warn_tail=False)
+    return _normalize(grid, np.clip(raw, 0.0, None))
 
 
 def masses_from_cdf(cdf: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ action or credible region moves toward its evidence-based limit:
 
 The grid experiments share one evidence table per grid: whichever asks
 first discretizes the grid with :func:`grids.discretize_joint` and tables
-its masses, and every later one reads that table and its cached order.
+the prior and joint masses with :func:`evidence.table_from_gridded`, and
+every later one reads that table and its cached order.
 Running all four on one ladder with the same two callables costs one
 evaluation of each per grid. A grid keeps the table of one (prior density,
 likelihood) pair at a time, known by the identity of the two callables,
@@ -52,6 +53,7 @@ from .evidence import (
     credible_region,
     rb_estimate,
     rb_table,
+    table_from_gridded,
     table_from_model,
 )
 from .grids import CELL_CAP  # noqa: F401  (re-exported: the cap every ladder grid meets)
@@ -184,8 +186,7 @@ def _grid_table(prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D
         _warn_tail(grid, found[3])
         return found[2]
     prior, joint = discretize_joint(prior_density, likelihood_at_x, grid)
-    # table_from_gridded's table, from masses: a GriddedDistribution would refer to the grid
-    table = rb_table(prior.masses, joint.masses, labels=grid.midpoints)
+    table = table_from_gridded(prior, joint)
     _TABLES[grid] = (prior_density, likelihood_at_x, table, prior.tail_mass)
     return table
 
@@ -410,7 +411,7 @@ def invariance_demo(
         raise ValidationError("transform must be strictly increasing on the grid")
 
     def cell_masses(cdf: Callable, e: np.ndarray) -> np.ndarray:
-        return _normalize(grid, masses_from_cdf(cdf, e), warn_tail=False).masses
+        return _normalize(grid, masses_from_cdf(cdf, e)).masses
 
     prior_m, post_m = cell_masses(prior_cdf, edges), cell_masses(post_cdf, edges)
     prior_mi = cell_masses(prior_cdf_image, image_edges)

@@ -677,6 +677,97 @@ class TestGriddedInputsPastTheFloatRange:
             self.expect_one_error(runner, tmp_path, doc, "density places no mass on the grid range")
 
 
+# floats at the edges of the range (the largest, the subnormals, the last normal,
+# where exp overflows and underflows, both zeros), each beside its two neighbours
+FLOAT_EDGES = tuple({
+    repr(v): v
+    for edge in (1e308, -1e308, 5e-324, -5e-324, 1e-320, 2.2e-308, 709.8, -745.2, 1e300, -1e300,
+                 0.0, -0.0)
+    for v in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))
+}.values())
+# a working config per density family, with the fields of its prior
+FAMILY_CONFIGS = {
+    "normal": (GRID_CONFIG, ("mu", "sigma2")),
+    "beta": ({
+        **GRID_CONFIG,
+        "prior": {"family": "beta", "alpha": 3.0, "beta": 2.0},
+        "likelihood": {"kind": "normal-location", "x": 0.4, "sigma2": 0.02},
+        "grid": {"lo": 0.0, "hi": 1.0, "n_cells": 16},
+    }, ("alpha", "beta")),
+    "lognormal": ({
+        **GRID_CONFIG,
+        "prior": {"family": "lognormal", "mu": 0.1, "sigma2": 0.3},
+        "likelihood": {"kind": "normal-location-log", "x": 0.6, "sigma2": 0.5},
+        "grid": {"lo": 0.0, "hi": 5.0, "n_cells": 16},
+    }, ("mu", "sigma2")),
+    "uniform": ({
+        **GRID_CONFIG,
+        "prior": {"family": "uniform", "a": -1.0, "b": 2.0},
+        "grid": {"lo": -2.0, "hi": 3.0, "n_cells": 16},
+    }, ("a", "b")),
+}
+
+
+@st.composite
+def gridded_float_edges(draw):
+    """A family's working config with one or two numeric fields set to a float edge."""
+    config, params = FAMILY_CONFIGS[draw(st.sampled_from(sorted(FAMILY_CONFIGS)))]
+    doc = json.loads(json.dumps({**config, "target": 1.0}))
+    fields = [("prior", p) for p in params] + [
+        ("likelihood", "x"), ("likelihood", "sigma2"), ("grid", "lo"), ("grid", "hi"),
+        ("gamma",), ("target",),
+    ]
+    for *block, key in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2, unique=True)):
+        (doc[block[0]] if block else doc)[key] = draw(st.sampled_from(FLOAT_EDGES))
+    return doc
+
+
+@st.composite
+def table_float_edges(draw):
+    """A table config whose fourth value has float-edge masses; up to two other
+    entries, and gamma, may be float edges too."""
+    edges = st.sampled_from(FLOAT_EDGES)
+    prior, posterior = [0.25, 0.25, 0.5, draw(edges)], [0.5, 0.25, 0.25, draw(edges)]
+    for masses in draw(st.lists(st.sampled_from([prior, posterior]), max_size=2)):
+        masses[draw(st.integers(0, 3))] = draw(edges)
+    gamma = draw(st.sampled_from([0.9, 1.0]) | edges)
+    return {"table": {"prior": prior, "posterior": posterior}, "gamma": gamma, "eta_steps": 4}
+
+
+class TestGriddedFloatRange:
+    """Numeric fields at the edges of the float range end in exit 0, or in exit 2 or 3
+    with one ``error:`` line and no output, never in a numpy warning or a traceback."""
+
+    def expect_clean_exit(self, runner, tmp_path, experiment, doc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # a grid that cuts off prior tail mass warns by design
+            warnings.filterwarnings("ignore", ".*of the distribution lies outside", UserWarning)
+            res = invoke_limits(runner, tmp_path, experiment, doc)
+        assert res.exit_code in (0, 2, 3), (experiment, doc, res.exception, res.output)
+        if res.exit_code:
+            assert res.stdout == "", (experiment, doc)
+            assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, (
+                experiment, doc, res.stderr
+            )
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(doc=gridded_float_edges())
+    def test_gridded_experiments(self, runner, tmp_path, doc):
+        for experiment in ("lambda", "map", "region", "sandwich"):
+            self.expect_clean_exit(runner, tmp_path, experiment, doc)
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(doc=table_float_edges())
+    def test_table_experiments(self, runner, tmp_path, doc):
+        for experiment in ("eta", "sandwich"):
+            self.expect_clean_exit(runner, tmp_path, experiment, doc)
+
+
 def test_beta_density_overflow_exits_3(runner, tmp_path):
     # the beta(0.5, 2) pdf overflows the float range at subnormal points
     doc = {
@@ -1050,9 +1141,9 @@ def test_cli_imports_no_scipy():
 # plus the layers the command runs and what those import
 CLI_BASE = {"relbel", "relbel.errors", "relbel.cli"}
 WITH_MODEL = CLI_BASE | {"relbel._sums", "relbel.model"}
-WITH_EVIDENCE = WITH_MODEL | {"relbel.grids", "relbel.evidence"}
+WITH_EVIDENCE = WITH_MODEL | {"relbel.evidence"}
 WITH_DECISION = WITH_EVIDENCE | {"relbel.decision"}
-WITH_LIMITS = WITH_DECISION | {"relbel.limits"}
+WITH_LIMITS = WITH_DECISION | {"relbel.grids", "relbel.limits"}
 WITH_CLASSIFY = CLI_BASE | {"relbel._sums", "relbel.classify"}
 
 
@@ -1095,7 +1186,7 @@ def test_finite_commands_load_no_scipy(tmp_path, model_file):
           "--f0", "0.1", "--f1", "0.3"], WITH_CLASSIFY, False),
         (["regress", "--design", str(tmp_path / "X.csv"), "--response", str(tmp_path / "y.csv"),
           "--sigma2", "1", "--tau2", "1", "--w", str(tmp_path / "w.csv"), "--grid-check", "64"],
-         WITH_EVIDENCE | {"relbel.regress"}, True),
+         WITH_EVIDENCE | {"relbel.grids", "relbel.regress"}, True),
         (["limits", "region", "--config", str(normal)], WITH_LIMITS, False),
         (["limits", "region", "--config", str(beta)], WITH_LIMITS, True),
     ]
@@ -1117,6 +1208,14 @@ def test_import_relbel_loads_no_layer():
     out = fresh_python("-c", "import sys, relbel; print(sorted(m for m in sys.modules if 'relbel' in m))")
     assert out.returncode == 0, out.stderr
     assert out.stdout == "['relbel', 'relbel.errors']\n"
+
+
+def test_decision_loads_no_grid_code():
+    # the finite layers run no discretization, so importing them loads no relbel.grids
+    code = "import sys, relbel.decision; print(sorted(m for m in sys.modules if 'relbel' in m))"
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{sorted(WITH_DECISION - {'relbel.cli'})}\n"
 
 
 def test_layers_load_on_attribute_access():

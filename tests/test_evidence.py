@@ -271,9 +271,9 @@ class TestGridTables:
         # strictly monotone map of the cells transports masses exactly, so
         # rb per cell is unchanged while cell shapes are not
         grid = build_grid(-5, 5, 200)
-        prior = _normalize(grid, masses_from_cdf(stats.norm(0, 1).cdf, grid.edges), warn_tail=None)
+        prior = _normalize(grid, masses_from_cdf(stats.norm(0, 1).cdf, grid.edges))
         post = _normalize(
-            grid, masses_from_cdf(stats.norm(0.75, math.sqrt(0.5)).cdf, grid.edges), warn_tail=None
+            grid, masses_from_cdf(stats.norm(0.75, math.sqrt(0.5)).cdf, grid.edges)
         )
         t = table_from_gridded(prior, post)
         edges = grid.edges
@@ -494,8 +494,8 @@ class TestOneDescendingOrder:
 
     def test_read_only_inputs_are_shared_and_writable_ones_copied(self):
         grid = build_grid(-4.0, 4.0, 64)
-        prior = _normalize(grid, masses_from_cdf(stats.norm(0, 1).cdf, grid.edges), warn_tail=False)
-        post = _normalize(grid, masses_from_cdf(stats.norm(1, 0.5).cdf, grid.edges), warn_tail=False)
+        prior = _normalize(grid, masses_from_cdf(stats.norm(0, 1).cdf, grid.edges))
+        post = _normalize(grid, masses_from_cdf(stats.norm(1, 0.5).cdf, grid.edges))
         t = table_from_gridded(prior, post)
         assert t.prior is prior.masses and t.posterior is post.masses and t.labels is grid.midpoints
         # the caller's writable arrays stay writable, and the table keeps copies
