@@ -27,9 +27,10 @@ past the float range; a grid that cuts off prior tail mass pins its
 warning before its ``error:`` line. One ``evidence`` gamma sits where a level's float prefix
 sum and its exact total differ by an ulp. A sandwich table whose next region
 adds mass below half an ulp, and a ``classify known`` run whose two class
-likelihoods tie, pin how each reads the tie. Two runs at gamma 1, an
-``evidence`` table and a ``limits region`` grid, each have values whose
-posterior mass rounds away in the total. A model document with masses given
+likelihoods tie, pin how each reads the tie. Three runs at gamma 1, an
+``evidence`` table, a ``limits region`` grid and a ``limits sandwich`` table
+whose content rounds below 1, each have values whose posterior mass rounds
+away in the total. A model document with masses given
 as strings and a bool, one with a misspelt psi block, and a grid ladder whose
 best evidence cell's ratio overflows pin how each is read. A uniform prior
 narrower than its grid runs ``limits region`` and ``limits lambda``, and so
@@ -312,6 +313,14 @@ def _cases() -> list[dict]:
     cases.append({
         "name": "limits-sandwich-roundoff",
         "args": ["limits", "sandwich", "--config", "sandwich_roundoff.json", "--precision", "full"],
+    })
+    # gamma 1 above the table's content, which rounds below 1: no level reaches gamma,
+    # and the region of every value has the content of the region without the first
+    gamma_one = {"table": {"prior": [0.5, 0.5], "posterior": [1e-20, 0.9999999999999999]}, "gamma": 1.0}
+    (HERE / "sandwich_gamma_one.json").write_text(json.dumps(gamma_one, indent=2) + "\n")
+    cases.append({
+        "name": "limits-sandwich-gamma-one",
+        "args": ["limits", "sandwich", "--config", "sandwich_gamma_one.json", "--precision", "full"],
     })
     # 1,100 halvings of the largest prior mass 0.5 leave the float range
     underflow = {
