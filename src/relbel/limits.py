@@ -324,18 +324,23 @@ class SandwichReport:
 def lpl_sandwich(t: EvidenceTable, gamma: float, eta_ladder=None) -> SandwichReport:
     """Check the region sandwich on one finite (or truncated) evidence table.
 
-    The lower credible region is the ``sup-geq`` region at ``gamma``, with
-    exact content ``gamma_used``, so it is ``credible_region(t, gamma_used)``
-    too. The upper one is the region at the next float above ``gamma_used``,
-    with ``gamma_next`` its exact content, or ``None`` (and the lower region
-    again) when that content is not above ``gamma_used``: the region adds no
-    value, or its added mass rounds away. The lowest-posterior-loss region at
+    ``gamma_used`` is the exact content of the ``sup-geq`` region at
+    ``gamma``, and the lower credible region is ``credible_region(t,
+    gamma_used)``. That is the region at ``gamma`` itself when some level's
+    content reaches ``gamma``; when none does (``gamma`` 1, say, and a table
+    whose content rounds below 1), it is the least region with the whole
+    table's content. The upper one is the region at the next float above
+    ``gamma_used``, with ``gamma_next`` its exact content, or ``None`` (and
+    the lower region again) when that content is not above ``gamma_used``:
+    the region adds no value, or its added mass rounds away. The lowest-posterior-loss region at
     ``gamma_used`` under the capped loss must contain the lower region and
     sit inside the upper one once the cap is small; below the least prior
     mass the capped loss is the ``rb`` loss, and it is the lower region.
     """
     lower = credible_region(t, gamma)
     gamma_used = lower.posterior_content
+    if gamma_used < gamma:  # no level reaches gamma: drop the values whose mass rounds away
+        lower = credible_region(t, gamma_used)
     upper = _superlevel_region(t.rb, t.descending, t.posterior, math.nextafter(gamma_used, math.inf))
     gamma_next = upper.posterior_content if upper.posterior_content > gamma_used else None
     lower, upper = lower.members, (lower if gamma_next is None else upper).members

@@ -627,6 +627,15 @@ class TestSandwich:
         assert rep.gamma_used == 1.0 and rep.gamma_next is None
         assert rep.upper_region.tolist() == rep.lower_region.tolist() == [0]
 
+    def test_gamma_above_the_table_content_drops_mass_that_rounds_away(self):
+        # the content rounds below 1, so no level reaches gamma 1; value 0's 1e-20 rounds away
+        t = rb_table([0.5, 0.5], [1e-20, 0.9999999999999999])
+        rep = lpl_sandwich(t, 1.0)
+        assert rep.gamma_used == 0.9999999999999999 and rep.gamma_next is None
+        assert rep.lower_region.tolist() == credible_region(t, rep.gamma_used).members.tolist() == [1]
+        assert rep.upper_region.tolist() == [1]
+        assert all(rep.lower_holds) and all(rep.upper_holds)
+
     @settings(max_examples=150, deadline=None)
     @given(finite_models(zeros=True), st.integers(0, 24), st.data())
     def test_gamma_next_is_none_or_above_gamma_used(self, drawn, decades, data):
