@@ -34,7 +34,11 @@ away in the total. A model document with masses given
 as strings and a bool, one with a misspelt psi block, and a grid ladder whose
 best evidence cell's ratio overflows pin how each is read. A uniform prior
 narrower than its grid runs ``limits region`` and ``limits lambda``, and so
-does one whose node values total past the float range. Gridded inputs past the
+does one whose node values total past the float range; the first also runs
+``limits map`` and ``limits sandwich``, and under a likelihood flat to the
+float's precision ``limits lambda`` and ``limits map``. Two ``evidence``
+runs name a psi0 without prior mass and one out of range, and a
+``classify predict`` run has a MAP ratio past the float range. Gridded inputs past the
 float range (a lognormal ``exp(mu)`` that overflows or is 0, a grid width or
 last edge offset that overflows, node values that overflow) pin their one
 ``error:`` line.
@@ -155,6 +159,12 @@ def _cases() -> list[dict]:
                     "args": ["evidence", "--model", path, "--x", str(x), "--gamma", repr(gamma),
                              "--convention", convention, "--psi0", str(psi0)],
                 })
+    # theta t1 of zero_prior has no prior mass, and 5 names no theta value at all
+    for psi0 in (1, 5):
+        cases.append({
+            "name": f"evidence-zero_prior-psi0-{psi0}",
+            "args": ["evidence", "--model", "zero_prior.json", "--x", "2", "--psi0", str(psi0)],
+        })
     cases.append({
         "name": "evidence-tied-gamma-above-one",
         "args": ["evidence", "--model", "tied.json", "--x", "0", "--gamma", "1.5"],
@@ -287,6 +297,12 @@ def _cases() -> list[dict]:
         "args": ["classify", "predict", "--alpha", "1", "--beta", "100", "--n", "10",
                  "--c-bar", "0.0", "--f0", "0.1", "--f1", "0.3"],
     })
+    # no data and a class-0 density of 0 at the new point: the MAP ratio is past the float range
+    cases.append({
+        "name": "classify-predict-f0-zero",
+        "args": ["classify", "predict", "--alpha", "1", "--beta", "1", "--n", "0",
+                 "--c-bar", "0", "--f0", "0", "--f1", "0.3"],
+    })
     eta = {"model": _models()["psi_map"][0], "x": 1, "eta_steps": 8}
     (HERE / "eta_psi_map.json").write_text(json.dumps(eta, indent=2) + "\n")
     cases.append({
@@ -378,6 +394,17 @@ def _cases() -> list[dict]:
     (HERE / "limits_uniform_narrow.json").write_text(json.dumps(narrow, indent=2) + "\n")
     for name in ("uniform", "uniform_narrow"):
         for experiment in ("region", "lambda"):
+            cases.append({
+                "name": f"limits-{experiment}-{name.replace('_', '-')}",
+                "args": ["limits", experiment, "--config", f"limits_{name}.json", "--precision", "full"],
+            })
+    # the uniform ladder has 32, 64 and 128 cells without prior mass; a likelihood of
+    # variance 1e30 on it leaves the ratio flat across the cells with prior mass
+    flat = {**uniform, "likelihood": {**uniform["likelihood"], "sigma2": 1e30}, "steps": 2}
+    del flat["refine_factor"]
+    (HERE / "limits_uniform_flat.json").write_text(json.dumps(flat, indent=2) + "\n")
+    for name, experiments in (("uniform", ("map", "sandwich")), ("uniform_flat", ("lambda", "map"))):
+        for experiment in experiments:
             cases.append({
                 "name": f"limits-{experiment}-{name.replace('_', '-')}",
                 "args": ["limits", experiment, "--config", f"limits_{name}.json", "--precision", "full"],
