@@ -28,7 +28,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import IndexOutOfRangeError, NumericalGuardError, ValidationError, _json_object
+from .errors import NumericalGuardError, ValidationError, _json_object
 
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
@@ -77,8 +77,12 @@ def _emit(text: str, output: str | None):
 
 
 def _json_text(doc) -> str:
-    """``doc`` as sorted, indented JSON; numpy arrays and scalars become lists and numbers."""
-    return json.dumps(doc, indent=2, sort_keys=True, default=lambda a: a.tolist()) + "\n"
+    """``doc`` as sorted, indented JSON; numpy arrays and scalars become lists and numbers.
+
+    RFC 8259 JSON has no NaN or infinity, so a non-finite value raises ``ValueError``.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=lambda a: a.tolist())
+    return text + "\n"
 
 
 def _fmt(value, precision: str) -> str:
@@ -96,10 +100,9 @@ def _csv_text(header: list[str], rows, precision: str) -> str:
     return buf.getvalue()
 
 
-def _region_doc(report, t) -> dict:
-    """A region's fields, members as input indices of ``t``; a ``-inf`` cutoff prints as null."""
+def _region_doc(report) -> dict:
+    """A region's fields; a ``-inf`` cutoff prints as null."""
     doc = dataclasses.asdict(report)
-    doc["members"] = t.kept_indices[report.members]
     if report.cutoff == -math.inf:
         doc["cutoff"] = None
     return doc
@@ -184,29 +187,24 @@ def evidence_cmd(model_path, x_index, gamma, convention, psi0, output):
     psi = psi or identity_psi(model)
     t = evidence.table_from_model(model, x_index, psi)
     est = evidence.rb_estimate(t)
-    kept, rb = t.kept_indices, np.full(psi.n_psi, None)
-    prior, post = np.zeros(psi.n_psi), np.zeros(psi.n_psi)
-    rb[kept], prior[kept], post[kept] = t.rb, t.prior, t.posterior
     doc = {
         "labels": psi.psi_labels,
-        "rb": rb,
-        "prior": prior,
-        "posterior": post,
-        "estimate": kept[est.index],
+        # a value without prior mass has ratio -inf: it prints as null
+        "rb": np.where(t.prior > 0.0, t.rb, None),
+        "prior": t.prior,
+        "posterior": t.posterior,
+        "estimate": est.index,
         "tie": est.tie,
         "dropped_zero_prior": t.dropped_zero_prior,
-        "plausible": _region_doc(evidence.plausible_region(t), t),
+        "plausible": _region_doc(evidence.plausible_region(t)),
         "credible": {
             "gamma": gamma,
             "convention": convention,
-            **_region_doc(evidence.credible_region(t, gamma, convention), t),
+            **_region_doc(evidence.credible_region(t, gamma, convention)),
         },
     }
     if psi0 is not None:
-        row = np.flatnonzero(kept == psi0)
-        if not row.size:
-            raise IndexOutOfRangeError(f"psi0 index {psi0} names no value with prior mass in [0, {psi.n_psi})")
-        rep = evidence.assess_hypothesis(t, int(row[0]))
+        rep = evidence.assess_hypothesis(t, psi0)
         doc["strength"] = rep.strength
         doc["hypothesis"] = {"psi0": psi0, **dataclasses.asdict(rep)}
     _emit(_json_text(doc), output)
@@ -291,7 +289,10 @@ def classify_predict(alpha, beta, n, c_bar, f0, f1, output):
     spec = classify.PredictiveSpec(
         alpha=alpha, beta=beta, n=n, c_bar=c_bar, f0_at_x=f0, f1_at_x=f1
     )
-    _emit(_json_text(dataclasses.asdict(classify.predictive_classify(spec))), output)
+    doc = dataclasses.asdict(classify.predictive_classify(spec))
+    # a ratio past the float range prints as null, as a -inf cutoff does
+    doc.update({k: None for k in ("map_ratio", "rb_ratio") if doc[k] == math.inf})
+    _emit(_json_text(doc), output)
 
 
 @classify_group.command("known")

@@ -38,16 +38,17 @@ from .model import FiniteModel, PsiMap, _unit_total, identity_psi, posterior, ps
 class EvidenceTable:
     """Per-value prior mass, posterior mass and relative belief ratio.
 
-    Values whose prior and posterior mass are both zero (truncation
-    artifacts) are excluded; ``dropped_zero_prior`` counts them and
-    ``kept_indices`` maps table rows to input positions, so a region's
-    input positions are ``kept_indices[region.members]``. ``labels`` are
-    the input labels of the kept rows.
+    Every input value keeps its input position, so a table position and a
+    region member are input positions. A value whose prior and posterior
+    mass are both zero (a truncation artifact) has ratio ``-inf``, below
+    every level: it is never an estimate, a region member or a capped Bayes
+    action. ``dropped_zero_prior`` counts such values. ``labels`` are the
+    input labels, ``np.arange(n)`` when none are given.
 
-    ``prior``, ``posterior``, ``rb`` and ``kept_indices`` are read-only
-    arrays. ``descending``, the table's ratio-descending order, is sorted
-    on first use and kept, read-only; it assumes those arrays do not change
-    after that.
+    ``prior``, ``posterior`` and ``rb`` are read-only arrays.
+    ``descending``, the table's ratio-descending order, is sorted on first
+    use and kept, read-only; it assumes those arrays do not change after
+    that.
     """
 
     labels: Sequence
@@ -55,7 +56,6 @@ class EvidenceTable:
     posterior: np.ndarray
     rb: np.ndarray
     dropped_zero_prior: int
-    kept_indices: np.ndarray
 
     def __len__(self) -> int:
         return len(self.rb)
@@ -124,14 +124,15 @@ def _ratios(masses, denominators) -> np.ndarray:
 
 
 def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
-    """Build the evidence table ``rb = posterior / prior``.
+    """Build the evidence table ``rb = posterior / prior``, one row per input value.
 
-    Entries with zero prior and zero posterior mass are dropped (counted in
-    the result); zero prior with positive posterior is an input error. The
-    kept masses are stored as given, checked to sum to 1 within NORM_TOL.
-    A read-only array (masses or labels) or a labels tuple from which
-    nothing drops is stored itself, not copied: a grid's masses and
-    midpoints and a psi map's labels are shared this way.
+    A value with zero prior and zero posterior mass stays in place with
+    ratio ``-inf`` and is counted; zero prior with positive posterior is an
+    input error. The masses are stored as given, checked to sum to 1 within
+    NORM_TOL. A read-only array (masses or labels) or a labels tuple is
+    stored itself, not copied: a grid's masses and midpoints and a psi map's
+    labels are shared this way. A writable array is copied, so the caller's
+    stays writable.
     """
     prior = np.asarray(prior, dtype=float)
     posterior = np.asarray(posterior, dtype=float)
@@ -150,31 +151,24 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
             f"value {i if labels is None else labels[i]!r} has zero prior "
             f"but posterior mass {posterior[i]!r}"
         )
-    kept_idx = (~zero_prior).nonzero()[0]
-    kept_idx.setflags(write=False)
-    all_kept = len(kept_idx) == len(prior)
-
-    def kept(a: np.ndarray) -> np.ndarray:
-        return a if all_kept and not a.flags.writeable else a[kept_idx]
-
-    if isinstance(labels, np.ndarray):
-        labels = kept(labels)
-    elif labels is not None and not (all_kept and isinstance(labels, tuple)):
-        labels = tuple(labels[i] for i in kept_idx.tolist())
-    prior, posterior = kept(prior), kept(posterior)
+    prior, posterior = (a.copy() if a.flags.writeable else a for a in (prior, posterior))
+    if labels is None:
+        labels = np.arange(len(prior))
+    elif isinstance(labels, np.ndarray):
+        labels = labels.copy() if labels.flags.writeable else labels
+    else:
+        labels = tuple(labels)  # a tuple comes back as itself
     _unit(prior, "prior")
     _unit(posterior, "posterior")
-    rb = _ratios(posterior, prior)
+    dropped = int(np.count_nonzero(zero_prior))
+    if dropped:
+        rb = np.full(len(prior), -math.inf)
+        rb[~zero_prior] = _ratios(posterior[~zero_prior], prior[~zero_prior])
+    else:
+        rb = _ratios(posterior, prior)
     for a in (prior, posterior, rb):
         a.setflags(write=False)
-    return EvidenceTable(
-        labels=kept_idx if labels is None else labels,
-        prior=prior,
-        posterior=posterior,
-        rb=rb,
-        dropped_zero_prior=len(zero_prior) - len(kept_idx),
-        kept_indices=kept_idx,
-    )
+    return EvidenceTable(labels, prior, posterior, rb, dropped)
 
 
 def table_from_gridded(prior_gd, posterior_gd) -> EvidenceTable:
@@ -341,9 +335,11 @@ def credible_region(t: EvidenceTable, gamma: float, convention: str = "sup-geq")
 
 
 def strength(t: EvidenceTable, psi0: int) -> float:
-    """Posterior probability of evidence no larger than at ``psi0``."""
-    if not 0 <= psi0 < len(t):
-        raise IndexOutOfRangeError(f"psi0 index {psi0} not in [0, {len(t)})")
+    """Posterior probability of evidence no larger than at ``psi0``, a value with prior mass."""
+    if not (0 <= psi0 < len(t) and t.prior[psi0] > 0.0):
+        raise IndexOutOfRangeError(
+            f"psi0 index {psi0} names no value with prior mass in [0, {len(t)})"
+        )
     return float(fsums(t.posterior[t.rb <= t.rb[psi0]]))
 
 

@@ -154,18 +154,16 @@ def eta_limit(source, x=None, psi: PsiMap | None = None, eta_ladder=None) -> Lim
 
     The per-step action maximizes ``posterior / max(eta, prior)``; the trace
     target is the evidence maximizer, which must be unique. Actions and the
-    target are input indices (``t.kept_indices`` of table positions), as
-    :func:`region_limit`'s cells are grid cells, so a value without prior
-    mass keeps its place in the count. Discrepancy is the index distance to
-    the target.
+    target are table positions, which are input positions, so a value
+    without prior mass keeps its place in the count. Discrepancy is the
+    index distance to the target.
     """
     t = _table_from_source(source, x=x, psi=psi)
     est = rb_estimate(t)
     if est.tie:
         raise TieAtMaximizerError("evidence maximizer is not unique")
     eta_ladder = _checked_ladder(t.prior, eta_ladder)
-    kept = t.kept_indices.tolist()
-    return _trace(eta_ladder, [kept[_capped_action(t, eta)] for eta in eta_ladder], kept[est.index])
+    return _trace(eta_ladder, [_capped_action(t, eta) for eta in eta_ladder], est.index)
 
 
 # grid -> (prior_density, likelihood_at_x, table, prior tail mass) of the last pair
@@ -191,15 +189,10 @@ def _grid_table(prior_density: Callable, likelihood_at_x: Callable, grid: Grid1D
     return table
 
 
-def _cell_posterior(t: EvidenceTable, n_cells: int) -> np.ndarray:
-    """Posterior mass of each of a grid's ``n_cells`` cells: zero where ``t`` dropped the cell."""
-    post = np.zeros(n_cells)
-    post[t.kept_indices] = t.posterior
-    return post
-
-
 def _checked_argmax(values: np.ndarray, what: str) -> int:
-    hi, lo = float(np.max(values)), float(np.min(values))
+    """The first grid cell of the maximum; raises when the finite values are flat or the
+    maximum's cells are not contiguous (a cell without prior mass, ratio ``-inf``, separates)."""
+    hi, lo = float(np.max(values)), float(np.min(values, initial=math.inf, where=values > -math.inf))
     if hi - lo <= FLAT_TOL * max(hi, 1.0):
         raise SeparationViolatedError(f"{what} is flat across the grid")
     peaks = np.flatnonzero(values == hi)
@@ -226,7 +219,7 @@ def lambda_limit(
     """Bayes actions of the discretized problem along a grid ladder.
 
     Per grid, the loss cap is half the prior mass of the best evidence cell,
-    which the table keeps, so the cap lies strictly between zero and that
+    which is positive, so the cap lies strictly between zero and that
     mass; the action is the Bayes cell's midpoint. ``target`` defaults to
     the finest grid's action when no analytic value is supplied.
     """
@@ -252,16 +245,16 @@ def map_limit_contrast(
     """
 
     def action_on(grid: Grid1D) -> float:
-        post = _cell_posterior(_grid_table(prior_density, likelihood_at_x, grid), grid.n_cells)
+        post = _grid_table(prior_density, likelihood_at_x, grid).posterior
         return float(grid.midpoints[_checked_argmax(post, "posterior cell mass")])
 
     return _grid_ladder_trace(grids, target, action_on)
 
 
-def _region_mask(t: EvidenceTable, gamma: float, n_cells: int) -> np.ndarray:
+def _region_mask(t: EvidenceTable, gamma: float) -> np.ndarray:
     """Mask over all grid cells of the sup-geq credible region of ``t``."""
-    mask = np.zeros(n_cells, dtype=bool)
-    mask[t.kept_indices[credible_region(t, gamma, "sup-geq").members]] = True
+    mask = np.zeros(len(t), dtype=bool)
+    mask[credible_region(t, gamma, "sup-geq").members] = True
     return mask
 
 
@@ -277,23 +270,23 @@ def region_limit(
     The reference region lives on a ``refine_factor`` times finer grid than
     the finest ladder step; discrepancy is the reference-posterior mass of
     the symmetric difference after expanding ladder cells to reference
-    cells. Each region, the target's included, is a sorted array of grid
-    cells. A reference grid of more than ``CELL_CAP`` cells raises
-    :class:`TooManyCellsError` before any discretization.
+    cells. Each region, the target's included, is a sorted array of input
+    positions, which are the grid's cells. A reference grid of more than
+    ``CELL_CAP`` cells raises :class:`TooManyCellsError` before any
+    discretization.
     """
     ref_grid = capped(refine(grids[-1], refine_factor), "the reference grid")
     for g in grids:
         if ref_grid.n_cells % g.n_cells or g.lo != ref_grid.lo or g.hi != ref_grid.hi:
             raise ValidationError("ladder grids must nest into the reference grid")
     t_ref = _grid_table(prior_density, likelihood_at_x, ref_grid)
-    ref_mask = _region_mask(t_ref, gamma, ref_grid.n_cells)
-    ref_post = _cell_posterior(t_ref, ref_grid.n_cells)
+    ref_mask = _region_mask(t_ref, gamma)
 
     regions, discrepancies = [], []
     for grid in grids:
-        cells = _region_mask(_grid_table(prior_density, likelihood_at_x, grid), gamma, grid.n_cells)
+        cells = _region_mask(_grid_table(prior_density, likelihood_at_x, grid), gamma)
         mask = np.repeat(cells, ref_grid.n_cells // grid.n_cells)
-        discrepancies.append(float(fsums(ref_post[mask ^ ref_mask])))
+        discrepancies.append(float(fsums(t_ref.posterior[mask ^ ref_mask])))
         regions.append(np.flatnonzero(cells))
     return LimitTrace(
         parameter_values=tuple(grid.cell_width for grid in grids),
@@ -307,7 +300,7 @@ def region_limit(
 class SandwichReport:
     """Lowest-posterior-loss regions squeezed between credible regions.
 
-    Each region is a sorted array of table positions.
+    Each region is a sorted array of input positions of the table.
     """
 
     gamma_requested: float
@@ -424,10 +417,8 @@ def invariance_demo(
 
     t = rb_table(prior_m, post_m)
     ti = rb_table(prior_mi, post_mi)
-    _, pos, pos_i = np.intersect1d(
-        t.kept_indices, ti.kept_indices, assume_unique=True, return_indices=True
-    )
-    diffs = np.abs(t.rb[pos] - ti.rb[pos_i])
+    both = (t.prior > 0.0) & (ti.prior > 0.0)
+    diffs = np.abs(t.rb[both] - ti.rb[both])
 
     # density-level mode: mass over cell width (uniform widths originally)
     map_idx = int(np.argmax(post_m))
@@ -435,8 +426,8 @@ def invariance_demo(
     map_idx_image = int(np.argmax(post_mi / image_widths))
 
     return InvarianceReport(
-        rb_index=int(t.kept_indices[rb_estimate(t).index]),
-        rb_index_image=int(ti.kept_indices[rb_estimate(ti).index]),
+        rb_index=rb_estimate(t).index,
+        rb_index_image=rb_estimate(ti).index,
         rb_max_abs_diff=float(diffs.max()) if len(diffs) else math.inf,
         map_index=map_idx,
         map_index_image=map_idx_image,

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import relbel
-from relbel.cli import main
+from relbel.cli import _json_text, main
 
 
 MODEL_DOC = {
@@ -282,9 +282,10 @@ class TestClassifyCommands:
         [
             # predictive odds 1e17; the rb ratio is exactly 1 with no training data
             (["1e17", "1", "0", "0", "1", "1"], (1, 0, 1e17, 1.0)),
-            # count and density log ratios near +-709 each: exp of their sum overflows
-            (["1e308", "1e-308", "1", "1", "1e-308", "1e308"], (1, 1, math.inf, math.inf)),
-            (["1", "1", "0", "0", "1e-308", "1e308"], (1, 1, math.inf, math.inf)),
+            # count and density log ratios near +-709 each: exp of their sum overflows, and
+            # a ratio past the float range prints as null
+            (["1e308", "1e-308", "1", "1", "1e-308", "1e308"], (1, 1, None, None)),
+            (["1", "1", "0", "0", "1e-308", "1e308"], (1, 1, None, None)),
             # the largest n, all of class 1
             (["1", "1", str(2**53), "1", "1", "1"], (1, 1, 2.0**53 + 1, 2.0**53 + 1)),
         ],
@@ -297,8 +298,8 @@ class TestClassifyCommands:
         doc = json.loads(res.stdout)
         c_map, c_rb, map_ratio, rb_ratio = expected
         assert (doc["c_map"], doc["c_rb"]) == (c_map, c_rb)
-        assert doc["map_ratio"] == pytest.approx(map_ratio, rel=1e-12)
-        assert doc["rb_ratio"] == pytest.approx(rb_ratio, rel=1e-12)
+        for key, want in (("map_ratio", map_ratio), ("rb_ratio", rb_ratio)):
+            assert doc[key] == (want if want is None else pytest.approx(want, rel=1e-12))
 
     def test_predict_n_past_exact_counts_exits_2(self, runner):
         # past 2^53 the float count n * c_bar is inexact, past 2^1024 not a float
@@ -308,6 +309,12 @@ class TestClassifyCommands:
             assert res.exit_code == 2, res.output
             assert res.output.startswith("error: n must be in [0, 2^53]"), res.output
             assert res.output.count("\n") == 1
+
+    def test_json_reports_reject_non_finite_values(self):
+        for value in (math.inf, -math.inf, math.nan):
+            for doc in ({"ratio": value}, {"rb": np.array([0.5, value])}):
+                with pytest.raises(ValueError, match="JSON compliant"):
+                    _json_text(doc)
 
     def test_table1_n_past_the_cap_exits_2(self, runner):
         args = ["classify", "table1", "--betas", "1", "--n", "1000000000000", "--reps", "1"]

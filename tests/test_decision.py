@@ -313,7 +313,7 @@ class TestOneRatio:
         for x in range(model.n_x):
             t = table_from_model(model, x, psi)
             est = rb_estimate(t)
-            assert rule.action_per_x[x] == int(t.kept_indices[est.index])
+            assert rule.action_per_x[x] == est.index
             assert rule.ties[x] == est.tie
             if not est.tie:
                 for eta in caps:

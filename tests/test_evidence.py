@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import astuple
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -13,6 +14,7 @@ from scipy import stats
 from relbel.decision import lpl_region, make_loss
 from relbel.errors import (
     BadGammaError,
+    IndexOutOfRangeError,
     NumericalGuardError,
     RatioOverflowError,
     ValidationError,
@@ -32,6 +34,7 @@ from relbel.evidence import (
 import relbel.evidence as evidence_mod
 from relbel._sums import fsums
 from relbel.grids import _normalize, build_grid, masses_from_cdf
+from relbel.limits import eta_limit, lpl_sandwich
 from relbel.model import (
     FiniteModel,
     PsiMap,
@@ -65,12 +68,13 @@ class TestRbTable:
         with pytest.raises(ZeroPriorPositivePosteriorError):
             rb_table([0.0, 1.0], [0.5, 0.5])
 
-    def test_zero_prior_cells_dropped_and_counted(self):
+    def test_zero_prior_cells_kept_in_place_and_counted(self):
         t = rb_table([0.5, 0.0, 0.5], [0.2, 0.0, 0.8], labels=("a", "b", "c"))
         assert t.dropped_zero_prior == 1
-        assert t.labels == ("a", "c")
-        assert t.kept_indices.tolist() == [0, 2]
-        assert not t.kept_indices.flags.writeable
+        assert t.labels == ("a", "b", "c")
+        assert t.prior.tolist() == [0.5, 0.0, 0.5] and t.posterior.tolist() == [0.2, 0.0, 0.8]
+        assert t.rb.tolist() == [0.4, -math.inf, 1.6]
+        assert len(t) == 3 and rb_estimate(t) == (2, False)
 
     def test_normalization_invariant(self, rng):
         for _ in range(100):
@@ -87,7 +91,7 @@ class TestRbTable:
     def test_labels_tuple_kept_when_nothing_drops(self):
         labels = ("a", "b", "c")
         assert rb_table([0.2, 0.3, 0.5], [0.1, 0.1, 0.8], labels=labels).labels is labels
-        assert rb_table([0.5, 0.0, 0.5], [0.2, 0.0, 0.8], labels=labels).labels == ("a", "c")
+        assert rb_table([0.5, 0.0, 0.5], [0.2, 0.0, 0.8], labels=labels).labels is labels
         assert rb_table([0.5, 0.5], [0.2, 0.8], labels=["a", "b"]).labels == ("a", "b")
 
     @pytest.mark.parametrize("assignment", [(True, False, True), (0, 1.0, 1), (np.True_, 0, 1)])
@@ -283,11 +287,9 @@ class TestGridTables:
             image_prior / math.fsum(image_prior.tolist()),
             image_post / math.fsum(image_post.tolist()),
         )
-        common = sorted(set(t.kept_indices) & set(ti.kept_indices))
-        pos = {k: i for i, k in enumerate(t.kept_indices)}
-        pos_i = {k: i for i, k in enumerate(ti.kept_indices)}
-        for k in common:
-            assert t.rb[pos[k]] == pytest.approx(ti.rb[pos_i[k]], rel=1e-9)
+        both = (t.prior > 0.0) & (ti.prior > 0.0)
+        assert both.any()
+        assert t.rb[both] == pytest.approx(ti.rb[both], rel=1e-9)
 
     def test_attainable_gammas_are_step_contents(self):
         t = example_table()
@@ -333,18 +335,21 @@ class TestZeroPriorProperties:
     @settings(max_examples=200, deadline=None)
     @given(zero_prior_tables())
     def test_index_data_matches_per_cell_reference(self, case):
-        prior, _, labels, t = case
-        kept = [i for i in range(len(prior)) if prior[i] != 0.0]
-        assert t.kept_indices.tolist() == kept
-        assert not t.kept_indices.flags.writeable
-        assert t.dropped_zero_prior == len(prior) - len(kept)
-        assert list(t.labels) == (kept if labels is None else [labels[i] for i in kept])
+        prior, post, labels, t = case
+        dropped = [i for i in range(len(prior)) if prior[i] == 0.0]
+        assert np.flatnonzero(t.rb == -math.inf).tolist() == dropped
+        assert t.dropped_zero_prior == len(dropped)
+        assert len(t) == len(prior)
+        assert t.prior.tobytes() == prior.tobytes() and t.posterior.tobytes() == post.tobytes()
+        assert list(t.labels) == list(range(len(prior)) if labels is None else labels)
 
     @settings(max_examples=200, deadline=None)
     @given(zero_prior_tables())
     def test_prior_times_rb_sums_to_one(self, case):
+        # over the values with prior mass: 0 * -inf is NaN
         t = case[3]
-        assert abs(math.fsum((t.prior * t.rb).tolist()) - 1.0) <= 1e-9
+        kept = t.prior > 0.0
+        assert abs(math.fsum((t.prior[kept] * t.rb[kept]).tolist()) - 1.0) <= 1e-9
 
     @settings(max_examples=200, deadline=None)
     @given(zero_prior_tables(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5))
@@ -368,8 +373,9 @@ def quantile_oracle(t, gamma):
     """The ``quantile-gt`` cutoff as first written: a bisection over
     ``np.unique(t.rb)`` with one masked exact total per probe; when the
     table's exact total does not pass ``gamma``, no level does, and the
-    cutoff leaves the values with posterior mass."""
-    levels = np.unique(t.rb)
+    cutoff leaves the values with posterior mass. The ``-inf`` level of the
+    values without prior mass is no cutoff."""
+    levels = np.unique(t.rb[t.rb > -math.inf])
     if float(fsums(t.posterior)) <= gamma:
         return 0.0 if levels[0] == 0.0 else -math.inf
 
@@ -440,6 +446,58 @@ class TestQuantileCutoffMatchesBisection:
                 assert len(probes) <= 3
 
 
+class TestOneIndexSpace:
+    """A table keeps every input value in place: each inference on it is the inference on
+    the table of its values with prior mass, read in input positions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_prior_tables(), st.lists(st.floats(0.0, 1.0), max_size=3))
+    def test_full_table_is_the_positive_prior_table_in_input_positions(self, case, drawn):
+        prior, post, _, t = case
+        kept = np.flatnonzero(prior > 0.0)
+        sub = rb_table(prior[kept], post[kept])
+        assert np.flatnonzero(t.rb == -math.inf).tolist() == np.flatnonzero(prior == 0.0).tolist()
+        assert t.dropped_zero_prior == len(prior) - len(kept) and sub.dropped_zero_prior == 0
+        assert t.rb[kept].tobytes() == sub.rb.tobytes()
+        est, sub_est = rb_estimate(t), rb_estimate(sub)
+        assert (est.index, est.tie) == (kept[sub_est.index], sub_est.tie)
+
+        def same(region, sub_region):
+            assert region.members.tolist() == kept[sub_region.members].tolist()
+            for field in ("cutoff", "posterior_content", "prior_content"):
+                assert getattr(region, field).hex() == getattr(sub_region, field).hex()
+
+        same(plausible_region(t), plausible_region(sub))
+        for g in quantile_gammas(sub, drawn):
+            for convention in ("sup-geq", "quantile-gt"):
+                same(credible_region(t, g, convention), credible_region(sub, g, convention))
+        for i, j in enumerate(kept.tolist()):
+            assert astuple(assess_hypothesis(t, j)) == astuple(assess_hypothesis(sub, i))
+        for j in [*np.flatnonzero(prior == 0.0).tolist(), -1, len(prior)]:
+            with pytest.raises(IndexOutOfRangeError, match="names no value with prior mass"):
+                assess_hypothesis(t, j)
+
+        for g in (0.5, 0.9, 1.0):
+            rep, sub_rep = lpl_sandwich(t, g), lpl_sandwich(sub, g)
+            assert (rep.gamma_used, rep.gamma_next) == (sub_rep.gamma_used, sub_rep.gamma_next)
+            assert rep.eta_values == sub_rep.eta_values
+            assert (rep.lower_holds, rep.upper_holds) == (sub_rep.lower_holds, sub_rep.upper_holds)
+            for region, sub_region in [
+                (rep.lower_region, sub_rep.lower_region),
+                (rep.upper_region, sub_rep.upper_region),
+                *zip(rep.d_regions, sub_rep.d_regions),
+            ]:
+                assert region.tolist() == kept[sub_region].tolist()
+        if not sub_est.tie:
+            trace, sub_trace = eta_limit(t), eta_limit(sub)
+            assert trace.parameter_values == sub_trace.parameter_values
+            assert list(trace.actions_or_regions) == kept[list(sub_trace.actions_or_regions)].tolist()
+            assert trace.target == kept[sub_trace.target]
+            assert trace.discrepancies == tuple(
+                float(abs(kept[a] - kept[sub_trace.target])) for a in sub_trace.actions_or_regions
+            )
+
+
 @st.composite
 def ratio_tables(draw):
     """Tables with tied ratios, cells without posterior mass and huge ratios.
@@ -488,7 +546,7 @@ class TestOneDescendingOrder:
         t = rb_table([0.5, 0.0, 0.5], [0.2, 0.0, 0.8])
         region = credible_region(t, 0.5)
         assert t.descending is t.descending
-        for a in (t.prior, t.posterior, t.rb, t.kept_indices, *t.descending, region.members):
+        for a in (t.prior, t.posterior, t.rb, *t.descending, region.members):
             with pytest.raises(ValueError):
                 a[0] = a[0]
 
@@ -545,7 +603,9 @@ class TestOneExactContentPerRegion:
         levels, content = per_call_levels(t.rb, t.posterior)
         total = float(fsums(t.posterior))
         positive = np.flatnonzero(t.rb > 0.0).tolist()
-        loss = make_loss("rb", t.prior)
+        # below the least positive prior mass the capped loss divides by the prior masses,
+        # as the rb loss does, and by the cap where the prior is 0
+        loss = make_loss("rb-eta", t.prior, eta=0.5 * float(t.prior[t.prior > 0.0].min()))
         # gammas in [0, total], each level's exact content, and its float prefix sum beside it
         drawn = [u * total for u in shares] + content.tolist() + t.descending[1].tolist() + [1.0]
         for g in in_domain(t, drawn):

@@ -30,6 +30,23 @@ def test_output_matches_golden_bytes(case, monkeypatch):
     assert res.stdout_bytes == (GOLDEN / "out" / f"{case['name']}.txt").read_bytes()
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+# every command but limits and classify table1, which write CSV, writes one JSON report
+JSON_CASES = [
+    c for c in CASES
+    if c["exit"] == 0 and c["args"][0] != "limits" and c["args"][:2] != ["classify", "table1"]
+]
+
+
+@pytest.mark.parametrize("case", JSON_CASES, ids=[c["name"] for c in JSON_CASES])
+def test_json_reports_have_no_nan_or_infinity(case):
+    text = (GOLDEN / "out" / f"{case['name']}.txt").read_text()
+    assert isinstance(json.loads(text, parse_constant=_no_constant), dict)
+
+
 def _invocations(group: click.Group, prefix: tuple = ()):
     """Every leaf of the command tree, with each value of a choice argument."""
     for name, cmd in group.commands.items():

@@ -18,7 +18,13 @@ from relbel.errors import (
     ValidationError,
 )
 import relbel.grids as grids_mod
-from relbel.evidence import attainable_gammas, credible_region, rb_table, table_from_model
+from relbel.evidence import (
+    attainable_gammas,
+    credible_region,
+    rb_table,
+    table_from_gridded,
+    table_from_model,
+)
 from relbel.grids import build_grid, discretize, discretize_joint, family, refine
 from relbel.limits import (
     CELL_CAP,
@@ -349,6 +355,23 @@ class TestLambdaLimit:
         grids = [build_grid(-6, 6, 128)]
         with pytest.raises(SeparationViolatedError):
             lambda_limit(NORMAL_PRIOR.pdf, lambda p: np.ones_like(p), grids)
+
+    def test_equal_peaks_across_a_cell_without_prior_mass_are_separated(self):
+        # cells 1 and 3 of [0, 5) share their node values and so their ratio, the
+        # largest; cell 2 has no prior mass. Separation is judged in grid cells, where
+        # the peaks are two apart, as the posterior cell masses of the map ladder are
+        def prior(p):
+            return np.where((p >= 2.0) & (p < 3.0), 0.0, 0.25)
+
+        def lik(p):
+            return np.where((p >= 1.0) & (p < 2.0) | (p >= 3.0) & (p < 4.0), 2.0, 1.0)
+
+        grids = [build_grid(0.0, 5.0, 5)]
+        rb = table_from_gridded(*discretize_joint(prior, lik, grids[0])).rb
+        assert rb[1] == rb[3] == rb.max() and rb[2] == -math.inf
+        for experiment in (lambda_limit, map_limit_contrast):
+            with pytest.raises(SeparationViolatedError, match="separated equal peaks"):
+                experiment(prior, lik, grids)
 
 
 @st.composite
