@@ -38,7 +38,7 @@ does one whose node values total past the float range; the first also runs
 ``limits map`` and ``limits sandwich``, and under a likelihood flat to the
 float's precision ``limits lambda`` and ``limits map``. Two ``evidence``
 runs name a psi0 without prior mass and one out of range, and a
-``classify predict`` run has a MAP ratio past the float range. Gridded inputs past the
+``classify predict`` run has ratios past the float range. Gridded inputs past the
 float range (a lognormal ``exp(mu)`` that overflows or is 0, a grid width or
 last edge offset that overflows, node values that overflow) pin their one
 ``error:`` line.
@@ -297,7 +297,7 @@ def _cases() -> list[dict]:
         "args": ["classify", "predict", "--alpha", "1", "--beta", "100", "--n", "10",
                  "--c-bar", "0.0", "--f0", "0.1", "--f1", "0.3"],
     })
-    # no data and a class-0 density of 0 at the new point: the MAP ratio is past the float range
+    # no data and a class-0 density of 0 at the new point: both ratios pass the float range
     cases.append({
         "name": "classify-predict-f0-zero",
         "args": ["classify", "predict", "--alpha", "1", "--beta", "1", "--n", "0",
