@@ -132,7 +132,7 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
     NORM_TOL. A read-only array (masses or labels) or a labels tuple is
     stored itself, not copied: a grid's masses and midpoints and a psi map's
     labels are shared this way. A writable array is copied, so the caller's
-    stays writable.
+    stays writable. The table's arrays, labels included, are read-only.
     """
     prior = np.asarray(prior, dtype=float)
     posterior = np.asarray(posterior, dtype=float)
@@ -160,15 +160,13 @@ def rb_table(prior, posterior, labels: Sequence | None = None) -> EvidenceTable:
         labels = tuple(labels)  # a tuple comes back as itself
     _unit(prior, "prior")
     _unit(posterior, "posterior")
-    dropped = int(np.count_nonzero(zero_prior))
-    if dropped:
-        rb = np.full(len(prior), -math.inf)
-        rb[~zero_prior] = _ratios(posterior[~zero_prior], prior[~zero_prior])
-    else:
-        rb = _ratios(posterior, prior)
-    for a in (prior, posterior, rb):
-        a.setflags(write=False)
-    return EvidenceTable(labels, prior, posterior, rb, dropped)
+    # a value without prior mass divides 0 by 1, which cannot overflow
+    rb = _ratios(posterior, np.where(zero_prior, 1.0, prior))
+    rb[zero_prior] = -math.inf
+    for a in (prior, posterior, rb, labels):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return EvidenceTable(labels, prior, posterior, rb, int(np.count_nonzero(zero_prior)))
 
 
 def table_from_gridded(prior_gd, posterior_gd) -> EvidenceTable:

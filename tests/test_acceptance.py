@@ -219,7 +219,8 @@ def test_criterion_09_normalization_everywhere(model_pool):
             t = rb_table(pi_psi, post)
             assert abs(math.fsum((t.rb * t.prior).tolist()) - 1.0) <= 1e-9
             checked += 1
-    # grid-built tables, including truncated ones with dropped cells
+    # grid-built tables; every value of every table here has prior mass, so
+    # no ratio is -inf and the product has no 0 * -inf term
     from relbel.evidence import table_from_gridded
     from relbel.grids import discretize
 

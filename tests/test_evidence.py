@@ -218,6 +218,9 @@ class TestCredible:
             warnings.simplefilter("error")
             with pytest.raises(RatioOverflowError, match=r"^ratio 0\.25 / 5e-324 overflows") as exc:
                 rb_table([5e-324, 5e-324, 1.0], [0.25, 0.25, 0.5])
+            # a value without prior mass ahead of them is not the one named
+            with pytest.raises(RatioOverflowError, match=r"^ratio 0\.25 / 5e-324 overflows"):
+                rb_table([0.0, 5e-324, 5e-324, 1.0], [0.0, 0.25, 0.25, 0.5])
         assert isinstance(exc.value, NumericalGuardError)
 
     def test_bad_gamma(self):
@@ -546,7 +549,8 @@ class TestOneDescendingOrder:
         t = rb_table([0.5, 0.0, 0.5], [0.2, 0.0, 0.8])
         region = credible_region(t, 0.5)
         assert t.descending is t.descending
-        for a in (t.prior, t.posterior, t.rb, *t.descending, region.members):
+        labeled = rb_table([0.5, 0.5], [0.2, 0.8], labels=np.array([3.0, 4.0]))
+        for a in (t.labels, t.prior, t.posterior, t.rb, *t.descending, region.members, labeled.labels):
             with pytest.raises(ValueError):
                 a[0] = a[0]
 
